@@ -95,6 +95,14 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
+def euler_product(q: int) -> Fraction:
+    """prod(1 - 1/l^2) over the primes l dividing q."""
+    out = Fraction(1)
+    for l, _ in factorize(q):
+        out *= 1 - Fraction(1, l * l)
+    return out
+
+
 def mult_n(p: int) -> Fraction:
     """The multiplicative function N(p); N(1) = 1."""
     out = Fraction(1)
@@ -239,6 +247,9 @@ class Cyclotomic:
         return all(a == b for a, b in zip(self.coeffs, o.coeffs))
 
     def __hash__(self):
+        # a constant equals its scalar, so it must hash like it
+        if all(c == 0 for c in self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.d, self.coeffs))
 
     def __repr__(self):
@@ -320,7 +331,7 @@ class GaussRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __repr__(self):
         return f"GaussRational({self.re}, {self.im})"

@@ -35,7 +35,7 @@ from .cusps import cusp_canonical, enumerate_cusps
 from .genus import euler_genus
 from .poly import Poly
 from .psl import (center, maps_between_cusps, psl_canon, r_formula,
-                  sign_center)
+                  scalar_units, sign_center)
 
 QuadMono = tuple[int, int]  # (i, j) with i <= j, 0-indexed coordinates
 Quadric = dict[QuadMono, object]
@@ -541,8 +541,7 @@ def hyperellipticity_obstruction() -> dict:
     """
     q = 8
     cent = sign_center(q)
-    scalars = {psl_canon(q, (lam, 0, 0, lam)) for lam in range(1, q)
-               if (lam * lam) % q == 1}
+    scalars = {psl_canon(q, (lam, 0, 0, lam)) for lam in scalar_units(q)}
     merged = set()
     for (x, z) in enumerate_cusps(q):
         orbit = set()

@@ -33,9 +33,9 @@ from .equation import (SemiHyperellipticEquation, build_equation,
                        undetermined_labels, CONVENTIONS)
 from .genus import genus_prime_quotient, genus_q, genus_qn, is_semihyperelliptic_level
 from .golden import golden
-from .psl import (center, cusp_class_action, element_order, enumerate_psl,
-                  maps_between_cusps, max_element_order, max_order_formula,
-                  r_formula, r_n_formula, type_classify)
+from .psl import (ENUM_GUARD, center, cusp_class_action, element_order,
+                  enumerate_psl, maps_between_cusps, max_element_order,
+                  max_order_formula, r_formula, r_n_formula, type_classify)
 
 
 class UsageError(Exception):
@@ -301,6 +301,8 @@ def cmd_cusps(args) -> tuple[dict, list[str], int]:
 
 def cmd_rotation(args) -> tuple[dict, list[str], int]:
     q, n = args.q, args.n
+    if n < 1 or q % n:
+        raise UsageError(f"n = {n} must divide q = {q}")
     cusp = parse_cusp(args.cusp)
     try:
         rot = rotation_number(q, n, cusp)
@@ -477,10 +479,11 @@ def cmd_canonical(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_verify(args) -> tuple[dict, list[str], int]:
+    default_run = not (args.tables or args.oracles or args.canonical or args.iso)
+    if (args.oracles or default_run) and args.q_max > ENUM_GUARD:
+        raise UsageError(f"--q-max {args.q_max} is above the oracle limit {ENUM_GUARD}")
     checks: list[dict] = []
-    selected = False
     if args.tables:
-        selected = True
         for t in args.tables:
             if t == 1:
                 checks.extend(verify_table1(min(args.q_max, 20)))
@@ -493,15 +496,12 @@ def cmd_verify(args) -> tuple[dict, list[str], int]:
             else:
                 raise UsageError(f"no golden data for table {t}")
     if args.oracles:
-        selected = True
         checks.extend(verify_oracles(args.q_max))
     if args.canonical:
-        selected = True
         checks.extend(verify_canonical())
     if args.iso:
-        selected = True
         checks.extend(verify_iso(args.seed))
-    if not selected:
+    if default_run:
         checks.extend(verify_table1(min(args.q_max, 20)))
         checks.extend(verify_table2())
         checks.extend(verify_table6())

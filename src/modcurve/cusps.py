@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .arith import ext_gcd, factorize, mult_n, n3
+from .arith import euler_product, ext_gcd, factorize, mult_n, n3
 from .psl import Mat, r_n_formula
 
 Cusp = tuple[int, int]
@@ -100,9 +100,7 @@ def h_formula(q: int) -> int:
     """Number of level-q cusp classes: q^2/2 * prod(1 - 1/l^2), q >= 3."""
     if q < 3:
         raise ValueError("cusp count formula requires q >= 3")
-    h = Fraction(q * q, 2)
-    for l, _ in factorize(q):
-        h *= 1 - Fraction(1, l * l)
+    h = Fraction(q * q, 2) * euler_product(q)
     assert h.denominator == 1
     return int(h)
 
@@ -128,9 +126,7 @@ def h_n_formula(q: int, n: int) -> int:
         raise ValueError("intermediate cusp count formula requires q >= 5")
     if n < 1 or q % n:
         raise ValueError(f"n = {n} must divide q = {q}")
-    h = Fraction(n * q, 2) * mult_n(q // n)
-    for l, _ in factorize(q):
-        h *= 1 - Fraction(1, l * l)
+    h = Fraction(n * q, 2) * mult_n(q // n) * euler_product(q)
     assert h.denominator == 1
     return int(h)
 

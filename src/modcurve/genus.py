@@ -13,15 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import divisors, factorize, mult_n
+from .arith import divisors, euler_product, mult_n
 from .psl import type_classify
-
-
-def _euler_product(q: int) -> Fraction:
-    out = Fraction(1)
-    for l, _ in factorize(q):
-        out *= 1 - Fraction(1, l * l)
-    return out
 
 
 def genus_q(q: int) -> int:
@@ -30,7 +23,7 @@ def genus_q(q: int) -> int:
         raise ValueError("q must be >= 1")
     if q <= 2:
         return 0
-    g = 1 + Fraction((q - 6) * q * q, 24) * _euler_product(q)
+    g = 1 + Fraction((q - 6) * q * q, 24) * euler_product(q)
     if g.denominator != 1:
         raise ArithmeticError(f"non-integral genus for q = {q}")
     return int(g)
@@ -43,7 +36,7 @@ def genus_qn(q: int, n: int) -> int:
         raise ValueError("quotient genus formula requires q >= 5")
     if n < 1 or q % n:
         raise ValueError(f"n = {n} must divide q = {q}")
-    g = 1 + (q - 6 * mult_n(q // n)) * Fraction(n * q, 24) * _euler_product(q)
+    g = 1 + (q - 6 * mult_n(q // n)) * Fraction(n * q, 24) * euler_product(q)
     if g.denominator != 1:
         raise ArithmeticError(f"non-integral genus for (q, n) = ({q}, {n})")
     return int(g)
@@ -66,7 +59,7 @@ def genus_prime_quotient(q: int) -> int:
     if q < 10:
         raise ValueError("quotient genus requires q >= 10")
     p = q // 2
-    g = 1 + (p - 3 * mult_n(p)) * Fraction(p, 12) * _euler_product(p)
+    g = 1 + (p - 3 * mult_n(p)) * Fraction(p, 12) * euler_product(p)
     if g.denominator != 1:
         raise ArithmeticError(f"non-integral genus for q = {q}")
     return int(g)

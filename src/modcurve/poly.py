@@ -7,7 +7,10 @@ evaluation, exact division and rational root extraction.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from .arith import divisors
 
 
 class Poly:
@@ -106,6 +109,8 @@ class Poly:
         return self.coeffs == o.coeffs or (self - o).is_zero()
 
     def __hash__(self):
+        if self.degree < 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __call__(self, value):
@@ -169,29 +174,12 @@ def rational_roots(p: Poly) -> list[Fraction]:
     # clear denominators to integer coefficients
     lcm = 1
     for c in coeffs:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     ints = [int(c * lcm) for c in coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
-    for num in _divisors_abs(a0):
-        for den in _divisors_abs(an):
+    for num in divisors(a0):
+        for den in divisors(an):
             for cand in (Fraction(num, den), Fraction(-num, den)):
                 if p(cand) == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _divisors_abs(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))

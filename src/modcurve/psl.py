@@ -9,30 +9,30 @@ Two quotients matter and they differ for composite q:
   * the projective group SL/{scalars}, where a scalar is lambda*I with
     lambda^2 = 1 (four such lambda exist mod 8, for instance).
 
-Element-order statements (largest order 3q/2 or q, trivial center) are
-theorems about the projective group only: the sign quotient contains, e.g.,
-an element of order 30 at level 15, namely (4, 4; 0, 4) = 4I * (1, 1; 0, 1),
-because 4I is a non-sign scalar there.
+Element-order statements (largest order 3q/2 or q) are theorems about the
+projective group only: the sign quotient contains, e.g., an element of order
+30 at level 15, namely (4, 4; 0, 4) = 4I * (1, 1; 0, 1), because 4I is a
+non-sign scalar there.  For q <= 40 the projective center is trivial except
+at q = 16 and 32, where it has two classes (at 16: I and (3, 8; 8, 11)).
 
 A canonical representative is the lexicographic minimum over the coset; the
-choice is deterministic and independent of enumeration order.  Enumeration
-is guarded at q <= 40 (|SL| grows like q^3); beyond that only the index
-formulas apply.
+choice is deterministic and independent of enumeration order.  Each level's
+representative sets are built once per process; the oracles walk them,
+multiplying in SL and comparing up to scalars.  Enumeration is guarded at
+q <= 40 (|SL| grows like q^3); beyond that only the index formulas apply.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
-from .arith import factorize
+from .arith import euler_product
 
 Mat = tuple[int, int, int, int]
 
 ENUM_GUARD = 40
-
-IDENTITY: Mat = (1, 0, 0, 1)
-
 
 def _check_guard(q: int) -> None:
     if not 2 <= q <= ENUM_GUARD:
@@ -51,14 +51,6 @@ def mat_mul(q: int, m1: Mat, m2: Mat) -> Mat:
     e, f, g, h = m2
     return ((a * e + b * g) % q, (a * f + b * h) % q,
             (c * e + d * g) % q, (c * f + d * h) % q)
-
-
-def psl_mul(q: int, m1: Mat, m2: Mat) -> Mat:
-    return psl_canon(q, mat_mul(q, m1, m2))
-
-
-def psl_identity(q: int) -> Mat:
-    return psl_canon(q, IDENTITY)
 
 
 def enumerate_sl(q: int) -> list[Mat]:
@@ -80,22 +72,42 @@ def enumerate_sl(q: int) -> list[Mat]:
     return out
 
 
+@cache
+def _reps(q: int, lams: tuple[int, ...]) -> tuple[Mat, ...]:
+    """The lexicographically least member of each class {lam * m : lam in
+    lams} of SL(2, Z/qZ)."""
+    others = [lam for lam in lams if lam != 1]
+    reps = []
+    for m in enumerate_sl(q):
+        a = m[0]
+        for lam in others:
+            la = lam * a % q
+            if la < a or la == a and tuple(lam * x % q for x in m) < m:
+                break
+        else:
+            reps.append(m)
+    return tuple(reps)
+
+
+def _signs(q: int) -> tuple[int, ...]:
+    return (1, q - 1)
+
+
+@cache
+def _scalars(q: int) -> tuple[int, ...]:
+    return tuple(scalar_units(q))
+
+
 def enumerate_psl(q: int) -> set[Mat]:
     """All of PSL(2, Z/qZ) as canonical representatives."""
-    return {psl_canon(q, m) for m in enumerate_sl(q)}
+    return set(_reps(q, _signs(q)))
 
 
 def r_formula(q: int) -> int:
     """Index of the level-q principal congruence subgroup (with -I adjoined)
     in SL(2, Z): q^3/2 * prod(1 - 1/l^2) over primes l | q.  Equals
     |PSL(2, Z/qZ)|.  Valid for q >= 3."""
-    if q < 3:
-        raise ValueError("index formula requires q >= 3")
-    r = Fraction(q**3, 2)
-    for l, _ in factorize(q):
-        r *= 1 - Fraction(1, l * l)
-    assert r.denominator == 1
-    return int(r)
+    return r_n_formula(q, q)
 
 
 def r_n_formula(q: int, n: int) -> int:
@@ -105,24 +117,28 @@ def r_n_formula(q: int, n: int) -> int:
         raise ValueError("index formula requires q >= 3")
     if n < 1 or q % n:
         raise ValueError(f"n = {n} must divide q = {q}")
-    r = Fraction(n * q * q, 2)
-    for l, _ in factorize(q):
-        r *= 1 - Fraction(1, l * l)
+    r = Fraction(n * q * q, 2) * euler_product(q)
     assert r.denominator == 1
     return int(r)
 
 
-def element_order(q: int, g: Mat) -> int:
-    """Order of g in the sign quotient SL/{+-I}."""
-    ident = psl_identity(q)
-    x = psl_canon(q, g)
+def _order(q: int, g: Mat, lams: tuple[int, ...]) -> int:
+    """Least k >= 1 with g^k = lam * I for some lam in lams, walking the
+    powers of g in SL."""
+    g = tuple(e % q for e in g)
+    a, b, c, d = g
     k = 1
-    while x != ident:
-        x = psl_mul(q, x, g)
+    while not (b == c == 0 and a == d and a in lams):
+        a, b, c, d = mat_mul(q, (a, b, c, d), g)
         k += 1
         if k > 2 * q * q:
             raise RuntimeError("order computation runaway")
     return k
+
+
+def element_order(q: int, g: Mat) -> int:
+    """Order of g in the sign quotient SL/{+-I}."""
+    return _order(q, g, _signs(q))
 
 
 def scalar_units(q: int) -> list[int]:
@@ -137,21 +153,12 @@ def projective_canon(q: int, m: Mat) -> Mat:
 
 def enumerate_projective(q: int) -> set[Mat]:
     """SL(2, Z/qZ) modulo all scalars."""
-    return {projective_canon(q, m) for m in enumerate_sl(q)}
+    return set(_reps(q, _scalars(q)))
 
 
 def projective_element_order(q: int, g: Mat) -> int:
     """Order of g in the projective group SL/{scalars}."""
-    ident = projective_canon(q, IDENTITY)
-    x = projective_canon(q, g)
-    g = tuple(e % q for e in g)
-    k = 1
-    while x != ident:
-        x = projective_canon(q, mat_mul(q, x, g))
-        k += 1
-        if k > 2 * q * q:
-            raise RuntimeError("order computation runaway")
-    return k
+    return _order(q, g, _scalars(q))
 
 
 def type_classify(q: int) -> str:
@@ -171,13 +178,20 @@ def max_element_order(q: int) -> int:
     composite q and its longer elements (order 30 at level 15) are scalar
     multiples of shorter ones.
     """
-    return max(projective_element_order(q, g) for g in enumerate_projective(q))
+    return max(projective_element_order(q, g) for g in _reps(q, _scalars(q)))
 
 
-def _center_of(q: int, elems: set[Mat], canon, mul) -> set[Mat]:
-    gens = [canon(q, (1, 1, 0, 1)), canon(q, (0, q - 1, 1, 0))]
-    cand = {g for g in elems if all(mul(q, g, s) == mul(q, s, g) for s in gens)}
-    return {g for g in cand if all(mul(q, g, h) == mul(q, h, g) for h in elems)}
+def _center_of(q: int, lams: tuple[int, ...]) -> set[Mat]:
+    """The classes of SL modulo the scalars lams that commute with every
+    class, where g and h commute when gh = lam * hg for some lam."""
+    def commute(g: Mat, h: Mat) -> bool:
+        gh, hg = mat_mul(q, g, h), mat_mul(q, h, g)
+        return any(lam * hg[0] % q == gh[0]
+                   and tuple(lam * x % q for x in hg) == gh for lam in lams)
+
+    gens = [(1, 1, 0, 1), (0, q - 1, 1, 0)]
+    cand = [g for g in _reps(q, lams) if all(commute(g, s) for s in gens)]
+    return {g for g in cand if all(commute(g, h) for h in _reps(q, lams))}
 
 
 def center(q: int) -> set[Mat]:
@@ -186,16 +200,13 @@ def center(q: int) -> set[Mat]:
     Candidates are cut down against the images of the two standard
     generators of SL(2, Z), then verified against the whole group.
     """
-    def mul(qq, m1, m2):
-        return projective_canon(qq, mat_mul(qq, m1, m2))
-
-    return _center_of(q, enumerate_projective(q), projective_canon, mul)
+    return _center_of(q, _scalars(q))
 
 
 def sign_center(q: int) -> set[Mat]:
     """Center of the sign quotient SL/{+-I}; the scalar classes show up
     here (for level 8: the identity and the class of 3I)."""
-    return _center_of(q, enumerate_psl(q), psl_canon, psl_mul)
+    return _center_of(q, _signs(q))
 
 
 def gamma_qn_member(m: Mat, q: int, n: int) -> bool:
@@ -239,5 +250,5 @@ def cusp_class_action(q: int, m: Mat, cls: tuple[int, int]) -> tuple[int, int]:
 
 def maps_between_cusps(q: int, c1: tuple[int, int], c2: tuple[int, int]) -> list[Mat]:
     """All PSL(2, Z/qZ) elements whose cusp-class action sends c1 to c2."""
-    return sorted(g for g in enumerate_psl(q)
+    return sorted(g for g in _reps(q, _signs(q))
                   if cusp_class_action(q, g, c1) == c2)

@@ -120,6 +120,10 @@ class TestCyclotomic:
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
 
+    def test_constant_hashes_like_scalar(self):
+        assert Cyclotomic.scalar(8, 3) == 3
+        assert len({Cyclotomic.scalar(8, 3), 3}) == 1
+
     def test_quotient_ring_has_no_i(self):
         # t^(d/2) squares to 1, not -1: the ring keeps t^4 and -1 apart
         t = Cyclotomic.root(8)
@@ -130,6 +134,10 @@ class TestGaussRational:
     def test_i_squares_to_minus_one(self):
         assert GAUSS_I * GAUSS_I == -1
         assert (1 + GAUSS_I) * (1 - GAUSS_I) == 2
+
+    def test_real_hashes_like_rational(self):
+        assert GaussRational(5) == 5
+        assert len({GaussRational(5), 5}) == 1
 
     def test_exactness(self):
         z = GaussRational(Fraction(1, 3), Fraction(1, 2))

@@ -88,6 +88,11 @@ class TestRotationCommand:
         status, out, _ = run(capsys, "rotation", "--q", "8", "--cusp", "1/3")
         assert status == 0 and "unbranched" in out
 
+    def test_bad_divisor_is_argument_error(self, capsys):
+        status, _, err = run(capsys, "rotation", "--q", "8", "--n", "3",
+                             "--cusp", "1/4")
+        assert status == 2 and "divide" in err
+
 
 class TestEquationCommand:
     def test_level8_solved(self, capsys):
@@ -195,6 +200,21 @@ class TestVerifyCommand:
     def test_unknown_table(self, capsys):
         status, _, err = run(capsys, "verify", "--tables", "3")
         assert status == 2
+
+    @pytest.mark.parametrize("argv", [["--oracles"], []])
+    def test_q_max_beyond_guard_fails_before_any_check(self, capsys,
+                                                       monkeypatch, argv):
+        from modcurve import cli
+        ran = []
+        monkeypatch.setattr(cli, "make_check", lambda *a: ran.append(a))
+        monkeypatch.setattr(cli, "bool_check", lambda *a: ran.append(a))
+        status, out, err = run(capsys, "verify", *argv, "--q-max", "60")
+        assert status == 2 and "--q-max 60" in err
+        assert ran == [] and out == ""
+
+    def test_q_max_beyond_guard_without_oracles(self, capsys):
+        status, out, _ = run(capsys, "verify", "--tables", "2", "--q-max", "60")
+        assert status == 0 and "FAIL" not in out
 
 
 class TestGolden:

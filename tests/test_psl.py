@@ -3,11 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 from modcurve.cusps import cusp_canonical, enumerate_cusps
 from modcurve.genus import genus_q, hurwitz_deficiency
-from modcurve.psl import (center, cusp_action, cusp_class_action, element_order,
-                          enumerate_psl, enumerate_projective, gamma_qn_member,
-                          maps_between_cusps, max_element_order,
-                          max_order_formula, projective_element_order,
-                          psl_canon, psl_identity, psl_mul, r_formula,
+from modcurve.psl import (center, cusp_action, cusp_class_action,
+                          element_order, enumerate_psl, enumerate_projective,
+                          enumerate_sl, gamma_qn_member, maps_between_cusps,
+                          mat_mul, max_element_order, max_order_formula,
+                          projective_canon, projective_element_order,
+                          psl_canon, r_formula,
                           r_n_formula, scalar_units, sign_center,
                           type_classify)
 
@@ -75,7 +76,16 @@ class TestOrders:
 class TestCenter:
     @pytest.mark.parametrize("q", [2, 4, 8])
     def test_projective_center_trivial(self, q):
-        assert center(q) == {psl_identity(q)}
+        assert center(q) == {(1, 0, 0, 1)}
+
+    @pytest.mark.parametrize("q,size", [(16, 2), (32, 2), (8, 1), (15, 1),
+                                        (24, 1), (29, 1), (40, 1)])
+    def test_projective_center_size(self, q, size):
+        # nontrivial exactly when 16 | q
+        assert len(center(q)) == size
+
+    def test_level16_central_class(self):
+        assert center(16) == {(1, 0, 0, 1), (3, 8, 8, 11)}
 
     def test_sign_center_level8(self):
         assert sign_center(8) == {psl_canon(8, (1, 0, 0, 1)),
@@ -83,6 +93,53 @@ class TestCenter:
 
     def test_projective_size(self):
         assert len(enumerate_projective(8)) == 96
+
+
+def _reference_order(q, g, canon):
+    """Order of g in a quotient, canonicalizing every power."""
+    ident = canon(q, (1, 0, 0, 1))
+    x = canon(q, g)
+    k = 1
+    while x != ident:
+        x = canon(q, mat_mul(q, x, g))
+        k += 1
+    return k
+
+
+class TestAgainstDefinitions:
+    """The cached representative sets and the scalar-aware oracles against
+    the canonical forms psl_canon and projective_canon applied to each
+    element and product."""
+
+    @pytest.mark.parametrize("q", range(2, 25))
+    def test_representative_sets(self, q):
+        sl = enumerate_sl(q)
+        assert enumerate_projective(q) == {projective_canon(q, m) for m in sl}
+        assert enumerate_psl(q) == {psl_canon(q, m) for m in sl}
+
+    @pytest.mark.parametrize("q", range(2, 17))
+    def test_center_by_direct_scan(self, q):
+        group = {projective_canon(q, m) for m in enumerate_sl(q)}
+
+        def commute(g, h):
+            return (projective_canon(q, mat_mul(q, g, h))
+                    == projective_canon(q, mat_mul(q, h, g)))
+
+        assert center(q) == {g for g in group
+                             if all(commute(g, h) for h in group)}
+
+    @pytest.mark.parametrize("q", range(2, 25))
+    def test_max_order_by_reference_walk(self, q):
+        group = {projective_canon(q, m) for m in enumerate_sl(q)}
+        assert max_element_order(q) == max(
+            _reference_order(q, g, projective_canon) for g in group)
+
+    @pytest.mark.parametrize("q", [8, 12, 15, 16])
+    def test_orders_by_reference_walk(self, q):
+        for g in enumerate_psl(q):
+            assert element_order(q, g) == _reference_order(q, g, psl_canon)
+            assert projective_element_order(q, g) == \
+                _reference_order(q, g, projective_canon)
 
 
 class TestMembership:
@@ -115,7 +172,7 @@ class TestCuspAction:
            st.sampled_from(sorted(enumerate_psl(8))),
            st.sampled_from(sorted(enumerate_cusps(8))))
     def test_class_action_is_action(self, g, h, cls):
-        gh = psl_mul(8, g, h)
+        gh = psl_canon(8, mat_mul(8, g, h))
         assert cusp_class_action(8, gh, cls) == \
             cusp_class_action(8, g, cusp_class_action(8, h, cls))
 
