@@ -3,9 +3,8 @@ curves attached to principal congruence subgroups, with the full
 determination of the level-8 curve y^8 = x^2 (x - 1)(x + 1) and its
 canonical model in P^4."""
 
-from .arith import (Cyclotomic, GaussRational, cyclo_eq, cyclo_mul, divisors,
-                    ext_gcd, factorize, is_prime, mult_n, n1, n2, n3,
-                    solve_unit_congruence)
+from .arith import (Cyclotomic, GaussRational, divisors, ext_gcd, factorize,
+                    is_prime, mult_n, n1, n2, n3, solve_unit_congruence)
 from .cusps import (cusp_canonical, enumerate_cusps, find_equivalence_witness,
                     h_formula, h_n_formula, orbit_width_sum_check, tau_orbits,
                     width, width_bruteforce, width_distribution)

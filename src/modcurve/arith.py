@@ -266,14 +266,6 @@ class Cyclotomic:
         return " + ".join(terms) if terms else "0"
 
 
-def cyclo_mul(x: Cyclotomic, y: Cyclotomic) -> Cyclotomic:
-    return x * y
-
-
-def cyclo_eq(x: Cyclotomic, y: Cyclotomic) -> bool:
-    return x == y
-
-
 class GaussRational:
     """Exact a + b*i with rational a, b; the honest ring for identities that
     need an actual square root of -1 (Z[t]/(t^d - 1) has none: t^(d/2) and

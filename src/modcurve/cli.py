@@ -2,7 +2,8 @@
 
 Subcommands: genus, cusps, rotation, equation, group, verify, lift-solve,
 canonical.  Exit status: 0 success, 1 verification mismatch, 2 argument
-error, 3 unsupported-mathematics request.
+error, 3 unsupported-mathematics request, 4 internal error (an exception
+such as a failed elimination step, reported on stderr).
 
 Output is text by default or a JSON document with --format json.  Exact
 numbers are serialized as strings "p" or "p/q"; the only floats anywhere
@@ -24,8 +25,8 @@ from .cusps import (class_to_cusp, cusp_canonical, cusp_str, enumerate_cusps,
                     h_formula, h_n_formula, orbit_rep, tau_orbits, width,
                     width_bruteforce, width_distribution)
 from .curve import (BranchPoint, InfinityPoint, Monomial, SemiHyperellipticCurve,
-                    differential_order, octic_model, octic_to_quartic_maps,
-                    quartic_model, solve_branch_constant,
+                    differential_order, octic_family, octic_model,
+                    octic_to_quartic_maps, quartic_model, solve_branch_constant,
                     verify_isomorphism_numeric)
 from .equation import (SemiHyperellipticEquation, build_equation,
                        equation_string, normalize_with_convention,
@@ -82,19 +83,19 @@ def bool_check(name: str, ok: bool, detail: str = "") -> dict:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification registry: every suite is a runner (q_max, seed) -> checks
 # ---------------------------------------------------------------------------
 
-def verify_table1(q_max: int = 20) -> list[dict]:
+def _table1(q_max: int, _seed: int) -> list[dict]:
     checks = []
-    for q in range(1, q_max + 1):
+    for q in range(1, min(q_max, 20) + 1):
         checks.append(make_check(f"table1 g q={q}", golden("1", "g", q), genus_q(q)))
         got = genus_qn(q, 1) if q >= 5 else 0  # rational curve below level 5
         checks.append(make_check(f"table1 g1 q={q}", golden("1", "g1", q), got))
     return checks
 
 
-def verify_table2() -> list[dict]:
+def _table2(_q_max: int, _seed: int) -> list[dict]:
     checks = []
     rows = {row[0]: row for row in rotation_table(8, 1)}
     for cusp in ("1/0", "3/8", "1/4", "1/2"):
@@ -124,12 +125,7 @@ _TABLE6_ROWS = {
 }
 
 
-def octic_family() -> SemiHyperellipticCurve:
-    """y^8 = x^2 (x - 1)(x - a) with the constant left symbolic."""
-    return SemiHyperellipticCurve(8, ((Fraction(0), 2), (Fraction(1), 1), ("a", 1)))
-
-
-def verify_table6() -> list[dict]:
+def _table6(_q_max: int, _seed: int) -> list[dict]:
     fam = octic_family()
     checks = []
     for row, pt in _TABLE6_ROWS.items():
@@ -139,7 +135,7 @@ def verify_table6() -> list[dict]:
     return checks
 
 
-def verify_table7() -> list[dict]:
+def _table7(_q_max: int, _seed: int) -> list[dict]:
     checks = []
     for q in (2, 10, 14, 22, 26, 34, 38):
         checks.append(make_check(f"table7 g q={q}", golden("7", "g", q), genus_q(q)))
@@ -150,7 +146,7 @@ def verify_table7() -> list[dict]:
     return checks
 
 
-def verify_oracles(q_max: int = 12) -> list[dict]:
+def _oracles(q_max: int, _seed: int) -> list[dict]:
     checks = []
     for q in range(3, q_max + 1):
         checks.append(make_check(f"psl count q={q}", r_formula(q), len(enumerate_psl(q))))
@@ -164,28 +160,24 @@ def verify_oracles(q_max: int = 12) -> list[dict]:
             checks.append(make_check(f"orbit count q={q} n={n}",
                                      h_n_formula(q, n), len(orbits)))
             mismatch = 0
-            total = 0
+            tally: dict[int, int] = {}
             for orbit in orbits:
                 rep = class_to_cusp(q, orbit_rep(orbit))
                 w = width(q, n, rep)
-                total += w
+                tally[w] = tally.get(w, 0) + 1
                 if w != width_bruteforce(q, n, rep):
                     mismatch += 1
             checks.append(bool_check(f"widths q={q} n={n}", mismatch == 0,
                                      f"{mismatch} mismatches"))
-            checks.append(make_check(f"width sum q={q} n={n}",
-                                     r_n_formula(q, n), total))
+            checks.append(make_check(f"width sum q={q} n={n}", r_n_formula(q, n),
+                                     sum(w * k for w, k in tally.items())))
             dist = width_distribution(q, n)
-            direct: dict[int, int] = {}
-            for orbit in orbits:
-                w = width(q, n, class_to_cusp(q, orbit_rep(orbit)))
-                direct[w] = direct.get(w, 0) + 1
             checks.append(bool_check(f"width distribution q={q} n={n}",
-                                     dist == direct, f"{dist} != {direct}"))
+                                     dist == tally, f"{dist} != {tally}"))
     return checks
 
 
-def verify_canonical() -> list[dict]:
+def _canonical(_q_max: int, _seed: int) -> list[dict]:
     checks = []
     res = canon.elimination_solve()
     checks.append(make_check("elimination a", Fraction(-1), res.a))
@@ -222,7 +214,7 @@ def verify_canonical() -> list[dict]:
     return checks
 
 
-def verify_iso(seed: int = 0) -> list[dict]:
+def _iso(_q_max: int, seed: int) -> list[dict]:
     forward, inverse = octic_to_quartic_maps()
     report = verify_isomorphism_numeric(octic_model(), quartic_model(),
                                         forward, inverse, samples=100,
@@ -233,6 +225,27 @@ def verify_iso(seed: int = 0) -> list[dict]:
         bool_check("iso roundtrip < 1e-9", report["max_roundtrip"] < 1e-9,
                    f"max roundtrip {report['max_roundtrip']:.3e}"),
     ]
+
+
+# suite name -> (source, runner), in the order a full `verify` runs them.
+# The source says what each check compares against: golden tables, a
+# brute-force oracle, the level-8 closed-form determination, or the seeded
+# numeric isomorphism.
+SUITES = {
+    "table1": ("golden", _table1),
+    "table2": ("golden", _table2),
+    "table6": ("golden", _table6),
+    "table7": ("golden", _table7),
+    "oracles": ("oracle", _oracles),
+    "canonical": ("formula", _canonical),
+    "iso": ("numeric", _iso),
+}
+
+
+def run_suite(name: str, q_max: int, seed: int) -> list[dict]:
+    """The checks of one registry suite, each tagged with the suite's source."""
+    source, runner = SUITES[name]
+    return [dict(check, source=source) for check in runner(q_max, seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +478,7 @@ def cmd_canonical(args) -> tuple[dict, list[str], int]:
         "a": exact_str(res.a),
         "relations": res.relations,
         "assumptions": res.assumptions,
+        "steps": res.steps,
         "sigma_count": str(sigma_ok),
         "crosscheck": canon.automorphism_count_crosscheck(),
         "central_involution_quotient_genus":
@@ -479,36 +493,15 @@ def cmd_canonical(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_verify(args) -> tuple[dict, list[str], int]:
-    default_run = not (args.tables or args.oracles or args.canonical or args.iso)
-    if (args.oracles or default_run) and args.q_max > ENUM_GUARD:
+    names = [f"table{t}" for t in args.tables or ()]
+    names += [name for name in ("oracles", "canonical", "iso") if getattr(args, name)]
+    names = names or list(SUITES)
+    if "oracles" in names and args.q_max > ENUM_GUARD:
         raise UsageError(f"--q-max {args.q_max} is above the oracle limit {ENUM_GUARD}")
-    checks: list[dict] = []
-    if args.tables:
-        for t in args.tables:
-            if t == 1:
-                checks.extend(verify_table1(min(args.q_max, 20)))
-            elif t == 2:
-                checks.extend(verify_table2())
-            elif t == 6:
-                checks.extend(verify_table6())
-            elif t == 7:
-                checks.extend(verify_table7())
-            else:
-                raise UsageError(f"no golden data for table {t}")
-    if args.oracles:
-        checks.extend(verify_oracles(args.q_max))
-    if args.canonical:
-        checks.extend(verify_canonical())
-    if args.iso:
-        checks.extend(verify_iso(args.seed))
-    if default_run:
-        checks.extend(verify_table1(min(args.q_max, 20)))
-        checks.extend(verify_table2())
-        checks.extend(verify_table6())
-        checks.extend(verify_table7())
-        checks.extend(verify_oracles(args.q_max))
-        checks.extend(verify_canonical())
-        checks.extend(verify_iso(args.seed))
+    for t in args.tables or ():
+        if f"table{t}" not in SUITES:
+            raise UsageError(f"no golden data for table {t}")
+    checks = [c for name in names for c in run_suite(name, args.q_max, args.seed)]
     failed = [c for c in checks if not c["pass"]]
     lines = [f"{'PASS' if c['pass'] else 'FAIL'}  {c['name']}"
              + ("" if c["pass"] else f"  expected {c['expected']}, got {c['got']}")
@@ -598,6 +591,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, ArithmeticError, AssertionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:

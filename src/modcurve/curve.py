@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
+from .cusps import _mat_mul2
 from .equation import RotationNumber, SemiHyperellipticEquation, rotation_from_exponent
 from .poly import Poly, rational_roots
 
@@ -355,12 +356,6 @@ def _to_zero_one_inf(z1, z2, z3) -> tuple:
     return (z2 - z3, -z1 * (z2 - z3), z2 - z1, -z3 * (z2 - z1))
 
 
-def _mat_mul2(m1, m2):
-    a, b, c, d = m1
-    e, f, g, h = m2
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
 def _adj2(m):
     a, b, c, d = m
     return (d, -b, -c, a)
@@ -537,6 +532,11 @@ def octic_model() -> SemiHyperellipticCurve:
     """y^8 = x^2 (x - 1)(x + 1)."""
     return SemiHyperellipticCurve(8, ((Fraction(0), 2), (Fraction(1), 1),
                                       (Fraction(-1), 1)))
+
+
+def octic_family() -> SemiHyperellipticCurve:
+    """y^8 = x^2 (x - 1)(x - a) with the constant left symbolic."""
+    return SemiHyperellipticCurve(8, ((Fraction(0), 2), (Fraction(1), 1), ("a", 1)))
 
 
 def quartic_model() -> SemiHyperellipticCurve:

@@ -75,7 +75,7 @@ def find_equivalence_witness(q: int, c1: Cusp, c2: Cusp):
     a_inv = (a_mat[3], -a_mat[1], -a_mat[2], a_mat[0])
     for j in range(q):
         t_j = (1, j, 0, 1)
-        g = _imul(a2_mat, _imul(t_j, a_inv))
+        g = _mat_mul2(a2_mat, _mat_mul2(t_j, a_inv))
         for s in (1, -1):
             gs = tuple(s * e for e in g)
             if ((gs[0] - 1) % q == 0 and (gs[3] - 1) % q == 0
@@ -90,7 +90,8 @@ def _complete_to_unimodular(x: int, z: int) -> Mat:
     return (x, -v, z, u)  # det = x*u + v*z = 1
 
 
-def _imul(m1: Mat, m2: Mat) -> Mat:
+def _mat_mul2(m1: tuple, m2: tuple) -> tuple:
+    """2x2 product over any commutative ring, entries as (a, b, c, d)."""
     a, b, c, d = m1
     e, f, g, h = m2
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)

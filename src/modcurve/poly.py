@@ -106,7 +106,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs or (self - o).is_zero()
+        return self.coeffs == o.coeffs
 
     def __hash__(self):
         if self.degree < 1:

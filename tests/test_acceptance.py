@@ -1,31 +1,25 @@
 """End-to-end acceptance suite.
 
 One test per criterion; each prints its own PASS line (visible with -s or
-in verbose runs via the test name).  Everything is exact except the numeric
-isomorphism check, which carries an explicit 1e-9 tolerance.
+in verbose runs via the test name).  Criteria 2, 7, 10, 11 and 12 read the
+checks of the `verify` registry suites, each suite run once at q_max = 24
+and shared between the tests that look at it.  Everything is exact except
+the numeric isomorphism check, which carries an explicit 1e-9 tolerance.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
-from modcurve.arith import Cyclotomic, divisors
-from modcurve.canonical import (automorphism_count_crosscheck,
-                                elimination_solve, sigma_preserves_ideal)
-from modcurve.cli import octic_family, verify_table6
-from modcurve.cusps import (class_to_cusp, cusp_canonical, enumerate_cusps,
-                            h_formula, h_n_formula, orbit_rep, tau_orbits,
-                            width, width_bruteforce)
+from modcurve.cli import SUITES, run_suite
 from modcurve.curve import (SemiHyperellipticCurve, divisor_degree,
-                            holomorphic_basis, octic_model,
-                            octic_to_quartic_maps, order_vector, quartic_model,
-                            solve_branch_constant, verify_isomorphism_numeric)
+                            holomorphic_basis, octic_family, order_vector,
+                            solve_branch_constant)
 from modcurve.equation import (build_equation, equation_string,
                                normalize_with_convention, rotation_table,
                                substitute_label)
 from modcurve.genus import genus_prime_quotient, genus_q, genus_qn, \
     hurwitz_deficiency
-from modcurve.psl import (cusp_class_action, enumerate_psl, maps_between_cusps,
-                          max_element_order, max_order_formula, r_formula,
-                          r_n_formula, type_classify)
+from modcurve.psl import r_formula
 
 
 def report(number: int, label: str):
@@ -41,24 +35,45 @@ def test_criterion_01_table1_reproduction():
     report(1, "level and quotient genera for q = 1..20")
 
 
+# checks per registry suite at q_max = 24, seed = 0
+SUITE_COUNTS = {"table1": 40, "table2": 12, "table6": 36, "table7": 21,
+                "oracles": 371, "canonical": 12, "iso": 2}
+
+
+@lru_cache(maxsize=None)
+def suite_checks(name: str) -> tuple:
+    return tuple(run_suite(name, q_max=24, seed=0))
+
+
+def assert_all_pass(checks, label: str):
+    assert [c for c in checks if not c["pass"]] == [], label
+
+
+def test_registry_suites():
+    assert list(SUITES) == list(SUITE_COUNTS)
+    for name, count in SUITE_COUNTS.items():
+        checks = suite_checks(name)
+        assert_all_pass(checks, name)
+        assert len(checks) == count, name
+        assert {c["source"] for c in checks} == {SUITES[name][0]}, name
+
+
 def test_criterion_02_formula_vs_oracle():
-    for q in range(3, 25):
-        assert len(enumerate_psl(q)) == r_formula(q), f"group count q={q}"
-        assert len(enumerate_cusps(q)) == h_formula(q), f"cusp count q={q}"
-        if q < 5:
-            continue
-        for n in divisors(q):
-            orbits = tau_orbits(q, n)
-            assert len(orbits) == h_n_formula(q, n), f"orbits q={q} n={n}"
-            total = 0
-            for orbit in orbits:
-                rep = class_to_cusp(q, orbit_rep(orbit))
-                w = width(q, n, rep)
-                assert w == width_bruteforce(q, n, rep), \
-                    f"width mismatch q={q} n={n} at {rep}"
-                total += w
-            assert total == r_n_formula(q, n), f"width sum q={q} n={n}"
-    report(2, "enumeration matches every index/count/width formula, q <= 24")
+    checks = [c for c in suite_checks("oracles")
+              if not c["name"].startswith("max order")]
+    assert_all_pass(checks, "oracles")
+    # psl and cusp counts for q = 3..24, then orbit count, widths, width sum
+    # and width distribution for every divisor n of q = 5..24
+    n_pairs = sum(1 for q in range(5, 25) for n in range(1, q + 1) if q % n == 0)
+    assert len(checks) == 2 * 22 + 4 * n_pairs
+    report(2, "enumeration matches every count, width and width-sum formula, q <= 24")
+
+
+def test_criterion_07_order_table():
+    checks = suite_checks("table6")
+    assert len(checks) == 36
+    assert_all_pass(checks, "table6")
+    report(7, "all 36 order-table entries")
 
 
 def test_criterion_03_rotation_table():
@@ -103,13 +118,6 @@ def test_criterion_06_exponent_multisets():
     report(6, "exponent multisets for levels 9, 10, 12")
 
 
-def test_criterion_07_order_table():
-    checks = verify_table6()
-    assert len(checks) == 36
-    assert all(c["pass"] for c in checks)
-    report(7, "all 36 order-table entries")
-
-
 def test_criterion_08_holomorphic_basis():
     fam = octic_family()
     basis = holomorphic_basis(fam)
@@ -130,42 +138,29 @@ def test_criterion_09_type_one_quotient_genera():
 
 
 def test_criterion_10_max_element_orders():
-    for q in range(2, 25):
-        expect = max_order_formula(q)
-        assert max_element_order(q) == expect, \
-            f"q={q} ({type_classify(q)}) expected {expect}"
+    checks = [c for c in suite_checks("oracles")
+              if c["name"].startswith("max order")]
+    assert [c["name"] for c in checks] == [f"max order q={q}" for q in range(2, 25)]
+    assert_all_pass(checks, "max order")
     report(10, "largest projective element order, q = 2..24")
 
 
 def test_criterion_11_canonical_model():
-    for j in range(8):
-        assert sigma_preserves_ideal(-1, Cyclotomic.root(8, j))
-    for bad in (2, 3, -2):
-        assert not any(sigma_preserves_ideal(bad, Cyclotomic.root(8, j))
-                       for j in range(8))
-    assert elimination_solve().a == Fraction(-1)
-    inf_cls = cusp_canonical(8, (1, 0))
-    target = cusp_canonical(8, (3, 8))
-    movers = maps_between_cusps(8, inf_cls, target)
-    assert len(movers) == 8
-    quarter = {cusp_canonical(8, (1, 4)), cusp_canonical(8, (3, 4))}
-    halves = {cusp_canonical(8, (x, 2)) for x in (1, 3, 5, 7)}
-    for g in movers:
-        assert cusp_class_action(8, g, target) == inf_cls
-        assert {cusp_class_action(8, g, c) for c in quarter} == quarter
-        assert {cusp_class_action(8, g, c) for c in halves} == halves
-    assert automorphism_count_crosscheck()
+    checks = suite_checks("canonical")
+    assert len(checks) == 12
+    assert_all_pass(checks, "canonical")
+    names = {c["name"] for c in checks}
+    assert {"elimination a", "sigma count at a=-1", "transporter count",
+            "transporters swap and preserve orbits",
+            "automorphism count crosscheck"} <= names
     report(11, "canonical model: eight matrices, a = -1, matching counts")
 
 
 def test_criterion_12_numeric_isomorphism():
-    forward, inverse = octic_to_quartic_maps()
-    result = verify_isomorphism_numeric(octic_model(), quartic_model(),
-                                        forward, inverse, samples=100,
-                                        tol=1e-9, seed=0)
-    assert result["samples"] == 100
-    assert result["max_residual"] < 1e-9, result
-    assert result["max_roundtrip"] < 1e-9, result
+    checks = suite_checks("iso")
+    assert [c["name"] for c in checks] == ["iso residual < 1e-9",
+                                           "iso roundtrip < 1e-9"]
+    assert_all_pass(checks, "iso")
     report(12, "explicit degree-4 model reached within 1e-9")
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from modcurve.canonical import EliminationError
 from modcurve.cli import main, parse_cusp
 from modcurve.golden import load_golden
 
@@ -170,6 +171,12 @@ class TestCanonicalCommand:
         assert status == 0
         assert "a = -1" in out and "valid sigma matrices: 8" in out
 
+    def test_json_keeps_elimination_steps(self, capsys):
+        status, out, _ = run(capsys, "--format", "json", "canonical")
+        steps = json.loads(out)["result"]["steps"]
+        assert status == 0 and len(steps) == 27
+        assert "a = -1  [Q2 pullback, z1*z5 coefficient, c33 != 0]" in steps
+
 
 class TestVerifyCommand:
     def test_tables(self, capsys):
@@ -195,7 +202,7 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert status == 0
         assert json.loads(json.dumps(doc)) == doc
-        assert all(c["pass"] for c in doc["checks"])
+        assert all(c["pass"] and c["source"] == "golden" for c in doc["checks"])
 
     def test_unknown_table(self, capsys):
         status, _, err = run(capsys, "verify", "--tables", "3")
@@ -215,6 +222,21 @@ class TestVerifyCommand:
     def test_q_max_beyond_guard_without_oracles(self, capsys):
         status, out, _ = run(capsys, "verify", "--tables", "2", "--q-max", "60")
         assert status == 0 and "FAIL" not in out
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("exc", [RuntimeError("degree guard"),
+                                     ZeroDivisionError("division by zero"),
+                                     EliminationError("elimination step failed: Q3")])
+    def test_exits_4_not_mismatch(self, capsys, monkeypatch, exc):
+        from modcurve import cli
+
+        def boom(args):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_canonical", boom)
+        status, out, err = run(capsys, "canonical")
+        assert status == 4 and out == ""
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 class TestGolden:

@@ -6,17 +6,13 @@ from modcurve.curve import (INF, AffinePoint, BranchPoint, InfinityPoint,
                             LiftCertificate, MoebiusMap, Monomial,
                             SemiHyperellipticCurve, curve_genus, deck_transform,
                             differential_order, divisor_degree,
-                            holomorphic_basis, moebius_lift_check, octic_model,
-                            octic_to_quartic_maps, order_vector,
+                            holomorphic_basis, moebius_lift_check,
+                            octic_family, octic_model, octic_to_quartic_maps,
+                            order_vector,
                             quartic_model, ramification_profile,
                             rotation_at_branch, solve_branch_constant,
                             verify_isomorphism_numeric)
 from modcurve.equation import RotationNumber
-
-
-def octic_family():
-    return SemiHyperellipticCurve(8, ((Fraction(0), 2), (Fraction(1), 1),
-                                      ("a", 1)))
 
 
 def klein_curve():
