@@ -195,23 +195,25 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.d, (a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return Cyclotomic(self.d, [a + b for a, b in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.d, (-a for a in self.coeffs))
+        return Cyclotomic(self.d, [-a for a in self.coeffs])
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.d, (a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return Cyclotomic(self.d, [a - b for a, b in zip(self.coeffs, o.coeffs)])
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Cyclotomic(self.d, [a * other if a else 0 for a in self.coeffs])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -241,14 +243,16 @@ class Cyclotomic:
         return result
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return all(a == b for a, b in zip(self.coeffs, o.coeffs))
+        return self.coeffs == o.coeffs
 
     def __hash__(self):
         # a constant equals its scalar, so it must hash like it
-        if all(c == 0 for c in self.coeffs[1:]):
+        if not any(self.coeffs[1:]):
             return hash(self.coeffs[0])
         return hash((self.d, self.coeffs))
 

@@ -22,7 +22,8 @@ corresponding cusp classes.
 Ideal membership never needs Groebner machinery: the ideal is generated in
 degree 2 and pullbacks of quadrics are quadrics, so membership is a linear
 condition on the 15 quadratic-monomial coefficients with the three square
-terms forcing the multipliers.
+terms forcing the multipliers.  Zero and equality tests compare the
+canonical term dicts directly; integer coefficients stay int.
 """
 
 from __future__ import annotations
@@ -105,12 +106,13 @@ def transform_quadric(q: Quadric, m) -> Quadric:
             mik = m[i][k]
             if mik == 0:
                 continue
+            cm = c * mik
             for l in range(5):
                 mjl = m[j][l]
                 if mjl == 0:
                     continue
                 key = (k, l) if k <= l else (l, k)
-                out[key] = out.get(key, 0) + c * mik * mjl
+                out[key] = out[key] + cm * mjl if key in out else cm * mjl
     return {k: v for k, v in out.items() if not v == 0}
 
 
@@ -130,7 +132,7 @@ def reduce_by_span(p: Quadric, forms: list[Quadric]) -> Quadric:
         if lam == 0:
             continue
         for key, c in form.items():
-            rem[key] = rem.get(key, 0) - lam * c
+            rem[key] = rem[key] - lam * c if key in rem else -(lam * c)
     return {k: v for k, v in rem.items() if not v == 0}
 
 
@@ -208,22 +210,29 @@ class MPoly:
         clean = {}
         for key, poly in terms.items():
             if not isinstance(poly, Poly):
-                poly = Poly.const(Fraction(poly))
-            if not poly.is_zero():
-                clean[tuple(sorted(key))] = poly
-        object.__setattr__(self, "terms", clean)
+                poly = Poly.const(poly if isinstance(poly, int) else Fraction(poly))
+            key = tuple(sorted(key))
+            clean[key] = clean[key] + poly if key in clean else poly
+        object.__setattr__(self, "terms",
+                           {k: p for k, p in clean.items() if not p.is_zero()})
+
+    @classmethod
+    def _canonical(cls, terms: dict) -> "MPoly":
+        """Wrap terms that are already canonical: sorted keys, no zero Poly."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("MPoly is immutable")
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
-        return cls({(name,): Poly.const(Fraction(1))})
+        return cls._canonical({(name,): Poly.const(1)})
 
     @classmethod
     def const(cls, value) -> "MPoly":
-        poly = value if isinstance(value, Poly) else Poly.const(Fraction(value))
-        return cls({(): poly})
+        return cls({(): value})
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
@@ -238,13 +247,13 @@ class MPoly:
             return NotImplemented
         out = dict(self.terms)
         for key, poly in o.terms.items():
-            out[key] = out.get(key, Poly([])) + poly
-        return MPoly(out)
+            out[key] = out[key] + poly if key in out else poly
+        return MPoly._canonical({k: p for k, p in out.items() if not p.is_zero()})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly({k: -p for k, p in self.terms.items()})
+        return MPoly._canonical({k: -p for k, p in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -263,8 +272,8 @@ class MPoly:
         for k1, p1 in self.terms.items():
             for k2, p2 in o.terms.items():
                 key = tuple(sorted(k1 + k2))
-                out[key] = out.get(key, Poly([])) + p1 * p2
-        return MPoly(out)
+                out[key] = out[key] + p1 * p2 if key in out else p1 * p2
+        return MPoly._canonical({k: p for k, p in out.items() if not p.is_zero()})
 
     __rmul__ = __mul__
 
@@ -278,12 +287,17 @@ class MPoly:
         return not self.terms
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)) and other == 0:
+            return not self.terms
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).is_zero()
+        return self.terms == o.terms
 
     def __hash__(self):
+        # a constant equals its Poly constant, so it must hash like it
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), 0))
         return hash(frozenset((k, p.coeffs) for k, p in self.terms.items()))
 
     def subs(self, name: str, value: "MPoly") -> "MPoly":
@@ -407,17 +421,14 @@ def elimination_solve() -> EliminationResult:
         return reduce_by_span(transform_quadric(forms[form_index], m), forms)
 
     # first quadric pullback
-    r = remainder(0)
-    eq = r.get((2, 4), MPoly.const(0))   # z3*z5
+    eq = remainder(0).get((2, 4), MPoly({}))   # z3*z5
     _expect(eq.terms == {("c23",): Poly.const(Fraction(-1))}, "Q1: z3*z5")
     setk("c23", 0, "Q1 pullback, z3*z5 coefficient")
-    r = remainder(0)
-    eq = r.get((1, 2), MPoly.const(0))   # z2*z3
+    eq = remainder(0).get((1, 2), MPoly({}))   # z2*z3
     _expect(eq.terms == {("c22", "c53"): Poly.const(Fraction(-1))}, "Q1: z2*z3")
     assumptions.append("c22 != 0 (row 2 would vanish)")
     setk("c53", 0, "Q1 pullback, z2*z3 coefficient, c22 != 0")
-    r = remainder(0)
-    eq = r.get((1, 4), MPoly.const(0))   # z2*z5
+    eq = remainder(0).get((1, 4), MPoly({}))   # z2*z5
     _expect(eq.terms == {("c33", "c33"): Poly.const(Fraction(1)),
                          ("c22",): Poly.const(Fraction(-1))}, "Q1: z2*z5")
     setk("c22", MPoly.var("c33") ** 2, "Q1 pullback, z2*z5 coefficient")
@@ -425,34 +436,27 @@ def elimination_solve() -> EliminationResult:
     steps.append("Q1 pullback lies in the span")
 
     # second quadric pullback
-    r = remainder(1)
-    eq = r.get((2, 4), MPoly.const(0))   # z3*z5
+    eq = remainder(1).get((2, 4), MPoly({}))   # z3*z5
     _expect(eq.terms == {("c13",): -_A}, "Q2: z3*z5")
     setk("c13", 0, "Q2 pullback, z3*z5 coefficient, a != 0")
-    r = remainder(1)
-    eq = r.get((1, 4), MPoly.const(0))   # z2*z5
+    eq = remainder(1).get((1, 4), MPoly({}))   # z2*z5
     _expect(eq.terms == {("c12",): -_A}, "Q2: z2*z5")
     setk("c12", 0, "Q2 pullback, z2*z5 coefficient, a != 0")
     assumptions.append("c11 != 0 (row 1 would vanish)")
-    r = remainder(1)
-    eq = r.get((0, 1), MPoly.const(0))   # z1*z2
+    eq = remainder(1).get((0, 1), MPoly({}))   # z1*z2
     _expect(eq.terms == {("c11", "c42"): Poly.const(Fraction(-1))}, "Q2: z1*z2")
     setk("c42", 0, "Q2 pullback, z1*z2 coefficient, c11 != 0")
-    r = remainder(1)
-    eq = r.get((0, 2), MPoly.const(0))   # z1*z3
+    eq = remainder(1).get((0, 2), MPoly({}))   # z1*z3
     _expect(eq.terms == {("c11", "c43"): Poly.const(Fraction(-1))}, "Q2: z1*z3")
     setk("c43", 0, "Q2 pullback, z1*z3 coefficient, c11 != 0")
-    r = remainder(1)
-    eq = r.get((3, 3), MPoly.const(0))   # z4^2
+    eq = remainder(1).get((3, 3), MPoly({}))   # z4^2
     _expect(set(eq.terms) == {("c11", "c41")}, "Q2: z4^2")
     setk("c41", 0, "Q2 pullback, z4^2 coefficient, c11 != 0")
-    r = remainder(1)
-    eq = r.get((0, 3), MPoly.const(0))   # z1*z4
+    eq = remainder(1).get((0, 3), MPoly({}))   # z1*z4
     _expect(eq.terms == {("c11",): Poly.const(Fraction(1)),
                          ("c33",) * 4: Poly.const(Fraction(1))}, "Q2: z1*z4")
     setk("c11", -(MPoly.var("c33") ** 4), "Q2 pullback, z1*z4 coefficient")
-    r = remainder(1)
-    eq = r.get((0, 4), MPoly.const(0))   # z1*z5
+    eq = remainder(1).get((0, 4), MPoly({}))   # z1*z5
     _expect(set(eq.terms) == {("c33",) * 4}, "Q2: z1*z5")
     coeff = eq.terms[("c33",) * 4]
     # coefficient is a nonzero rational multiple of (a + 1); c33 != 0
@@ -482,7 +486,7 @@ def elimination_solve() -> EliminationResult:
             out = out + MPoly({rest: poly})
         return out
 
-    eq = r.get((3, 3), MPoly.const(0))
+    eq = r.get((3, 3), MPoly({}))
     _expect(eq.terms == {(): Poly.const(Fraction(-1)),
                          ("c33",) * 8: Poly.const(Fraction(1))}, "Q3: z4^2")
     steps.append("c33^8 = 1  [Q3 pullback, z4^2 coefficient]")

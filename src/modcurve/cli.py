@@ -495,7 +495,7 @@ def cmd_canonical(args) -> tuple[dict, list[str], int]:
 def cmd_verify(args) -> tuple[dict, list[str], int]:
     names = [f"table{t}" for t in args.tables or ()]
     names += [name for name in ("oracles", "canonical", "iso") if getattr(args, name)]
-    names = names or list(SUITES)
+    names = list(dict.fromkeys(names)) or list(SUITES)
     if "oracles" in names and args.q_max > ENUM_GUARD:
         raise UsageError(f"--q-max {args.q_max} is above the oracle limit {ENUM_GUARD}")
     for t in args.tables or ():
@@ -560,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_group)
 
     p = sub.add_parser("verify", help="golden tables and oracle cross-checks")
-    p.add_argument("--tables", type=int, nargs="*")
+    p.add_argument("--tables", type=int, nargs="+")
     p.add_argument("--oracles", action="store_true")
     p.add_argument("--canonical", action="store_true")
     p.add_argument("--iso", action="store_true")

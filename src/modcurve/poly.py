@@ -103,6 +103,8 @@ class Poly:
         return result
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs == ((other,) if other else ())
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -9,6 +9,17 @@ from modcurve.arith import (Cyclotomic, GaussRational, GAUSS_I, divisors,
                             solve_unit_congruence)
 
 
+SCALARS = st.one_of(st.integers(-3, 3),
+                    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
+CYCLO8 = st.lists(SCALARS, min_size=8, max_size=8).map(lambda v: Cyclotomic(8, v))
+
+
+def retyped(coeffs):
+    """The same values with int and integral Fraction swapped."""
+    return [Fraction(c) if isinstance(c, int)
+            else int(c) if c.denominator == 1 else c for c in coeffs]
+
+
 class TestExtGcd:
     def test_examples(self):
         assert ext_gcd(3, 8) == (1, 3, -1)
@@ -123,6 +134,31 @@ class TestCyclotomic:
     def test_constant_hashes_like_scalar(self):
         assert Cyclotomic.scalar(8, 3) == 3
         assert len({Cyclotomic.scalar(8, 3), 3}) == 1
+
+    # the fast equality, zero and scalar paths against their definitions,
+    # over mixed int and Fraction coefficients
+    @given(CYCLO8, CYCLO8, st.booleans())
+    def test_eq_is_zero_difference(self, x, y, same):
+        if same:
+            y = Cyclotomic(8, retyped(x.coeffs))
+        assert (x == y) == all(c == 0 for c in (x - y).coeffs)
+        assert (x == y) == (y == x)
+        if x == y:
+            assert hash(x) == hash(y)
+
+    @given(CYCLO8, SCALARS, st.booleans())
+    def test_eq_scalar_is_definition(self, x, s, same):
+        if same:
+            x = Cyclotomic(8, retyped([s] + [0] * 7))
+        assert (x == s) == all(c == 0 for c in (x - s).coeffs)
+        assert (x == 0) == all(c == 0 for c in x.coeffs)
+        if x == s:
+            assert hash(x) == hash(s)
+
+    @given(CYCLO8, SCALARS)
+    def test_scalar_product_is_definition(self, x, s):
+        assert (x * s).coeffs == (x * Cyclotomic.scalar(8, s)).coeffs
+        assert (s * x).coeffs == (Cyclotomic.scalar(8, s) * x).coeffs
 
     def test_quotient_ring_has_no_i(self):
         # t^(d/2) squares to 1, not -1: the ring keeps t^4 and -1 apart

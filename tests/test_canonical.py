@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from modcurve.arith import Cyclotomic, GAUSS_I, GaussRational
-from modcurve.canonical import (apply_matrix, deck_matrix,
+from modcurve.canonical import (MPoly, apply_matrix, deck_matrix,
                                 elimination_solve, embed_point,
                                 hyperellipticity_obstruction, image_of_a,
                                 image_of_one, images_of_infinity,
@@ -15,6 +16,24 @@ from modcurve.canonical import (apply_matrix, deck_matrix,
                                 sigma_family, sigma_matrix,
                                 sigma_preserves_ideal, transform_quadric)
 from modcurve.poly import Poly
+
+
+SCALARS = st.one_of(st.integers(-3, 3),
+                    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
+POLYS = st.lists(SCALARS, max_size=3).map(Poly)
+MONOS = st.sampled_from([(), ("c11",), ("c11", "c22"), ("c22", "c11"), ("c33",) * 3])
+MPOLYS = st.dictionaries(MONOS, st.one_of(SCALARS, POLYS), max_size=3).map(MPoly)
+
+
+def retyped(m: MPoly) -> MPoly:
+    """The same polynomial with int and integral Fraction coefficients swapped."""
+    return MPoly({k: Poly([Fraction(c) if isinstance(c, int)
+                           else int(c) if c.denominator == 1 else c
+                           for c in p.coeffs]) for k, p in m.terms.items()})
+
+
+def coefficients(m: MPoly) -> list:
+    return [c for p in m.terms.values() for c in p.coeffs]
 
 
 def as_polys(point):
@@ -160,3 +179,44 @@ class TestCrossChecks:
         assert report["projective_center_trivial"]
         assert report["central_involution_quotient_genus"] == 3
         assert not report["hyperelliptic"]
+
+
+class TestMPoly:
+    def test_constant_hashes_like_its_poly(self):
+        assert MPoly.const(3) == 3 and hash(MPoly.const(3)) == hash(3)
+        assert MPoly({}) == 0 and hash(MPoly({})) == hash(0)
+        x = Poly.x()
+        assert MPoly.const(x) == x and hash(MPoly.const(x)) == hash(x)
+        assert len({MPoly.const(3), Poly.const(3), 3, MPoly({(): Fraction(3)})}) == 1
+
+    def test_keys_equal_up_to_order_add_up(self):
+        m = MPoly({("c11", "c22"): 1, ("c22", "c11"): Fraction(1, 2)})
+        assert m.terms == {("c11", "c22"): Poly.const(Fraction(3, 2))}
+        assert MPoly({("c22", "c11"): 2, ("c11", "c22"): -2}) == 0
+
+    # the fast equality and zero paths and the canonical-dict results
+    # against their definitions, over mixed int and Fraction coefficients
+    @given(MPOLYS, MPOLYS, st.booleans())
+    def test_eq_is_zero_difference(self, x, y, same):
+        if same:
+            y = retyped(x)
+        assert (x == y) == all(c == 0 for c in coefficients(x - y))
+        assert (x == y) == (y == x)
+        if x == y:
+            assert hash(x) == hash(y)
+
+    @given(MPOLYS, st.one_of(SCALARS, POLYS), st.booleans())
+    def test_eq_constant_is_definition(self, x, c, same):
+        if same:
+            x = retyped(MPoly.const(c))
+        assert (x == c) == all(v == 0 for v in coefficients(x - c))
+        assert (x == 0) == (x.is_zero() or all(v == 0 for v in coefficients(x)))
+        if x == c:
+            assert hash(x) == hash(c)
+
+    @given(MPOLYS, MPOLYS)
+    def test_results_are_canonical(self, x, y):
+        for r in (x + y, x - y, x * y, -x, x ** 2):
+            assert all(list(k) == sorted(k) for k in r.terms)
+            assert not any(p.is_zero() for p in r.terms.values())
+            assert r.terms == MPoly(dict(r.terms)).terms

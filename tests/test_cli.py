@@ -3,7 +3,7 @@ import json
 import pytest
 
 from modcurve.canonical import EliminationError
-from modcurve.cli import main, parse_cusp
+from modcurve.cli import main, parse_cusp, run_suite
 from modcurve.golden import load_golden
 
 
@@ -207,6 +207,28 @@ class TestVerifyCommand:
     def test_unknown_table(self, capsys):
         status, _, err = run(capsys, "verify", "--tables", "3")
         assert status == 2
+
+    def test_empty_tables_is_usage_error(self, capsys, monkeypatch):
+        from modcurve import cli
+        ran = []
+        monkeypatch.setattr(cli, "run_suite", lambda *a: ran.append(a) or [])
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tables"])
+        assert exc.value.code == 2 and ran == []
+        assert "--tables" in capsys.readouterr().err
+
+    def test_repeated_table_runs_once(self, capsys):
+        status, out, _ = run(capsys, "verify", "--tables", "2", "2")
+        assert status == 0 and "12/12 checks passed" in out
+        status, out, _ = run(capsys, "verify", "--tables", "6", "2", "6")
+        names = [line.split("  ")[1] for line in out.splitlines()[:-1]]
+        assert status == 0 and "48/48 checks passed" in out
+        assert names[:36] == [c["name"] for c in run_suite("table6", 20, 0)]
+
+    def test_four_tables_count(self, capsys):
+        status, out, _ = run(capsys, "verify", "--tables", "1", "2", "6", "7",
+                             "--q-max", "20")
+        assert status == 0 and "109/109 checks passed" in out
 
     @pytest.mark.parametrize("argv", [["--oracles"], []])
     def test_q_max_beyond_guard_fails_before_any_check(self, capsys,

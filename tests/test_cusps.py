@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from modcurve.arith import divisors, n2
 from modcurve.cusps import (class_to_cusp, cusp_canonical,
@@ -129,6 +130,14 @@ class TestWidths:
             for cls in enumerate_cusps(q):
                 cusp = class_to_cusp(q, cls)
                 assert width(q, n, cusp) == width_bruteforce(q, n, cusp)
+
+    @given(st.integers(3, 60).flatmap(
+               lambda q: st.tuples(st.just(q), st.sampled_from(divisors(q)))),
+           st.integers(-200, 200), st.integers(0, 200))
+    def test_closed_form_random(self, qn, x, z):
+        q, n = qn
+        assume(math.gcd(x, z) == 1 and (z > 0 or x == 1))
+        assert width(q, n, (x, z)) == width_bruteforce(q, n, (x, z))
 
 
 class TestWidthDistribution:
