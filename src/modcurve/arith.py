@@ -245,10 +245,11 @@ class Cyclotomic:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.coeffs[0] == other and not any(self.coeffs[1:])
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.coeffs == o.coeffs
+        if other.d != self.d:  # only constants are equal across moduli
+            return not any(other.coeffs[1:]) and self == other.coeffs[0]
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         # a constant equals its scalar, so it must hash like it

@@ -16,10 +16,10 @@ non-sign scalar there.  For q <= 40 the projective center is trivial except
 at q = 16 and 32, where it has two classes (at 16: I and (3, 8; 8, 11)).
 
 A canonical representative is the lexicographic minimum over the coset; the
-choice is deterministic and independent of enumeration order.  Each level's
-representative sets are built once per process; the oracles walk them,
-multiplying in SL and comparing up to scalars.  Enumeration is guarded at
-q <= 40 (|SL| grows like q^3); beyond that only the index formulas apply.
+choice is deterministic and independent of enumeration order.  Each level is
+enumerated once per process, the projective set filtered from the sign set;
+the oracles multiply inline in SL, comparing up to scalars.  Enumeration is
+guarded at q <= 40 (|SL| grows like q^3); beyond it only index formulas apply.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ Mat = tuple[int, int, int, int]
 
 ENUM_GUARD = 40
 
-def _check_guard(q: int) -> None:
-    if not 2 <= q <= ENUM_GUARD:
-        raise ValueError(f"enumeration supports 2 <= q <= {ENUM_GUARD}, got {q}")
-
 
 def psl_canon(q: int, m: Mat) -> Mat:
     """Canonical representative of {M, -M} mod q."""
@@ -46,16 +42,10 @@ def psl_canon(q: int, m: Mat) -> Mat:
     return min(m, n)
 
 
-def mat_mul(q: int, m1: Mat, m2: Mat) -> Mat:
-    a, b, c, d = m1
-    e, f, g, h = m2
-    return ((a * e + b * g) % q, (a * f + b * h) % q,
-            (c * e + d * g) % q, (c * f + d * h) % q)
-
-
 def enumerate_sl(q: int) -> list[Mat]:
     """All of SL(2, Z/qZ), by solving a*d = 1 + b*c for d."""
-    _check_guard(q)
+    if not 2 <= q <= ENUM_GUARD:
+        raise ValueError(f"enumeration supports 2 <= q <= {ENUM_GUARD}, got {q}")
     out = []
     for a in range(q):
         g = math.gcd(a, q)
@@ -75,10 +65,12 @@ def enumerate_sl(q: int) -> list[Mat]:
 @cache
 def _reps(q: int, lams: tuple[int, ...]) -> tuple[Mat, ...]:
     """The lexicographically least member of each class {lam * m : lam in
-    lams} of SL(2, Z/qZ)."""
-    others = [lam for lam in lams if lam != 1]
+    lams} of SL(2, Z/qZ).  Beyond the signs, filter the sign representatives:
+    a scalar class's least member is least in its sign class."""
+    extra = [lam for lam in lams if lam not in _signs(q)]
+    others = extra or [lam for lam in lams if lam != 1]
     reps = []
-    for m in enumerate_sl(q):
+    for m in _reps(q, _signs(q)) if extra else enumerate_sl(q):
         a = m[0]
         for lam in others:
             la = lam * a % q
@@ -125,11 +117,13 @@ def r_n_formula(q: int, n: int) -> int:
 def _order(q: int, g: Mat, lams: tuple[int, ...]) -> int:
     """Least k >= 1 with g^k = lam * I for some lam in lams, walking the
     powers of g in SL."""
-    g = tuple(e % q for e in g)
-    a, b, c, d = g
+    a0, b0, c0, d0 = a, b, c, d = [e % q for e in g]
+    if (a * d - b * c - 1) % q:
+        raise ValueError(f"determinant of {g} is not 1 mod {q}")
     k = 1
-    while not (b == c == 0 and a == d and a in lams):
-        a, b, c, d = mat_mul(q, (a, b, c, d), g)
+    while b or c or a != d or a not in lams:
+        a, b = (a * a0 + b * c0) % q, (a * b0 + b * d0) % q
+        c, d = (c * a0 + d * c0) % q, (c * b0 + d * d0) % q
         k += 1
         if k > 2 * q * q:
             raise RuntimeError("order computation runaway")
@@ -144,11 +138,6 @@ def element_order(q: int, g: Mat) -> int:
 def scalar_units(q: int) -> list[int]:
     """All lambda mod q with lambda^2 = 1; lambda * I is a scalar of SL."""
     return [lam for lam in range(1, q) if (lam * lam) % q == 1]
-
-
-def projective_canon(q: int, m: Mat) -> Mat:
-    """Canonical representative of the scalar class {lambda * M}."""
-    return min(tuple((lam * x) % q for x in m) for lam in scalar_units(q))
 
 
 def enumerate_projective(q: int) -> set[Mat]:
@@ -184,14 +173,23 @@ def max_element_order(q: int) -> int:
 def _center_of(q: int, lams: tuple[int, ...]) -> set[Mat]:
     """The classes of SL modulo the scalars lams that commute with every
     class, where g and h commute when gh = lam * hg for some lam."""
-    def commute(g: Mat, h: Mat) -> bool:
-        gh, hg = mat_mul(q, g, h), mat_mul(q, h, g)
-        return any(lam * hg[0] % q == gh[0]
-                   and tuple(lam * x % q for x in hg) == gh for lam in lams)
+    def commutes(g: Mat, hs) -> bool:
+        a, b, c, d = g
+        for e, f, x, y in hs:
+            gh0, hg0 = (a * e + b * x) % q, (e * a + f * c) % q
+            for lam in lams:
+                if (lam * hg0 % q == gh0
+                        and (lam * (e * b + f * d) - a * f - b * y) % q == 0
+                        and (lam * (x * a + y * c) - c * e - d * x) % q == 0
+                        and (lam * (x * b + y * d) - c * f - d * y) % q == 0):
+                    break
+            else:
+                return False
+        return True
 
-    gens = [(1, 1, 0, 1), (0, q - 1, 1, 0)]
-    cand = [g for g in _reps(q, lams) if all(commute(g, s) for s in gens)]
-    return {g for g in cand if all(commute(g, h) for h in _reps(q, lams))}
+    group = _reps(q, lams)
+    cand = [g for g in group if commutes(g, [(1, 1, 0, 1), (0, q - 1, 1, 0)])]
+    return {g for g in cand if commutes(g, group)}
 
 
 def center(q: int) -> set[Mat]:

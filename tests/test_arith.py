@@ -160,6 +160,28 @@ class TestCyclotomic:
         assert (x * s).coeffs == (x * Cyclotomic.scalar(8, s)).coeffs
         assert (s * x).coeffs == (Cyclotomic.scalar(8, s) * x).coeffs
 
+    def test_equality_across_moduli(self):
+        assert len({Cyclotomic.scalar(8, 1), Cyclotomic.scalar(4, 1)}) == 1
+        assert Cyclotomic.root(8, 1) != Cyclotomic.root(4, 1)
+        assert Cyclotomic.scalar(8, 2) != Cyclotomic.scalar(4, 1)
+        assert Cyclotomic.root(8, 1) != Cyclotomic.scalar(4, 1)
+        with pytest.raises(ValueError):
+            Cyclotomic.scalar(8, 1) + Cyclotomic.scalar(4, 1)
+
+    @given(CYCLO8, st.lists(SCALARS, min_size=4, max_size=4),
+           st.sampled_from(["any", "constants", "same constant"]))
+    def test_eq_across_moduli_agrees_with_hash(self, x, v, kind):
+        if kind != "any":
+            v = [v[0], 0, 0, 0]
+            x = Cyclotomic.scalar(8, x.coeffs[0])
+        if kind == "same constant":
+            v[0] = retyped([x.coeffs[0]])[0]
+        y = Cyclotomic(4, v)
+        both_constant = x == x.coeffs[0] and y == y.coeffs[0]
+        assert (x == y) == (y == x) == (both_constant and x.coeffs[0] == y.coeffs[0])
+        if x == y:
+            assert hash(x) == hash(y)
+
     def test_quotient_ring_has_no_i(self):
         # t^(d/2) squares to 1, not -1: the ring keeps t^4 and -1 apart
         t = Cyclotomic.root(8)

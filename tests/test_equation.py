@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from modcurve.cusps import tau_orbits
+from modcurve.arith import divisors
+from modcurve.cusps import cusp_canonical, tau_orbits
 from modcurve.curve import SemiHyperellipticCurve, curve_genus
 from modcurve.equation import (RotationNumber, build_equation, equation_string,
                                exponent_from_rotation, normalize_equation,
@@ -41,6 +43,17 @@ class TestRotationNumber:
             for orbit in tau_orbits(q, n):
                 rots = {rotation_of_class(q, n, cls) for cls in orbit}
                 assert len(rots) == 1
+
+    @given(st.integers(5, 60).flatmap(
+               lambda q: st.tuples(st.just(q), st.sampled_from(divisors(q)))),
+           st.integers(-200, 200), st.integers(0, 200))
+    def test_constant_on_orbits_random(self, qn, x, z):
+        q, n = qn
+        assume(math.gcd(x, z) == 1 and (z > 0 or x == 1))
+        cls = cusp_canonical(q, (x, z))
+        orbit = next(o for o in tau_orbits(q, n) if cls in o)
+        assert {rotation_of_class(q, n, c) for c in orbit} == \
+            {rotation_number(q, n, (x, z))}
 
 
 class TestExponents:

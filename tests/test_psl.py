@@ -1,13 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modcurve import psl
 from modcurve.cusps import cusp_canonical, enumerate_cusps
 from modcurve.genus import genus_q, hurwitz_deficiency
 from modcurve.psl import (center, cusp_action, cusp_class_action,
                           element_order, enumerate_psl, enumerate_projective,
                           enumerate_sl, gamma_qn_member, maps_between_cusps,
-                          mat_mul, max_element_order, max_order_formula,
-                          projective_canon, projective_element_order,
+                          max_element_order, max_order_formula,
+                          projective_element_order,
                           psl_canon, r_formula,
                           r_n_formula, scalar_units, sign_center,
                           type_classify)
@@ -95,6 +96,33 @@ class TestCenter:
         assert len(enumerate_projective(8)) == 96
 
 
+def mat_mul(q, m1, m2):
+    """The product m1 * m2 mod q, for the reference oracles below; the
+    library's kernels multiply inline and share no code with it."""
+    a, b, c, d = m1
+    e, f, g, h = m2
+    return ((a * e + b * g) % q, (a * f + b * h) % q,
+            (c * e + d * g) % q, (c * f + d * h) % q)
+
+
+def projective_canon(q, m):
+    """Canonical representative of the scalar class {lambda * M}."""
+    return min(tuple((lam * x) % q for x in m) for lam in scalar_units(q))
+
+
+def _st_word(q, ks):
+    """The product of T^k S = (k, -1; 1, 0) over ks, reduced mod q.  S and T
+    generate SL(2, Z), which maps onto SL(2, Z/qZ), so these words reach the
+    whole group without enumerating it."""
+    m = (1, 0, 0, 1)
+    for k in ks:
+        m = mat_mul(q, m, (k, -1, 1, 0))
+    return m
+
+
+ST_WORDS = st.lists(st.integers(0, 39), max_size=8)
+
+
 def _reference_order(q, g, canon):
     """Order of g in a quotient, canonicalizing every power."""
     ident = canon(q, (1, 0, 0, 1))
@@ -142,6 +170,43 @@ class TestAgainstDefinitions:
                 _reference_order(q, g, projective_canon)
 
 
+class TestKernelsAgainstReference:
+    """The call-free order walk, the single enumeration per level and the
+    determinant check, against the reference helpers above."""
+
+    @given(st.integers(2, 40), ST_WORDS)
+    def test_orders_of_random_words(self, q, ks):
+        g = _st_word(q, ks)
+        assert element_order(q, g) == _reference_order(q, g, psl_canon)
+        assert projective_element_order(q, g) == \
+            _reference_order(q, g, projective_canon)
+
+    @pytest.mark.parametrize("q", [32, 36, 40])
+    def test_projective_set_at_large_levels(self, q):
+        # 4 to 8 scalars at these levels
+        assert enumerate_projective(q) == \
+            {projective_canon(q, m) for m in enumerate_sl(q)}
+
+    @pytest.mark.parametrize("first,second", [(enumerate_psl, enumerate_projective),
+                                              (enumerate_projective, enumerate_psl)])
+    def test_composite_level_enumerated_once(self, monkeypatch, first, second):
+        calls = []
+        real = psl.enumerate_sl
+        monkeypatch.setattr(psl, "enumerate_sl",
+                            lambda q: calls.append(q) or real(q))
+        psl._reps.cache_clear()
+        first(24)
+        second(24)
+        assert calls == [24]
+
+    @pytest.mark.parametrize("order", [element_order, projective_element_order])
+    @pytest.mark.parametrize("q,m", [(5, (2, 0, 0, 2)), (6, (1, 1, 1, 1))])
+    def test_rejects_non_sl_input(self, order, q, m):
+        # determinants 4 mod 5 and 0 mod 6; no power of the second is scalar
+        with pytest.raises(ValueError, match="determinant"):
+            order(q, m)
+
+
 class TestMembership:
     def test_translation_generator(self):
         assert gamma_qn_member((1, 2, 0, 1), 8, 2)
@@ -175,6 +240,14 @@ class TestCuspAction:
         gh = psl_canon(8, mat_mul(8, g, h))
         assert cusp_class_action(8, gh, cls) == \
             cusp_class_action(8, g, cusp_class_action(8, h, cls))
+
+    @given(st.integers(2, 40), ST_WORDS, ST_WORDS, ST_WORDS)
+    def test_class_action_is_action_at_random_levels(self, q, g, h, c):
+        g, h = _st_word(q, g), _st_word(q, h)
+        # S and T act transitively on the cusps, so c is any class
+        cls = cusp_class_action(q, _st_word(q, c), (1, 0))
+        assert cusp_class_action(q, mat_mul(q, g, h), cls) == \
+            cusp_class_action(q, g, cusp_class_action(q, h, cls))
 
 
 class TestTransporters:
