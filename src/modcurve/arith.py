@@ -88,6 +88,16 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def check_step(q: int, n: int, least: int = 1) -> None:
+    """The one statement of the library's (level, step) argument rule: raise
+    ValueError for a level q below least, then for a step n that is not a
+    positive divisor of q."""
+    if q < least:
+        raise ValueError(f"level q = {q} must be at least {least}")
+    if n < 1 or q % n:
+        raise ValueError(f"n = {n} must divide q = {q}")
+
+
 def divisors(n: int) -> list[int]:
     ds = [1]
     for p, r in factorize(n):

@@ -5,6 +5,11 @@ canonical.  Exit status: 0 success, 1 verification mismatch, 2 argument
 error, 3 unsupported-mathematics request, 4 internal error (an exception
 such as a failed elimination step, reported on stderr).
 
+Argument rules are stated once, in the library: each raises ValueError,
+which main maps to exit 2, and no handler restates them.  The one explicit
+check is arith.check_step in `rotation`, so that a step not dividing q
+exits 2 while the level limit of rotation numbers exits 3.
+
 Output is text by default or a JSON document with --format json.  Exact
 numbers are serialized as strings "p" or "p/q"; the only floats anywhere
 are the residuals of the numeric isomorphism check.
@@ -19,7 +24,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .arith import Cyclotomic
+from .arith import Cyclotomic, check_step
 from . import canonical as canon
 from .cusps import (class_to_cusp, cusp_canonical, cusp_str, enumerate_cusps,
                     h_formula, h_n_formula, orbit_rep, tau_orbits, width,
@@ -181,12 +186,9 @@ def _canonical(_q_max: int, _seed: int) -> list[dict]:
     checks = []
     res = canon.elimination_solve()
     checks.append(make_check("elimination a", Fraction(-1), res.a))
-    ok8 = sum(canon.sigma_preserves_ideal(-1, Cyclotomic.root(8, j)) for j in range(8))
-    checks.append(make_check("sigma count at a=-1", 8, ok8))
+    checks.append(make_check("sigma count at a=-1", 8, canon.sigma_count(-1)))
     for bad in (2, 3, -2):
-        cnt = sum(canon.sigma_preserves_ideal(bad, Cyclotomic.root(8, j))
-                  for j in range(8))
-        checks.append(make_check(f"sigma count at a={bad}", 0, cnt))
+        checks.append(make_check(f"sigma count at a={bad}", 0, canon.sigma_count(bad)))
     checks.append(bool_check("family matches elimination",
                              res.family == [tuple(tuple(Cyclotomic.scalar(8, 0) + e
                                                         for e in row) for row in m)
@@ -259,8 +261,6 @@ def _document(command: str, inputs: dict, result, checks=None) -> dict:
 
 def cmd_genus(args) -> tuple[dict, list[str], int]:
     q = args.q
-    if q < 1:
-        raise UsageError("q must be >= 1")
     result = {"q": str(q), "g": str(genus_q(q))}
     lines = [f"g_{q} = {result['g']}"]
     if q <= 2:
@@ -268,10 +268,6 @@ def cmd_genus(args) -> tuple[dict, list[str], int]:
         lines.append(result["note"])
     if args.n is not None:
         n = args.n
-        if n < 1 or q % n:
-            raise UsageError(f"n = {n} must divide q = {q}")
-        if q < 5:
-            raise UsageError("quotient genus formulas need q >= 5")
         g = genus_qn(q, n)
         h = h_n_formula(q, n)
         r = r_n_formula(q, n)
@@ -282,8 +278,6 @@ def cmd_genus(args) -> tuple[dict, list[str], int]:
 
 def cmd_cusps(args) -> tuple[dict, list[str], int]:
     q, n = args.q, args.n
-    if n < 1 or q % n:
-        raise UsageError(f"n = {n} must divide q = {q}")
     orbits = tau_orbits(q, n)
     rows = []
     lines = [f"{len(orbits)} translation orbits at level {q}, step {n}"]
@@ -314,8 +308,7 @@ def cmd_cusps(args) -> tuple[dict, list[str], int]:
 
 def cmd_rotation(args) -> tuple[dict, list[str], int]:
     q, n = args.q, args.n
-    if n < 1 or q % n:
-        raise UsageError(f"n = {n} must divide q = {q}")
+    check_step(q, n)  # an argument error, unlike rotation_number's own limits
     cusp = parse_cusp(args.cusp)
     try:
         rot = rotation_number(q, n, cusp)
@@ -339,13 +332,9 @@ def cmd_rotation(args) -> tuple[dict, list[str], int]:
 def cmd_equation(args) -> tuple[dict, list[str], int]:
     q = args.q
     if not is_semihyperelliptic_level(q):
-        try:
-            g1 = genus_qn(q, 1)
-        except ValueError:
-            g1 = None
-        raise UnsupportedError(
-            f"level {q} admits no genus-zero cyclic quotient"
-            + (f" (translation quotient genus {g1})" if g1 is not None else ""))
+        # such a level has positive genus, so q >= 6 and genus_qn applies
+        raise UnsupportedError(f"level {q} admits no genus-zero cyclic quotient "
+                               f"(translation quotient genus {genus_qn(q, 1)})")
     inputs = {"q": q, "normalize": args.normalize,
               "convention": args.convention, "solve_constants": args.solve_constants}
     if q < 5:
@@ -382,10 +371,7 @@ def cmd_equation(args) -> tuple[dict, list[str], int]:
             raise UnsupportedError(
                 f"constant solving is only established for level 8; level {q} "
                 f"constants remain undetermined")
-        curve = SemiHyperellipticCurve.from_equation(eq)
-        label = undetermined_labels(eq)[0]
-        demand = _swap_demand(curve, label)
-        sols = solve_branch_constant(curve, demand)
+        label, sols = _solve_constant(eq)
         if len(sols) != 1:
             raise UnsupportedError(f"constant solving produced {sols}")
         eq = substitute_label(eq, label, sols[0])
@@ -394,6 +380,14 @@ def cmd_equation(args) -> tuple[dict, list[str], int]:
         result.pop("undetermined", None)
         lines.append(f"solved {label} = {exact_str(sols[0])}: {result['equation']}")
     return _document("equation", inputs, result), lines, 0
+
+
+def _solve_constant(eq: SemiHyperellipticEquation) -> tuple[str, list]:
+    """The first undetermined label of eq and the values of it for which a
+    swap of two branch points lifts to the curve."""
+    curve = SemiHyperellipticCurve.from_equation(eq)
+    label = undetermined_labels(eq)[0]
+    return label, solve_branch_constant(curve, _swap_demand(curve, label))
 
 
 def _swap_demand(curve: SemiHyperellipticCurve, label: str) -> tuple:
@@ -424,10 +418,7 @@ def cmd_group(args) -> tuple[dict, list[str], int]:
             raise UsageError("--order wants four comma-separated integers") from exc
         if len(entries) != 4:
             raise UsageError("--order wants four comma-separated integers")
-        m = tuple(e % q for e in entries)
-        if (m[0] * m[3] - m[1] * m[2]) % q != 1:
-            raise UsageError("matrix determinant is not 1 mod q")
-        order = element_order(q, m)
+        order = element_order(q, entries)
         result["order"] = str(order)
         lines.append(f"order of {entries} mod {q}: {order}")
     if args.max_order:
@@ -457,9 +448,7 @@ def cmd_lift_solve(args) -> tuple[dict, list[str], int]:
     if args.q != 8:
         raise UnsupportedError("the branch-constant solver is established for level 8")
     eq = normalize_with_convention(build_equation(8, 1), "gcd")
-    curve = SemiHyperellipticCurve.from_equation(eq)
-    label = undetermined_labels(eq)[0]
-    sols = solve_branch_constant(curve, _swap_demand(curve, label))
+    label, sols = _solve_constant(eq)
     result = {"family": equation_string(eq),
               "solutions": {label: [exact_str(s) for s in sols]}}
     lines = [f"family: {result['family']}",
@@ -470,8 +459,7 @@ def cmd_lift_solve(args) -> tuple[dict, list[str], int]:
 def cmd_canonical(args) -> tuple[dict, list[str], int]:
     res = canon.elimination_solve()
     obstruction = canon.hyperellipticity_obstruction()
-    sigma_ok = sum(canon.sigma_preserves_ideal(-1, Cyclotomic.root(8, j))
-                   for j in range(8))
+    sigma_ok = canon.sigma_count(-1)
     result = {
         "quadrics": ["z3^2 - z2*z5", "z2^2 - z1*(z4+z5)",
                      "z1^2 - z4*(z4-(a-1)*z5)"],

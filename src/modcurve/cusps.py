@@ -18,8 +18,8 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .arith import euler_product, ext_gcd, factorize, mult_n, n3
-from .psl import Mat, r_n_formula
+from .arith import check_step, euler_product, ext_gcd, factorize, mult_n, n3
+from .psl import Mat
 
 Cusp = tuple[int, int]
 ClassPair = tuple[int, int]
@@ -34,8 +34,7 @@ def check_cusp(c: Cusp) -> Cusp:
 
 def cusp_canonical(q: int, c: Cusp) -> ClassPair:
     """Canonical class pair of a cusp: min of +-(x, z) mod q."""
-    if q < 3:
-        raise ValueError("cusp classes require q >= 3")
+    check_step(q, 1, 3)
     x, z = check_cusp(c)
     xq, zq = x % q, z % q
     return min((xq, zq), ((-xq) % q, (-zq) % q))
@@ -99,8 +98,7 @@ def _mat_mul2(m1: tuple, m2: tuple) -> tuple:
 
 def h_formula(q: int) -> int:
     """Number of level-q cusp classes: q^2/2 * prod(1 - 1/l^2), q >= 3."""
-    if q < 3:
-        raise ValueError("cusp count formula requires q >= 3")
+    check_step(q, 1, 3)
     h = Fraction(q * q, 2) * euler_product(q)
     assert h.denominator == 1
     return int(h)
@@ -123,10 +121,7 @@ def h_n_formula(q: int, n: int) -> int:
 
     Valid for q >= 5 (the width formula underneath it fails at q = 4).
     """
-    if q < 5:
-        raise ValueError("intermediate cusp count formula requires q >= 5")
-    if n < 1 or q % n:
-        raise ValueError(f"n = {n} must divide q = {q}")
+    check_step(q, n, 5)
     h = Fraction(n * q, 2) * mult_n(q // n) * euler_product(q)
     assert h.denominator == 1
     return int(h)
@@ -138,8 +133,7 @@ def tau_orbits(q: int, n: int) -> list[tuple[ClassPair, ...]]:
     The translation acts by (x, z) -> (x + n*z, z); the orbit of x/z has
     size (q/n) / gcd(q/n, z).  Orbits are sorted by (size, representative).
     """
-    if n < 1 or q % n:
-        raise ValueError(f"n = {n} must divide q = {q}")
+    check_step(q, n)
     seen: set[ClassPair] = set()
     orbits = []
     for cls in sorted(enumerate_cusps(q)):
@@ -167,8 +161,7 @@ def width(q: int, n: int, c: Cusp) -> int:
     Closed form q / gcd(q/n, z) for q >= 5; brute force below (the closed
     form provably fails at level 4).
     """
-    if n < 1 or q % n:
-        raise ValueError(f"n = {n} must divide q = {q}")
+    check_step(q, n)
     x, z = check_cusp(c)
     if q <= 4:
         return width_bruteforce(q, n, c)
@@ -180,8 +173,7 @@ def width_bruteforce(q: int, n: int, c: Cusp) -> int:
     """Least R >= 1 whose conjugated translation lands in the group (or its
     negative): R*x*z = 0, R*z^2 = 0 (mod q) and R*x^2 = 0 (mod n), with the
     negative-sign branch (x*z*R = +-2 mod q) only possible when q | 4."""
-    if n < 1 or q % n:
-        raise ValueError(f"n = {n} must divide q = {q}")
+    check_step(q, n)
     x, z = check_cusp(c)
     for r in range(1, q * n + 1):
         if (r * x * z) % q == 0 and (r * z * z) % q == 0 and (r * x * x) % n == 0:
@@ -198,10 +190,7 @@ def width_distribution(q: int, n: int) -> dict[int, int]:
     Widths are n * prod(p_i^j_i) over exponent tuples 0 <= j_i <= r_i for
     q/n = prod(p_i^r_i); the count of each is h_q/(q/n) * prod(N3(j_i)).
     """
-    if q < 5:
-        raise ValueError("width distribution formula requires q >= 5")
-    if n < 1 or q % n:
-        raise ValueError(f"n = {n} must divide q = {q}")
+    check_step(q, n, 5)
     p = q // n
     fact = factorize(p)
     base = Fraction(h_formula(q), p)
@@ -228,6 +217,3 @@ def orbit_width_sum(q: int, n: int) -> int:
     """Sum of widths over all translation orbits; must equal the group index."""
     return sum(width(q, n, class_to_cusp(q, orbit_rep(o))) for o in tau_orbits(q, n))
 
-
-def width_sum_matches_index(q: int, n: int) -> bool:
-    return orbit_width_sum(q, n) == r_n_formula(q, n)

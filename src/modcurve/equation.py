@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .arith import ext_gcd, solve_unit_congruence
+from .arith import check_step, ext_gcd, solve_unit_congruence
 from .cusps import ClassPair, Cusp, check_cusp, class_to_cusp, cusp_str, tau_orbits
 from .genus import genus_qn
 
@@ -43,10 +43,7 @@ class RotationNumber(NamedTuple):
 
 def rotation_number(q: int, n: int, c: Cusp) -> RotationNumber:
     """Rotation number of translation-by-n at a cusp of the level-q curve."""
-    if q < 5:
-        raise ValueError("rotation numbers at cusps require q >= 5")
-    if n < 1 or q % n:
-        raise ValueError(f"n = {n} must divide q = {q}")
+    check_step(q, n, 5)
     x, z = check_cusp(c)
     p = q // n
     g = math.gcd(p, z)  # gcd(p, 0) = p
@@ -127,10 +124,7 @@ def build_equation(q: int, n: int) -> SemiHyperellipticEquation:
     """Equation data for the level-q curve from the translation-by-n
     quotient: one term per branched orbit (orbit size < p), exponents from
     the rotation numbers.  Requires q >= 5 and quotient genus zero."""
-    if q < 5:
-        raise ValueError("equation building requires q >= 5")
-    if n < 1 or q % n:
-        raise ValueError(f"n = {n} must divide q = {q}")
+    check_step(q, n, 5)
     p = q // n
     if p < 2:
         raise ValueError("the quotient must have degree >= 2 (n < q)")

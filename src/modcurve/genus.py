@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import divisors, euler_product, mult_n
+from .arith import check_step, divisors, euler_product, mult_n
 from .psl import type_classify
 
 
 def genus_q(q: int) -> int:
     """Genus of the level-q curve; 0 for q in {1, 2} by convention (sphere)."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    check_step(q, 1)
     if q <= 2:
         return 0
     g = 1 + Fraction((q - 6) * q * q, 24) * euler_product(q)
@@ -32,10 +31,7 @@ def genus_q(q: int) -> int:
 def genus_qn(q: int, n: int) -> int:
     """Genus of the quotient by translation-by-n, for q >= 5 and n | q:
     1 + (q - 6*N(q/n)) * n*q/24 * prod(1 - 1/l^2)."""
-    if q < 5:
-        raise ValueError("quotient genus formula requires q >= 5")
-    if n < 1 or q % n:
-        raise ValueError(f"n = {n} must divide q = {q}")
+    check_step(q, n, 5)
     g = 1 + (q - 6 * mult_n(q // n)) * Fraction(n * q, 24) * euler_product(q)
     if g.denominator != 1:
         raise ArithmeticError(f"non-integral genus for (q, n) = ({q}, {n})")
@@ -56,8 +52,7 @@ def genus_prime_quotient(q: int) -> int:
     1 + (p - 3*N(p)) * p/12 * prod over primes l | p of (1 - 1/l^2)."""
     if type_classify(q) != "I":
         raise ValueError(f"q = {q} is not of type I")
-    if q < 10:
-        raise ValueError("quotient genus requires q >= 10")
+    check_step(q, 1, 10)
     p = q // 2
     g = 1 + (p - 3 * mult_n(p)) * Fraction(p, 12) * euler_product(p)
     if g.denominator != 1:
@@ -81,8 +76,6 @@ def hurwitz_deficiency(n_autos: int, g_bar: int, branch_orders: list[int]) -> in
 def is_semihyperelliptic_level(q: int) -> bool:
     """True when the level-q curve admits a cyclic quotient of genus zero,
     i.e. the curve itself has genus 0 or some translation quotient does."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
     if genus_q(q) == 0:
         return True
     if q >= 5:

@@ -32,6 +32,3 @@ def load_golden() -> dict[GoldenKey, int]:
 def golden(table: str, row: str, col) -> int:
     return load_golden()[(table, row, str(col))]
 
-
-def golden_rows(table: str) -> list[GoldenKey]:
-    return [k for k in load_golden() if k[0] == table]

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .arith import euler_product
+from .arith import check_step, euler_product
 
 Mat = tuple[int, int, int, int]
 
@@ -82,7 +82,7 @@ def _reps(q: int, lams: tuple[int, ...]) -> tuple[Mat, ...]:
 
 
 def _signs(q: int) -> tuple[int, ...]:
-    return (1, q - 1)
+    return (1, q - 1) if q > 2 else (1,)  # -I = I mod 2: one cache entry
 
 
 @cache
@@ -105,10 +105,7 @@ def r_formula(q: int) -> int:
 def r_n_formula(q: int, n: int) -> int:
     """Index of the intermediate group of level q and translation step n:
     n*q^2/2 * prod(1 - 1/l^2).  Requires q >= 3 and n | q."""
-    if q < 3:
-        raise ValueError("index formula requires q >= 3")
-    if n < 1 or q % n:
-        raise ValueError(f"n = {n} must divide q = {q}")
+    check_step(q, n, 3)
     r = Fraction(n * q * q, 2) * euler_product(q)
     assert r.denominator == 1
     return int(r)
@@ -117,6 +114,7 @@ def r_n_formula(q: int, n: int) -> int:
 def _order(q: int, g: Mat, lams: tuple[int, ...]) -> int:
     """Least k >= 1 with g^k = lam * I for some lam in lams, walking the
     powers of g in SL."""
+    check_step(q, 1, 2)
     a0, b0, c0, d0 = a, b, c, d = [e % q for e in g]
     if (a * d - b * c - 1) % q:
         raise ValueError(f"determinant of {g} is not 1 mod {q}")
@@ -214,8 +212,7 @@ def gamma_qn_member(m: Mat, q: int, n: int) -> bool:
     a, b, c, d = m
     if a * d - b * c != 1:
         raise ValueError("matrix must have determinant 1")
-    if n < 1 or q % n:
-        raise ValueError(f"n = {n} must divide q = {q}")
+    check_step(q, n)
     return a % q == 1 and d % q == 1 and c % q == 0 and b % n == 0
 
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from modcurve.arith import (Cyclotomic, GaussRational, GAUSS_I, divisors,
-                            ext_gcd, factorize, is_prime, mult_n, n1, n2, n3,
-                            solve_unit_congruence)
+from modcurve.arith import (Cyclotomic, GaussRational, GAUSS_I, check_step,
+                            divisors, ext_gcd, factorize, is_prime, mult_n, n1,
+                            n2, n3, solve_unit_congruence)
 
 
 SCALARS = st.one_of(st.integers(-3, 3),
@@ -52,6 +52,26 @@ class TestUnitCongruence:
         assert 1 <= k < v
         assert (k * u) % v == 1
         assert all((j * u) % v != 1 for j in range(1, k))
+
+
+class TestCheckStep:
+    @pytest.mark.parametrize("q,n,least", [(8, 1, 1), (8, 8, 1), (12, 4, 5), (3, 3, 3)])
+    def test_accepts(self, q, n, least):
+        assert check_step(q, n, least) is None
+
+    @pytest.mark.parametrize("q,n,least", [(0, 1, 1), (-4, 2, 1), (4, 1, 5), (1, 1, 2)])
+    def test_level_below_least(self, q, n, least):
+        with pytest.raises(ValueError, match=f"level q = {q} must be at least {least}"):
+            check_step(q, n, least)
+
+    @pytest.mark.parametrize("q,n", [(8, 3), (8, 0), (8, -2), (8, 16)])
+    def test_step_not_a_divisor(self, q, n):
+        with pytest.raises(ValueError, match=f"n = {n} must divide q = {q}"):
+            check_step(q, n)
+
+    def test_level_is_checked_first(self):
+        with pytest.raises(ValueError, match="at least 5"):
+            check_step(3, 2, 5)
 
 
 class TestFactorize:

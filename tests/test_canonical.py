@@ -10,12 +10,17 @@ from modcurve.canonical import (MPoly, apply_matrix, deck_matrix,
                                 elimination_solve, embed_point,
                                 hyperellipticity_obstruction, image_of_a,
                                 image_of_one, images_of_infinity,
-                                images_of_zero, in_quadric_span, mat_mul5,
+                                images_of_zero, in_quadric_span,
                                 automorphism_count_crosscheck,
                                 quadric_forms, quadric_residuals,
                                 sigma_family, sigma_matrix,
                                 sigma_preserves_ideal, transform_quadric)
 from modcurve.poly import Poly
+
+
+def mat_mul5(m1, m2):
+    return tuple(tuple(sum(m1[i][k] * m2[k][j] for k in range(5))
+                       for j in range(5)) for i in range(5))
 
 
 SCALARS = st.one_of(st.integers(-3, 3),

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modcurve.canonical import EliminationError
 from modcurve.cli import main, parse_cusp, run_suite
@@ -71,6 +72,10 @@ class TestCuspsCommand:
     def test_full_level(self, capsys):
         status, out, _ = run(capsys, "cusps", "--q", "8", "--n", "8", "--widths")
         assert status == 0 and out.count("width=8") == 24
+
+    def test_bad_divisor(self, capsys):
+        status, _, err = run(capsys, "cusps", "--q", "8", "--n", "3")
+        assert status == 2 and "divide" in err
 
     def test_distribution_json(self, capsys):
         status, out, _ = run(capsys, "--format", "json", "cusps", "--q", "8",
@@ -153,6 +158,18 @@ class TestGroupCommand:
     def test_needs_a_flag(self, capsys):
         status, _, err = run(capsys, "group", "--q", "8")
         assert status == 2
+
+    def test_order_at_level_zero_is_argument_error(self, capsys):
+        status, out, err = run(capsys, "group", "--q", "0", "--order", "1,0,0,1")
+        assert status == 2 and out == "" and "internal error" not in err
+
+    def test_order_at_level_one_names_the_level(self, capsys):
+        status, _, err = run(capsys, "group", "--q", "1", "--order", "1,0,0,1")
+        assert status == 2 and "level" in err and "determinant" not in err
+
+    def test_order_rejects_non_sl_matrix(self, capsys):
+        status, _, err = run(capsys, "group", "--q", "8", "--order", "2,0,0,2")
+        assert status == 2 and "determinant" in err
 
 
 class TestLiftSolveCommand:
@@ -259,6 +276,46 @@ class TestInternalError:
         status, out, err = run(capsys, "canonical")
         assert status == 4 and out == ""
         assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+LEVELS = [str(v) for v in range(-3, 13)] + ["41", "61"]
+CUSPS = ["inf", "1/4", "3/8", "0/1", "-1/0", "2/4", "0/0", "x", "1/", ""]
+ORDERS = ["1,0,0,1", "6,1,5,1", "2,0,0,2", "0,0,0,0", "1,2,3", "a,b,c,d", ""]
+
+
+@st.composite
+def argvs(draw):
+    """One subcommand with a drawn level, step, cusps and --order string."""
+    q, n = draw(st.sampled_from(LEVELS)), draw(st.sampled_from(LEVELS))
+    cusp, other = draw(st.sampled_from(CUSPS)), draw(st.sampled_from(CUSPS))
+    small_q = draw(st.sampled_from(LEVELS[:16]))  # the oracles stay at q-max <= 12
+    return draw(st.sampled_from([
+        ["genus", "--q", q],
+        ["genus", "--q", q, "--n", n],
+        ["cusps", "--q", q, "--n", n, "--widths", "--distribution"],
+        ["rotation", "--q", q, "--n", n, f"--cusp={cusp}"],
+        ["rotation", "--q", q, f"--cusp={cusp}"],
+        ["equation", "--q", q, "--normalize", "--solve-constants"],
+        ["group", "--q", q, f"--order={draw(st.sampled_from(ORDERS))}"],
+        ["group", "--q", q, "--max-order"],
+        ["group", "--q", q, "--center"],
+        ["group", "--q", q, "--cusp-maps", cusp, other],
+        ["lift-solve", "--q", q],
+        ["verify", "--oracles", "--q-max", small_q],
+    ]))
+
+
+class TestArgvProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(argvs())
+    def test_never_internal_error(self, argv):
+        # a bad level, step, cusp or matrix is an argument (2) or
+        # unsupported-mathematics (3) error, never an internal one (4)
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed options itself
+            status = exc.code
+        assert status in (0, 1, 2, 3)
 
 
 class TestGolden:

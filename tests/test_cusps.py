@@ -7,10 +7,14 @@ from hypothesis import assume, given, strategies as st
 from modcurve.arith import divisors, n2
 from modcurve.cusps import (class_to_cusp, cusp_canonical,
                             enumerate_cusps, find_equivalence_witness,
-                            h_formula, h_n_formula, orbit_width_sum_check,
-                            orbit_rep, tau_orbits, width, width_bruteforce,
-                            width_distribution, width_sum_matches_index)
+                            h_formula, h_n_formula, orbit_width_sum,
+                            orbit_width_sum_check, orbit_rep, tau_orbits,
+                            width, width_bruteforce, width_distribution)
 from modcurve.psl import gamma_qn_member, r_n_formula
+
+
+def width_sum_matches_index(q: int, n: int) -> bool:
+    return orbit_width_sum(q, n) == r_n_formula(q, n)
 
 
 class TestCanonical:

@@ -199,6 +199,23 @@ class TestKernelsAgainstReference:
         second(24)
         assert calls == [24]
 
+    def test_level_two_enumerated_once(self, monkeypatch):
+        # -I = I mod 2, so the sign and projective sets are the same 6 matrices
+        calls = []
+        real = psl.enumerate_sl
+        monkeypatch.setattr(psl, "enumerate_sl",
+                            lambda q: calls.append(q) or real(q))
+        psl._reps.cache_clear()
+        signs = enumerate_psl(2)
+        assert enumerate_projective(2) == signs and len(signs) == 6
+        assert calls == [2]
+
+    @pytest.mark.parametrize("order", [element_order, projective_element_order])
+    @pytest.mark.parametrize("q", [-1, 0, 1])
+    def test_rejects_level_below_two(self, order, q):
+        with pytest.raises(ValueError, match="level"):
+            order(q, (1, 0, 0, 1))
+
     @pytest.mark.parametrize("order", [element_order, projective_element_order])
     @pytest.mark.parametrize("q,m", [(5, (2, 0, 0, 2)), (6, (1, 1, 1, 1))])
     def test_rejects_non_sl_input(self, order, q, m):
