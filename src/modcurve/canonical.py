@@ -22,8 +22,10 @@ corresponding cusp classes.
 Ideal membership never needs Groebner machinery: the ideal is generated in
 degree 2 and pullbacks of quadrics are quadrics, so membership is a linear
 condition on the 15 quadratic-monomial coefficients with the three square
-terms forcing the multipliers.  Zero and equality tests compare the
-canonical term dicts directly; integer coefficients stay int.
+terms forcing the multipliers.  The elimination pulls each quadric back
+once and substitutes each solved entry into the remainders, which commutes
+with pullback and reduction: both are polynomial and no form holds an entry.
+Zero and equality tests compare the canonical term dicts; ints stay int.
 """
 
 from __future__ import annotations
@@ -134,6 +136,12 @@ def reduce_by_span(p: Quadric, forms: list[Quadric]) -> Quadric:
         for key, c in form.items():
             rem[key] = rem[key] - lam * c if key in rem else -(lam * c)
     return {k: v for k, v in rem.items() if not v == 0}
+
+
+def map_quadric(q: Quadric, f) -> Quadric:
+    """Apply a ring map to every coefficient, dropping those that vanish."""
+    out = {k: f(c) for k, c in q.items()}
+    return {k: c for k, c in out.items() if not c == 0}
 
 
 def in_quadric_span(p: Quadric, a) -> bool:
@@ -302,11 +310,13 @@ class MPoly:
         return hash(frozenset((k, p.coeffs) for k, p in self.terms.items()))
 
     def subs(self, name: str, value: "MPoly") -> "MPoly":
-        out = MPoly({})
-        for key, poly in self.terms.items():
-            count = key.count(name)
-            rest = tuple(k for k in key if k != name)
-            out = out + MPoly({rest: poly}) * value**count
+        """Substitute value for the variable name (a ring map fixing Q[a])."""
+        out = MPoly._canonical({k: p for k, p in self.terms.items() if name not in k})
+        if value.terms:  # a zero value drops every term that holds name
+            for key, poly in self.terms.items():
+                if name in key:
+                    rest = tuple(k for k in key if k != name)
+                    out = out + MPoly._canonical({rest: poly}) * value ** key.count(name)
         return out
 
     def subs_a(self, a_value: Fraction) -> "MPoly":
@@ -354,20 +364,25 @@ def elimination_solve() -> EliminationResult:
     c41 = c42 = c43 = 0, c11 = -c22^2 and finally a = -1, with c11^2 = 1
     closing the family to the eighth roots of unity.
 
-    Every step asserts the shape of the constraint it consumes, so any
-    divergence points at the exact step.
+    The three pullbacks are taken once, after the linear stage; each later
+    entry is substituted into the remainders, and a = -1 is set by subs_a.
+    The reduction's multipliers are the z3^2, z2^2, z1^2 coefficients and no
+    form holds an entry or another form's square, so both ring maps commute
+    with pullback and reduction.  Every step asserts the shape of the
+    constraint it consumes, so any divergence points at the exact step.
     """
     steps: list[str] = []
     assumptions = ["a != 0", "a != 1", "matrix invertible"]
-    names = [f"c{i}{j}" for i in range(1, 6) for j in range(1, 6)]
     known: dict[str, MPoly] = {}
+    rems: list[Quadric] = []  # the three pulled-back remainders, once taken
 
     def entry(i: int, j: int) -> MPoly:  # 1-indexed
         name = f"c{i}{j}"
         return known.get(name, MPoly.var(name))
 
     def setk(name: str, value, why: str):
-        known[name] = value if isinstance(value, MPoly) else MPoly.const(value)
+        known[name] = mp = value if isinstance(value, MPoly) else MPoly.const(value)
+        rems[:] = [map_quadric(r, lambda c: c.subs(name, mp)) for r in rems]
         steps.append(f"{name} = {value!r}  [{why}]")
 
     a_sym = MPoly.const(_A)
@@ -410,54 +425,48 @@ def elimination_solve() -> EliminationResult:
     _expect(expr.terms == {("c21",): Poly.const(Fraction(1))}, "zero images")
     setk("c21", 0, "zero images, a != 0")
 
-    def current_matrix():
-        return tuple(tuple(entry(i, j) for j in range(1, 6)) for i in range(1, 6))
-
-    def forms_sym():
-        return quadric_forms(a_sym)
-
-    def remainder(form_index: int) -> Quadric:
-        m = current_matrix()
-        forms = forms_sym()
-        return reduce_by_span(transform_quadric(forms[form_index], m), forms)
+    # pull each quadric back once; setk substitutes into the remainders from now on
+    forms = quadric_forms(a_sym)
+    m = tuple(tuple(entry(i, j) for j in range(1, 6)) for i in range(1, 6))
+    rems[:] = [reduce_by_span(transform_quadric(q, m), forms) for q in forms]
 
     # first quadric pullback
-    eq = remainder(0).get((2, 4), MPoly({}))   # z3*z5
+    eq = rems[0].get((2, 4), MPoly({}))   # z3*z5
     _expect(eq.terms == {("c23",): Poly.const(Fraction(-1))}, "Q1: z3*z5")
     setk("c23", 0, "Q1 pullback, z3*z5 coefficient")
-    eq = remainder(0).get((1, 2), MPoly({}))   # z2*z3
+    eq = rems[0].get((1, 2), MPoly({}))   # z2*z3
     _expect(eq.terms == {("c22", "c53"): Poly.const(Fraction(-1))}, "Q1: z2*z3")
     assumptions.append("c22 != 0 (row 2 would vanish)")
     setk("c53", 0, "Q1 pullback, z2*z3 coefficient, c22 != 0")
-    eq = remainder(0).get((1, 4), MPoly({}))   # z2*z5
+    eq = rems[0].get((1, 4), MPoly({}))   # z2*z5
     _expect(eq.terms == {("c33", "c33"): Poly.const(Fraction(1)),
                          ("c22",): Poly.const(Fraction(-1))}, "Q1: z2*z5")
     setk("c22", MPoly.var("c33") ** 2, "Q1 pullback, z2*z5 coefficient")
-    _expect(not remainder(0), "Q1 pullback must now lie in the span")
+    _expect(not rems[0], "Q1 pullback must now lie in the span")
     steps.append("Q1 pullback lies in the span")
 
     # second quadric pullback
-    eq = remainder(1).get((2, 4), MPoly({}))   # z3*z5
+    eq = rems[1].get((2, 4), MPoly({}))   # z3*z5
     _expect(eq.terms == {("c13",): -_A}, "Q2: z3*z5")
     setk("c13", 0, "Q2 pullback, z3*z5 coefficient, a != 0")
-    eq = remainder(1).get((1, 4), MPoly({}))   # z2*z5
+    eq = rems[1].get((1, 4), MPoly({}))   # z2*z5
     _expect(eq.terms == {("c12",): -_A}, "Q2: z2*z5")
     setk("c12", 0, "Q2 pullback, z2*z5 coefficient, a != 0")
     assumptions.append("c11 != 0 (row 1 would vanish)")
-    eq = remainder(1).get((0, 1), MPoly({}))   # z1*z2
+    eq = rems[1].get((0, 1), MPoly({}))   # z1*z2
     _expect(eq.terms == {("c11", "c42"): Poly.const(Fraction(-1))}, "Q2: z1*z2")
     setk("c42", 0, "Q2 pullback, z1*z2 coefficient, c11 != 0")
-    eq = remainder(1).get((0, 2), MPoly({}))   # z1*z3
+    eq = rems[1].get((0, 2), MPoly({}))   # z1*z3
     _expect(eq.terms == {("c11", "c43"): Poly.const(Fraction(-1))}, "Q2: z1*z3")
     setk("c43", 0, "Q2 pullback, z1*z3 coefficient, c11 != 0")
-    eq = remainder(1).get((3, 3), MPoly({}))   # z4^2
+    eq = rems[1].get((3, 3), MPoly({}))   # z4^2
     _expect(set(eq.terms) == {("c11", "c41")}, "Q2: z4^2")
     setk("c41", 0, "Q2 pullback, z4^2 coefficient, c11 != 0")
-    eq = remainder(1).get((0, 3), MPoly({}))   # z1*z4
+    eq = rems[1].get((0, 3), MPoly({}))   # z1*z4
     _expect(eq.terms == {("c11",): Poly.const(Fraction(1)),
                          ("c33",) * 4: Poly.const(Fraction(1))}, "Q2: z1*z4")
     setk("c11", -(MPoly.var("c33") ** 4), "Q2 pullback, z1*z4 coefficient")
-    eq = remainder(1).get((0, 4), MPoly({}))   # z1*z5
+    eq = rems[1].get((0, 4), MPoly({}))   # z1*z5
     _expect(set(eq.terms) == {("c33",) * 4}, "Q2: z1*z5")
     coeff = eq.terms[("c33",) * 4]
     # coefficient is a nonzero rational multiple of (a + 1); c33 != 0
@@ -466,17 +475,13 @@ def elimination_solve() -> EliminationResult:
     a_value = Fraction(-1)
     steps.append("a = -1  [Q2 pullback, z1*z5 coefficient, c33 != 0]")
 
-    # re-run both pullbacks at a = -1 and check they sit in the span
-    def remainder_at(form_index: int, a_val: Fraction) -> Quadric:
-        m = tuple(tuple(e.subs_a(a_val) for e in row) for row in current_matrix())
-        forms = quadric_forms(MPoly.const(Poly.const(a_val)))
-        return reduce_by_span(transform_quadric(forms[form_index], m), forms)
-
-    _expect(not remainder_at(0, a_value), "Q1 pullback at a = -1")
-    _expect(not remainder_at(1, a_value), "Q2 pullback at a = -1")
+    # both pullbacks at a = -1 must sit in the span
+    at_a = [map_quadric(r, lambda c: c.subs_a(a_value)) for r in rems]
+    _expect(not at_a[0], "Q1 pullback at a = -1")
+    _expect(not at_a[1], "Q2 pullback at a = -1")
 
     # third quadric pullback: remainder must vanish modulo c33^8 = 1
-    r = remainder_at(2, a_value)
+    r = at_a[2]
 
     def reduce_octic(mp: MPoly) -> MPoly:
         out = MPoly({})
@@ -501,7 +506,6 @@ def elimination_solve() -> EliminationResult:
 
     family = []
     for j in range(8):
-        root = Cyclotomic.root(8, j)
         mat = []
         for i in range(1, 6):
             row = []
@@ -510,7 +514,7 @@ def elimination_solve() -> EliminationResult:
                 val = Cyclotomic.scalar(8, 0)
                 for key, poly in e.terms.items():
                     _expect(set(key) <= {"c33"}, "family entries depend on c33 only")
-                    val = val + Fraction(poly(a_value)) * root ** len(key)
+                    val = val + Fraction(poly(a_value)) * Cyclotomic.root(8, j * len(key))
                 row.append(val)
             mat.append(tuple(row))
         family.append(tuple(mat))

@@ -486,6 +486,8 @@ def cmd_verify(args) -> tuple[dict, list[str], int]:
     names = list(dict.fromkeys(names)) or list(SUITES)
     if "oracles" in names and args.q_max > ENUM_GUARD:
         raise UsageError(f"--q-max {args.q_max} is above the oracle limit {ENUM_GUARD}")
+    if {"oracles", "table1"} & set(names) and args.q_max < 5:
+        raise UsageError(f"--q-max {args.q_max} is below the oracle floor 5")
     for t in args.tables or ():
         if f"table{t}" not in SUITES:
             raise UsageError(f"no golden data for table {t}")

@@ -1,19 +1,21 @@
 import cmath
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from modcurve import canonical
 from modcurve.arith import Cyclotomic, GAUSS_I, GaussRational
 from modcurve.canonical import (MPoly, apply_matrix, deck_matrix,
                                 elimination_solve, embed_point,
                                 hyperellipticity_obstruction, image_of_a,
                                 image_of_one, images_of_infinity,
                                 images_of_zero, in_quadric_span,
-                                automorphism_count_crosscheck,
+                                automorphism_count_crosscheck, map_quadric,
                                 quadric_forms, quadric_residuals,
-                                sigma_family, sigma_matrix,
+                                reduce_by_span, sigma_family, sigma_matrix,
                                 sigma_preserves_ideal, transform_quadric)
 from modcurve.poly import Poly
 
@@ -39,6 +41,15 @@ def retyped(m: MPoly) -> MPoly:
 
 def coefficients(m: MPoly) -> list:
     return [c for p in m.terms.values() for c in p.coeffs]
+
+
+def subs_by_definition(m: MPoly, name: str, value: MPoly) -> MPoly:
+    """Term by term: each name^k becomes value^k."""
+    out = MPoly({})
+    for key, poly in m.terms.items():
+        rest = tuple(k for k in key if k != name)
+        out = out + MPoly({rest: poly}) * value ** key.count(name)
+    return out
 
 
 def as_polys(point):
@@ -225,3 +236,127 @@ class TestMPoly:
             assert all(list(k) == sorted(k) for k in r.terms)
             assert not any(p.is_zero() for p in r.terms.values())
             assert r.terms == MPoly(dict(r.terms)).terms
+
+    @given(MPOLYS, MPOLYS, st.sampled_from(["c11", "c22", "c33"]), MPOLYS)
+    def test_subs_is_ring_map(self, x, y, name, value):
+        def s(p):
+            return p.subs(name, value)
+        assert s(x + y) == s(x) + s(y)
+        assert s(x * y) == s(x) * s(y)
+        assert s(MPoly.const(1)) == 1
+        assert s(x) == subs_by_definition(x, name, value)
+        assert s(x).terms == MPoly(dict(s(x).terms)).terms
+
+    @given(MPOLYS, st.sampled_from(["c11", "c22", "c33"]))
+    def test_subs_zero_drops_the_name(self, x, name):
+        dropped = MPoly({k: p for k, p in x.terms.items() if name not in k})
+        assert x.subs(name, MPoly({})) == dropped
+        assert x.subs(name, MPoly.const(Fraction(0))) == dropped
+
+    @given(MPOLYS, MPOLYS, SCALARS)
+    def test_subs_a_is_ring_map(self, x, y, a):
+        assert (x + y).subs_a(a) == x.subs_a(a) + y.subs_a(a)
+        assert (x * y).subs_a(a) == x.subs_a(a) * y.subs_a(a)
+        assert all(p.degree < 1 for p in x.subs_a(a).terms.values())
+
+
+# The elimination's assignments in order, as (entry, value).  LINEAR is the
+# stage fixed by the branch-point images; each SOLVED entry comes from a
+# pullback coefficient.
+A = MPoly.const(Poly.x())
+C33 = MPoly.var("c33")
+LINEAR = [("c15", 0), ("c25", 0), ("c35", 0), ("c45", A - 1), ("c55", 1),
+          ("c14", 0), ("c24", 0), ("c34", 0), ("c44", -1), ("c31", 0),
+          ("c32", 0), ("c52", 0), ("c51", 0), ("c54", 0), ("c21", 0)]
+SOLVED = [("c23", 0), ("c53", 0), ("c22", C33 ** 2), ("c13", 0), ("c12", 0),
+          ("c42", 0), ("c43", 0), ("c41", 0), ("c11", -C33 ** 4)]
+# the 14 remainder reads: (SOLVED entries assigned before it, quadric, a)
+READS = ([(k, 0, None) for k in (0, 1, 2, 3)]
+         + [(k, 1, None) for k in (3, 4, 5, 6, 7, 8, 9)]
+         + [(9, i, Fraction(-1)) for i in (0, 1, 2)])
+
+
+def as_mpoly(value) -> MPoly:
+    return value if isinstance(value, MPoly) else MPoly.const(value)
+
+
+def matrix_of(known: dict):
+    return tuple(tuple(known.get(f"c{i}{j}", MPoly.var(f"c{i}{j}"))
+                       for j in range(1, 6)) for i in range(1, 6))
+
+
+def rebuilt_remainder(known: dict, index: int, a=None):
+    """The reference: rebuild the symbolic matrix and the whole pullback,
+    with every entry evaluated at a first when a is given."""
+    m = matrix_of(known)
+    forms = quadric_forms(A)
+    if a is not None:
+        m = tuple(tuple(e.subs_a(a) for e in row) for row in m)
+        forms = quadric_forms(MPoly.const(Poly.const(a)))
+    return reduce_by_span(transform_quadric(forms[index], m), forms)
+
+
+def recorder(log: list, fn):
+    def recorded(*args):
+        log.append(fn(*args))
+        return log[-1]
+    return recorded
+
+
+POST_LINEAR = matrix_of({name: as_mpoly(v) for name, v in LINEAR})
+FREE = ["c11", "c12", "c13", "c22", "c23", "c33", "c41", "c42", "c43", "c53"]
+VALUES = st.one_of(st.just(0), SCALARS,
+                   st.builds(lambda sign, k: sign * C33 ** k,
+                             st.sampled_from([1, -1]), st.integers(1, 4)))
+
+
+class TestPullBackOnce:
+    def test_listed_order_is_the_elimination_order(self):
+        res = elimination_solve()
+        order = [m.group(1) for m in map(re.compile(r"(c\d\d) = ").match, res.steps) if m]
+        assert order == [name for name, _ in LINEAR + SOLVED]
+        assert all(res.entries[name] == as_mpoly(v).subs_a(-1)
+                   for name, v in LINEAR + SOLVED)
+
+    def test_pulls_back_once_per_quadric(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(canonical, "transform_quadric",
+                            recorder(calls, canonical.transform_quadric))
+        elimination_solve()
+        assert len(calls) == 3
+        elimination_solve()  # nothing is kept from one solve to the next
+        assert len(calls) == 6
+
+    def test_substituted_remainders_equal_the_rebuild(self, monkeypatch):
+        # record the elimination's own remainders: three from the pullback,
+        # three per SOLVED substitution, three at a = -1
+        pulled, mapped = [], []
+        monkeypatch.setattr(canonical, "reduce_by_span",
+                            recorder(pulled, canonical.reduce_by_span))
+        monkeypatch.setattr(canonical, "map_quadric",
+                            recorder(mapped, canonical.map_quadric))
+        elimination_solve()
+        assert len(pulled) == 3 and len(mapped) == 3 * len(SOLVED) + 3
+        states = [pulled] + [mapped[3 * k:3 * k + 3] for k in range(len(SOLVED) + 1)]
+        known = {name: as_mpoly(v) for name, v in LINEAR}
+        for solved, index, a in READS:
+            known.update((name, as_mpoly(v)) for name, v in SOLVED[:solved])
+            got = states[solved + (a is not None)][index]
+            assert got == rebuilt_remainder(known, index, a), (solved, index, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(FREE), VALUES), max_size=5),
+           st.one_of(st.none(), SCALARS))
+    def test_substitution_commutes_with_pullback(self, assignments, a):
+        forms = quadric_forms(A)
+        m = POST_LINEAR
+        rems = [reduce_by_span(transform_quadric(q, m), forms) for q in forms]
+        for name, value in assignments:
+            value = as_mpoly(value)
+            m = tuple(tuple(e.subs(name, value) for e in row) for row in m)
+            rems = [map_quadric(r, lambda c: c.subs(name, value)) for r in rems]
+        if a is not None:
+            m = tuple(tuple(e.subs_a(a) for e in row) for row in m)
+            forms = quadric_forms(MPoly.const(Poly.const(a)))
+            rems = [map_quadric(r, lambda c: c.subs_a(a)) for r in rems]
+        assert rems == [reduce_by_span(transform_quadric(q, m), forms) for q in forms]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from modcurve.canonical import EliminationError
 from modcurve.cli import main, parse_cusp, run_suite
 from modcurve.golden import load_golden
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -194,6 +198,15 @@ class TestCanonicalCommand:
         assert status == 0 and len(steps) == 27
         assert "a = -1  [Q2 pullback, z1*z5 coefficient, c33 != 0]" in steps
 
+    # the files hold the output of the rebuild-per-read elimination, so all
+    # 27 step lines and the text report stay byte for byte what they were
+    @pytest.mark.parametrize("argv, name", [(["canonical"], "canonical.txt"),
+                                            (["--format", "json", "canonical"],
+                                             "canonical.json")])
+    def test_output_pinned(self, capsys, argv, name):
+        status, out, _ = run(capsys, *argv)
+        assert status == 0 and out == (DATA / name).read_text()
+
 
 class TestVerifyCommand:
     def test_tables(self, capsys):
@@ -261,6 +274,28 @@ class TestVerifyCommand:
     def test_q_max_beyond_guard_without_oracles(self, capsys):
         status, out, _ = run(capsys, "verify", "--tables", "2", "--q-max", "60")
         assert status == 0 and "FAIL" not in out
+
+    # below level 5 some oracle kind has no check, so a run could pass on none
+    @pytest.mark.parametrize("argv, q_max", [(["--oracles"], "-3"), (["--oracles"], "0"),
+                                             (["--oracles"], "4"), ([], "4"),
+                                             (["--tables", "1", "2"], "0")])
+    def test_q_max_below_floor_fails_before_any_check(self, capsys, monkeypatch,
+                                                      argv, q_max):
+        from modcurve import cli
+        ran = []
+        monkeypatch.setattr(cli, "make_check", lambda *a: ran.append(a))
+        monkeypatch.setattr(cli, "bool_check", lambda *a: ran.append(a))
+        status, out, err = run(capsys, "verify", *argv, "--q-max", q_max)
+        assert status == 2 and f"--q-max {q_max}" in err
+        assert ran == [] and out == ""
+
+    def test_q_max_at_floor(self, capsys):
+        status, out, _ = run(capsys, "verify", "--oracles", "--q-max", "5")
+        assert status == 0 and "FAIL" not in out
+
+    def test_q_max_below_floor_without_oracles(self, capsys):
+        status, out, _ = run(capsys, "verify", "--tables", "2", "--q-max", "0")
+        assert status == 0 and "12/12 checks passed" in out
 
 
 class TestInternalError:
