@@ -11,20 +11,25 @@ check is arith.check_step in `rotation`, so that a step not dividing q
 exits 2 while the level limit of rotation numbers exits 3.
 
 Output is text by default or a JSON document with --format json.  Exact
-numbers are serialized as strings "p" or "p/q"; the only floats anywhere
-are the residuals of the numeric isomorphism check.
+numbers are serialized as strings "p" or "p/q".  The only non-exact values
+are the residuals of the numeric isomorphism check and, in verify's JSON,
+each suite's wall-clock "seconds" (a decimal string that differs from run
+to run).  main may be called many times in one process; it builds the
+parser once and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 
-from .arith import Cyclotomic, check_step
+from .arith import Cyclotomic, check_step, divisors
 from . import canonical as canon
 from .cusps import (class_to_cusp, cusp_canonical, cusp_str, enumerate_cusps,
                     h_formula, h_n_formula, orbit_rep, tau_orbits, width,
@@ -160,7 +165,7 @@ def _oracles(q_max: int, _seed: int) -> list[dict]:
         checks.append(make_check(f"max order q={q}", max_order_formula(q),
                                  max_element_order(q)))
     for q in range(5, q_max + 1):
-        for n in (d for d in range(1, q + 1) if q % d == 0):
+        for n in divisors(q):
             orbits = tau_orbits(q, n)
             checks.append(make_check(f"orbit count q={q} n={n}",
                                      h_n_formula(q, n), len(orbits)))
@@ -491,13 +496,19 @@ def cmd_verify(args) -> tuple[dict, list[str], int]:
     for t in args.tables or ():
         if f"table{t}" not in SUITES:
             raise UsageError(f"no golden data for table {t}")
-    checks = [c for name in names for c in run_suite(name, args.q_max, args.seed)]
+    checks, suites = [], []
+    for name in names:
+        start = time.perf_counter()
+        got = run_suite(name, args.q_max, args.seed)
+        suites.append({"name": name, "source": SUITES[name][0], "checks": str(len(got)),
+                       "seconds": f"{time.perf_counter() - start:.6f}"})
+        checks += got
     failed = [c for c in checks if not c["pass"]]
     lines = [f"{'PASS' if c['pass'] else 'FAIL'}  {c['name']}"
              + ("" if c["pass"] else f"  expected {c['expected']}, got {c['got']}")
              for c in checks]
     lines.append(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
-    result = {"total": str(len(checks)), "failed": str(len(failed))}
+    result = {"total": str(len(checks)), "failed": str(len(failed)), "suites": suites}
     return (_document("verify", {"q_max": args.q_max}, result, checks), lines,
             1 if failed else 0)
 
@@ -506,7 +517,9 @@ def cmd_verify(args) -> tuple[dict, list[str], int]:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="modcurve",
         description="Exact cusp, genus and equation computations for "
@@ -519,27 +532,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genus", help="genus of the level curve and quotients")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int)
-    p.set_defaults(handler=cmd_genus)
 
     p = sub.add_parser("cusps", help="translation orbits, widths, distribution")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--widths", action="store_true")
     p.add_argument("--distribution", action="store_true")
-    p.set_defaults(handler=cmd_cusps)
 
     p = sub.add_parser("rotation", help="rotation number of a cusp")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--cusp", required=True, help="inf or X/Z")
-    p.set_defaults(handler=cmd_rotation)
 
     p = sub.add_parser("equation", help="defining equation from rotation data")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--convention", choices=CONVENTIONS, default="gcd")
     p.add_argument("--solve-constants", action="store_true")
-    p.set_defaults(handler=cmd_equation)
 
     p = sub.add_parser("group", help="finite matrix group computations")
     p.add_argument("--q", type=int, required=True)
@@ -547,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", action="store_true")
     p.add_argument("--center", action="store_true")
     p.add_argument("--cusp-maps", nargs=2, metavar=("C1", "C2"))
-    p.set_defaults(handler=cmd_group)
 
     p = sub.add_parser("verify", help="golden tables and oracle cross-checks")
     p.add_argument("--tables", type=int, nargs="+")
@@ -555,23 +563,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canonical", action="store_true")
     p.add_argument("--iso", action="store_true")
     p.add_argument("--q-max", type=int, default=12)
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("lift-solve", help="pin the symbolic branch constant")
     p.add_argument("--q", type=int, required=True)
-    p.set_defaults(handler=cmd_lift_solve)
 
-    p = sub.add_parser("canonical", help="the level-8 canonical model in P^4")
-    p.set_defaults(handler=cmd_canonical)
+    sub.add_parser("canonical", help="the level-8 canonical model in P^4")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        doc, lines, status = args.handler(args)
+        # looked up per call, so a rebound cmd_* takes effect without a new parser
+        doc, lines, status = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

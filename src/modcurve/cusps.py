@@ -104,16 +104,14 @@ def h_formula(q: int) -> int:
     return int(h)
 
 
-def enumerate_cusps(q: int) -> set[ClassPair]:
-    """All level-q cusp classes, by scanning residue pairs."""
+def enumerate_cusps(q: int) -> list[ClassPair]:
+    """The level-q cusp classes in ascending order, by scanning every residue
+    pair (x, z) and keeping the coprime ones that are the lesser of +-(x, z):
+    x <= -x mod q, and z <= -z mod q when x = -x."""
     if not 3 <= q <= 60:
         raise ValueError("cusp enumeration supports 3 <= q <= 60")
-    out = set()
-    for x in range(q):
-        for z in range(q):
-            if math.gcd(math.gcd(x, z), q) == 1:
-                out.add(min((x, z), ((-x) % q, (-z) % q)))
-    return out
+    return [(x, z) for x in range(q) for z in range(q)
+            if (x < -x % q or x == -x % q and z <= -z % q) and math.gcd(x, z, q) == 1]
 
 
 def h_n_formula(q: int, n: int) -> int:
@@ -134,20 +132,23 @@ def tau_orbits(q: int, n: int) -> list[tuple[ClassPair, ...]]:
     size (q/n) / gcd(q/n, z).  Orbits are sorted by (size, representative).
     """
     check_step(q, n)
-    seen: set[ClassPair] = set()
+    classes = enumerate_cusps(q)  # holds the level guard, so it runs before the allocation
+    seen = bytearray(q * q)
     orbits = []
-    for cls in sorted(enumerate_cusps(q)):
-        if cls in seen:
+    for x, z in classes:
+        if seen[x * q + z]:
             continue
         orbit = []
-        cur = cls
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            x, z = cur
-            cur = min(((x + n * z) % q, z), ((-(x + n * z)) % q, (-z) % q))
+        while not seen[x * q + z]:
+            seen[x * q + z] = 1
+            orbit.append((x, z))
+            x = (x + n * z) % q
+            nx = -x % q
+            if x > nx or x == nx and z > -z % q:  # fold to the lesser of +-(x, z)
+                x, z = nx, -z % q
         orbits.append(tuple(sorted(orbit)))
-    orbits.sort(key=lambda o: (len(o), o[0]))
+    # each orbit starts at its least class, so they arrive in representative order
+    orbits.sort(key=len)
     return orbits
 
 

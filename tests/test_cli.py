@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,11 @@ class TestCuspsCommand:
     def test_bad_divisor(self, capsys):
         status, _, err = run(capsys, "cusps", "--q", "8", "--n", "3")
         assert status == 2 and "divide" in err
+
+    @pytest.mark.parametrize("q", ["61", "1000000", "10000000000"])
+    def test_level_beyond_guard(self, capsys, q):
+        status, out, err = run(capsys, "cusps", "--q", q, "--n", "1")
+        assert status == 2 and out == "" and "3 <= q <= 60" in err
 
     def test_distribution_json(self, capsys):
         status, out, _ = run(capsys, "--format", "json", "cusps", "--q", "8",
@@ -234,6 +240,16 @@ class TestVerifyCommand:
         assert json.loads(json.dumps(doc)) == doc
         assert all(c["pass"] and c["source"] == "golden" for c in doc["checks"])
 
+    def test_json_suites(self, capsys):
+        status, out, _ = run(capsys, "--format", "json", "verify", "--tables", "6", "2",
+                             "--canonical")
+        result = json.loads(out)["result"]
+        assert status == 0
+        assert [(s["name"], s["source"]) for s in result["suites"]] == [
+            ("table6", "golden"), ("table2", "golden"), ("canonical", "formula")]
+        assert sum(int(s["checks"]) for s in result["suites"]) == int(result["total"])
+        assert all(float(s["seconds"]) >= 0 for s in result["suites"])
+
     def test_unknown_table(self, capsys):
         status, _, err = run(capsys, "verify", "--tables", "3")
         assert status == 2
@@ -296,6 +312,28 @@ class TestVerifyCommand:
     def test_q_max_below_floor_without_oracles(self, capsys):
         status, out, _ = run(capsys, "verify", "--tables", "2", "--q-max", "0")
         assert status == 0 and "12/12 checks passed" in out
+
+
+class TestParserReuse:
+    def test_built_once_per_process(self, capsys):
+        from modcurve import cli
+        cli.build_parser.cache_clear()
+        for argv in (["genus", "--q", "8"], ["cusps", "--q", "8", "--n", "1"],
+                     ["--format", "json", "group", "--q", "8", "--center"],
+                     ["verify", "--tables", "3"], ["rotation", "--q", "8", "--cusp", "1/4"]):
+            run(capsys, *argv)
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
+    def test_no_flags_inherited(self, capsys):
+        _, wide, _ = run(capsys, "cusps", "--q", "8", "--n", "1", "--widths")
+        status, plain, _ = run(capsys, "cusps", "--q", "8", "--n", "1")
+        assert "width=" in wide and status == 0
+        assert plain == re.sub(r"  width=\d+", "", wide)
+        _, doc, _ = run(capsys, "--format", "json", "genus", "--q", "8", "--n", "1")
+        status, text, _ = run(capsys, "genus", "--q", "8")
+        assert json.loads(doc)["result"]["n"] == "1"
+        assert status == 0 and text == "g_8 = 5\n"
 
 
 class TestInternalError:

@@ -17,6 +17,36 @@ def width_sum_matches_index(q: int, n: int) -> bool:
     return orbit_width_sum(q, n) == r_n_formula(q, n)
 
 
+def _reference_classes(q: int) -> set:
+    """Every residue pair folded to min(+-(x, z)) mod q, collected in a set."""
+    out = set()
+    for x in range(q):
+        for z in range(q):
+            if math.gcd(math.gcd(x, z), q) == 1:
+                out.add(min((x, z), ((-x) % q, (-z) % q)))
+    return out
+
+
+def _reference_orbits(q: int, n: int) -> list:
+    """Translation orbits walked from the sorted class set, folding each step
+    by the min of the two sign tuples."""
+    seen = set()
+    orbits = []
+    for cls in sorted(_reference_classes(q)):
+        if cls in seen:
+            continue
+        orbit = []
+        cur = cls
+        while cur not in seen:
+            seen.add(cur)
+            orbit.append(cur)
+            x, z = cur
+            cur = min(((x + n * z) % q, z), ((-(x + n * z)) % q, (-z) % q))
+        orbits.append(tuple(sorted(orbit)))
+    orbits.sort(key=lambda o: (len(o), o[0]))
+    return orbits
+
+
 class TestCanonical:
     def test_translation_equivalence(self):
         assert cusp_canonical(8, (3, 8)) == cusp_canonical(8, (11, 8))
@@ -110,6 +140,22 @@ class TestOrbits:
     def test_counts_match_formula(self, q):
         for n in divisors(q):
             assert len(tau_orbits(q, n)) == h_n_formula(q, n)
+
+    # the sorted scan and the inline sign fold against the set-and-sort walk
+    @pytest.mark.parametrize("q", range(3, 61))
+    def test_matches_reference_walk(self, q):
+        assert enumerate_cusps(q) == sorted(_reference_classes(q))
+        for n in divisors(q):
+            assert tau_orbits(q, n) == _reference_orbits(q, n)
+
+    # 10**6 and 10**10 would ask tau_orbits for a q*q seen mark of 1 TB and up
+    @pytest.mark.parametrize("q", [-1, 0, 2, 61, 10**6, 10**10])
+    def test_enumeration_guard(self, q):
+        with pytest.raises(ValueError, match="3 <= q <= 60"):
+            enumerate_cusps(q)
+        if q > 0:
+            with pytest.raises(ValueError, match="3 <= q <= 60"):
+                tau_orbits(q, 1)
 
 
 class TestWidths:
@@ -206,4 +252,4 @@ class TestClassActionCompat:
         classes = enumerate_cusps(q)
         for g in sorted(enumerate_psl(q))[:40]:
             image = {cusp_class_action(q, g, cls) for cls in classes}
-            assert image == classes
+            assert image == set(classes)
