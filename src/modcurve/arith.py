@@ -159,7 +159,50 @@ def _check_nj(p_i: int, r_i: int, j: int) -> None:
         raise ValueError(f"j = {j} out of range [0, {r_i}]")
 
 
-class Cyclotomic:
+class ExactRing:
+    """Ring rules shared by the exact commutative rings (Cyclotomic,
+    GaussRational, poly.Poly, canonical.MPoly): immutability, subtraction,
+    reflected operators and powers.
+
+    A subclass supplies _coerce (its own elements and the scalars it
+    accepts, else None), +, unary -, *, == and __hash__.  Its + and * serve
+    as the reflected operators too, bound in its own class dict so that
+    they add no call frame.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__radd__ = cls.__add__
+        cls.__rmul__ = cls.__mul__
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, n: int):
+        """Power by squaring; negative powers are not defined."""
+        if n < 0:
+            raise ValueError("negative powers are not defined in an exact ring")
+        result, base = self._coerce(1), self
+        while True:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
+
+
+class Cyclotomic(ExactRing):
     """Element of Z[t]/(t^d - 1), stored as a dense coefficient tuple.
 
     A quotient ring, not a field: good enough for verifying identities
@@ -177,9 +220,6 @@ class Cyclotomic:
             raise ValueError(f"need exactly {d} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Cyclotomic is immutable")
 
     @classmethod
     def scalar(cls, d: int, c) -> "Cyclotomic":
@@ -207,19 +247,16 @@ class Cyclotomic:
             return NotImplemented
         return Cyclotomic(self.d, [a + b for a, b in zip(self.coeffs, o.coeffs)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Cyclotomic(self.d, [-a for a in self.coeffs])
 
+    # kept off ExactRing: reduce_by_span subtracts in the sigma tests' inner
+    # loop, where the inherited self + (-o) made cover-geometry about 3% slower
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return Cyclotomic(self.d, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -237,20 +274,6 @@ class Cyclotomic:
                     continue
                 out[(i + j) % d] += a * b
         return Cyclotomic(d, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined in the quotient ring")
-        result = Cyclotomic.scalar(self.d, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -281,7 +304,7 @@ class Cyclotomic:
         return " + ".join(terms) if terms else "0"
 
 
-class GaussRational:
+class GaussRational(ExactRing):
     """Exact a + b*i with rational a, b; the honest ring for identities that
     need an actual square root of -1 (Z[t]/(t^d - 1) has none: t^(d/2) and
     -1 stay distinct there)."""
@@ -291,9 +314,6 @@ class GaussRational:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("GaussRational is immutable")
 
     def _coerce(self, other):
         if isinstance(other, GaussRational):
@@ -308,19 +328,8 @@ class GaussRational:
             return NotImplemented
         return GaussRational(self.re + o.re, self.im + o.im)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return GaussRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -328,8 +337,6 @@ class GaussRational:
             return NotImplemented
         return GaussRational(self.re * o.re - self.im * o.im,
                              self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import Cyclotomic
+from .arith import Cyclotomic, ExactRing
 from .cusps import cusp_canonical, enumerate_cusps
 from .genus import euler_genus
 from .poly import Poly
@@ -206,11 +206,12 @@ def apply_matrix(m, pt) -> tuple:
 _A = Poly.x()
 
 
-class MPoly:
+class MPoly(ExactRing):
     """Polynomial in the unknown matrix entries with Q[a] coefficients.
 
     Terms map sorted variable-name tuples to univariate Poly coefficients.
-    Just enough ring structure for replaying the elimination.
+    Just enough ring structure for replaying the elimination: +, unary -,
+    * and == here, the rest of the ring rules from arith.ExactRing.
     """
 
     __slots__ = ("terms",)
@@ -231,9 +232,6 @@ class MPoly:
         out = object.__new__(cls)
         object.__setattr__(out, "terms", terms)
         return out
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("MPoly is immutable")
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
@@ -259,19 +257,8 @@ class MPoly:
             out[key] = out[key] + poly if key in out else poly
         return MPoly._canonical({k: p for k, p in out.items() if not p.is_zero()})
 
-    __radd__ = __add__
-
     def __neg__(self):
         return MPoly._canonical({k: -p for k, p in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -283,14 +270,6 @@ class MPoly:
                 key = tuple(sorted(k1 + k2))
                 out[key] = out[key] + p1 * p2 if key in out else p1 * p2
         return MPoly._canonical({k: p for k, p in out.items() if not p.is_zero()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = MPoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def is_zero(self) -> bool:
         return not self.terms

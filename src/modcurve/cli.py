@@ -39,9 +39,9 @@ from .curve import (BranchPoint, InfinityPoint, Monomial, SemiHyperellipticCurve
                     octic_to_quartic_maps, quartic_model, solve_branch_constant,
                     verify_isomorphism_numeric)
 from .equation import (SemiHyperellipticEquation, build_equation,
-                       equation_string, normalize_with_convention,
-                       rotation_number, rotation_table, substitute_label,
-                       undetermined_labels, CONVENTIONS)
+                       equation_string, exponent_from_rotation,
+                       normalize_with_convention, rotation_number, rotation_table,
+                       substitute_label, undetermined_labels, CONVENTIONS)
 from .genus import genus_prime_quotient, genus_q, genus_qn, is_semihyperelliptic_level
 from .golden import golden
 from .psl import (ENUM_GUARD, center, cusp_class_action, element_order,
@@ -49,18 +49,8 @@ from .psl import (ENUM_GUARD, center, cusp_class_action, element_order,
                   max_order_formula, r_formula, r_n_formula, type_classify)
 
 
-class UsageError(Exception):
-    pass
-
-
 class UnsupportedError(Exception):
     pass
-
-
-def exact_str(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return str(v)
 
 
 def parse_cusp(s: str) -> tuple[int, int]:
@@ -70,21 +60,21 @@ def parse_cusp(s: str) -> tuple[int, int]:
         x_str, z_str = s.split("/") if "/" in s else (s, "1")
         x, z = int(x_str), int(z_str)
     except ValueError as exc:
-        raise UsageError(f"cannot parse cusp {s!r}; use inf or X/Z") from exc
+        raise ValueError(f"cannot parse cusp {s!r}; use inf or X/Z") from exc
     if z < 0:
         x, z = -x, -z
     if z == 0:
         if abs(x) != 1:
-            raise UsageError(f"{s!r} is not a reduced cusp")
+            raise ValueError(f"{s!r} is not a reduced cusp")
         return (1, 0)
     if math.gcd(x, z) != 1:
-        raise UsageError(f"{s!r} is not a coprime pair")
+        raise ValueError(f"{s!r} is not a coprime pair")
     return (x, z)
 
 
 def make_check(name: str, expected, got) -> dict:
     return {"name": name, "pass": expected == got,
-            "expected": exact_str(expected), "got": exact_str(got)}
+            "expected": str(expected), "got": str(got)}
 
 
 def bool_check(name: str, ok: bool, detail: str = "") -> dict:
@@ -324,7 +314,6 @@ def cmd_rotation(args) -> tuple[dict, list[str], int]:
               "orbit_len": str(rot.orbit_len), "k": str(rot.k)}
     lines = [f"rotation at {args.cusp}: orbit length {rot.orbit_len}, k = {rot.k}"]
     if rot.orbit_len < p:
-        from .equation import exponent_from_rotation
         m = exponent_from_rotation(p, rot)
         result["exponent"] = str(m)
         lines.append(f"branch exponent m = {m}")
@@ -380,10 +369,10 @@ def cmd_equation(args) -> tuple[dict, list[str], int]:
         if len(sols) != 1:
             raise UnsupportedError(f"constant solving produced {sols}")
         eq = substitute_label(eq, label, sols[0])
-        result["solved"] = {label: exact_str(sols[0])}
+        result["solved"] = {label: str(sols[0])}
         result["equation"] = equation_string(eq)
         result.pop("undetermined", None)
-        lines.append(f"solved {label} = {exact_str(sols[0])}: {result['equation']}")
+        lines.append(f"solved {label} = {sols[0]}: {result['equation']}")
     return _document("equation", inputs, result), lines, 0
 
 
@@ -420,9 +409,9 @@ def cmd_group(args) -> tuple[dict, list[str], int]:
         try:
             entries = tuple(int(e) for e in args.order.split(","))
         except ValueError as exc:
-            raise UsageError("--order wants four comma-separated integers") from exc
+            raise ValueError("--order wants four comma-separated integers") from exc
         if len(entries) != 4:
-            raise UsageError("--order wants four comma-separated integers")
+            raise ValueError("--order wants four comma-separated integers")
         order = element_order(q, entries)
         result["order"] = str(order)
         lines.append(f"order of {entries} mod {q}: {order}")
@@ -445,7 +434,7 @@ def cmd_group(args) -> tuple[dict, list[str], int]:
                      f"to {args.cusp_maps[1]}")
         lines.extend(f"  {m}" for m in result["cusp_maps"])
     if len(result) == 1:
-        raise UsageError("pick at least one of --order/--max-order/--center/--cusp-maps")
+        raise ValueError("pick at least one of --order/--max-order/--center/--cusp-maps")
     return _document("group", {"q": q}, result), lines, 0
 
 
@@ -455,9 +444,9 @@ def cmd_lift_solve(args) -> tuple[dict, list[str], int]:
     eq = normalize_with_convention(build_equation(8, 1), "gcd")
     label, sols = _solve_constant(eq)
     result = {"family": equation_string(eq),
-              "solutions": {label: [exact_str(s) for s in sols]}}
+              "solutions": {label: [str(s) for s in sols]}}
     lines = [f"family: {result['family']}",
-             f"{label} in {{{', '.join(exact_str(s) for s in sols)}}}"]
+             f"{label} in {{{', '.join(map(str, sols))}}}"]
     return _document("lift-solve", {"q": args.q}, result), lines, 0
 
 
@@ -468,7 +457,7 @@ def cmd_canonical(args) -> tuple[dict, list[str], int]:
     result = {
         "quadrics": ["z3^2 - z2*z5", "z2^2 - z1*(z4+z5)",
                      "z1^2 - z4*(z4-(a-1)*z5)"],
-        "a": exact_str(res.a),
+        "a": str(res.a),
         "relations": res.relations,
         "assumptions": res.assumptions,
         "steps": res.steps,
@@ -490,12 +479,12 @@ def cmd_verify(args) -> tuple[dict, list[str], int]:
     names += [name for name in ("oracles", "canonical", "iso") if getattr(args, name)]
     names = list(dict.fromkeys(names)) or list(SUITES)
     if "oracles" in names and args.q_max > ENUM_GUARD:
-        raise UsageError(f"--q-max {args.q_max} is above the oracle limit {ENUM_GUARD}")
+        raise ValueError(f"--q-max {args.q_max} is above the oracle limit {ENUM_GUARD}")
     if {"oracles", "table1"} & set(names) and args.q_max < 5:
-        raise UsageError(f"--q-max {args.q_max} is below the oracle floor 5")
+        raise ValueError(f"--q-max {args.q_max} is below the oracle floor 5")
     for t in args.tables or ():
         if f"table{t}" not in SUITES:
-            raise UsageError(f"no golden data for table {t}")
+            raise ValueError(f"no golden data for table {t}")
     checks, suites = [], []
     for name in names:
         start = time.perf_counter()
@@ -577,9 +566,6 @@ def main(argv=None) -> int:
     try:
         # looked up per call, so a rebound cmd_* takes effect without a new parser
         doc, lines, status = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except UnsupportedError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 3

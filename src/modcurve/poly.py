@@ -2,7 +2,8 @@
 
 Coefficients are anything with exact +, -, * and == 0 (Fraction, int,
 Cyclotomic).  Only what the equation solvers need: ring operations,
-evaluation, exact division and rational root extraction.
+evaluation, exact division and rational root extraction.  Subtraction,
+the reflected operators, powers and immutability come from arith.ExactRing.
 """
 
 from __future__ import annotations
@@ -10,10 +11,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import divisors
+from .arith import ExactRing, divisors
 
 
-class Poly:
+class Poly(ExactRing):
     """Polynomial sum(c[i] * x^i), trailing zero coefficients stripped."""
 
     __slots__ = ("coeffs",)
@@ -23,9 +24,6 @@ class Poly:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def const(cls, c) -> "Poly":
@@ -60,19 +58,8 @@ class Poly:
             a[i] = a[i] + c
         return Poly(a)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -87,20 +74,6 @@ class Poly:
             for j, b in enumerate(o.coeffs):
                 out[i + j] = out[i + j] + a * b
         return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

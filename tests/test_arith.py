@@ -7,11 +7,20 @@ from hypothesis import given, strategies as st
 from modcurve.arith import (Cyclotomic, GaussRational, GAUSS_I, check_step,
                             divisors, ext_gcd, factorize, is_prime, mult_n, n1,
                             n2, n3, solve_unit_congruence)
+from modcurve.canonical import MPoly
+from modcurve.poly import Poly
 
 
 SCALARS = st.one_of(st.integers(-3, 3),
                     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
 CYCLO8 = st.lists(SCALARS, min_size=8, max_size=8).map(lambda v: Cyclotomic(8, v))
+RINGS = {
+    "Cyclotomic": CYCLO8,
+    "GaussRational": st.builds(GaussRational, SCALARS, SCALARS),
+    "Poly": st.lists(SCALARS, max_size=4).map(Poly),
+    "MPoly": st.dictionaries(st.sampled_from([(), ("c11",), ("c11", "c22")]),
+                             SCALARS, max_size=3).map(MPoly),
+}
 
 
 def retyped(coeffs):
@@ -220,3 +229,32 @@ class TestGaussRational:
     def test_exactness(self):
         z = GaussRational(Fraction(1, 3), Fraction(1, 2))
         assert z * 6 == GaussRational(2, 3)
+
+
+# the rules arith.ExactRing states once, checked on every ring that uses them
+@pytest.mark.parametrize("ring", sorted(RINGS))
+class TestExactRingLaws:
+    @given(data=st.data())
+    def test_subtraction_and_reflected_operators(self, ring, data):
+        x, y = data.draw(RINGS[ring]), data.draw(RINGS[ring])
+        k = data.draw(SCALARS)
+        assert x - y == x + (-y)
+        assert k - x == -(x - k)
+        assert k + x == x + k
+        assert k * x == x * k
+
+    @given(data=st.data(), n=st.integers(0, 9))
+    def test_power_is_repeated_product(self, ring, data, n):
+        x = data.draw(RINGS[ring])
+        product = 1
+        for _ in range(n):
+            product = product * x
+        assert x ** n == product
+
+    @given(data=st.data())
+    def test_negative_power_and_mutation_raise(self, ring, data):
+        x = data.draw(RINGS[ring])
+        with pytest.raises(ValueError):
+            x ** -1
+        with pytest.raises(AttributeError):
+            setattr(x, type(x).__slots__[0], None)

@@ -27,10 +27,9 @@ class TestParseCusp:
         assert parse_cusp("5") == (5, 1)
 
     def test_rejects(self):
-        from modcurve.cli import UsageError
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_cusp("2/4")
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_cusp("x/y")
 
 
