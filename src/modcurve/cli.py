@@ -282,7 +282,8 @@ def cmd_cusps(args) -> tuple[dict, list[str], int]:
         if args.widths:
             row["width"] = str(width(q, n, class_to_cusp(q, rep)))
         rows.append(row)
-        lines.append("  " + "  ".join(f"{k}={v}" for k, v in row.items()))
+    if args.format == "text":  # one line per orbit, built only when printed
+        lines += ["  " + "  ".join(f"{k}={v}" for k, v in row.items()) for row in rows]
     result = {"orbits": rows}
     if q <= 4 and args.widths:
         result["note"] = "widths from the congruence scan: the closed form needs q >= 5"

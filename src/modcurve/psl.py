@@ -17,9 +17,12 @@ at q = 16 and 32, where it has two classes (at 16: I and (3, 8; 8, 11)).
 
 A canonical representative is the lexicographic minimum over the coset; the
 choice is deterministic and independent of enumeration order.  Each level is
-enumerated once per process, the projective set filtered from the sign set;
-the oracles multiply inline in SL, comparing up to scalars.  Enumeration is
-guarded at q <= 40 (|SL| grows like q^3); beyond it only index formulas apply.
+enumerated once per process, the projective set filtered from the sign set.
+Enumeration is guarded at q <= 40 (|SL| grows like q^3).  Orders walk the
+powers of g = (a, b; c, d) by Cayley-Hamilton, g^2 = t*g - I with t = a + d:
+g^k = s_k*g - s_(k-1)*I for s_0 = 0, s_1 = 1, s_(k+1) = t*s_k - s_(k-1).  So
+g^k is scalar exactly when s_k*b, s_k*c and s_k*(a - d) vanish mod q, that is
+s_k = 0 mod m = q / gcd(q, b, c, a - d), with scalar s_k*a - s_(k-1).
 """
 
 from __future__ import annotations
@@ -112,20 +115,20 @@ def r_n_formula(q: int, n: int) -> int:
 
 
 def _order(q: int, g: Mat, lams: tuple[int, ...]) -> int:
-    """Least k >= 1 with g^k = lam * I for some lam in lams, walking the
-    powers of g in SL."""
+    """Least k >= 1 with g^k = lam * I for some lam in lams, walking s_k mod q.
+    g^k is scalar exactly when s_k = 0 mod m, with scalar s_k*a - s_(k-1)
+    (module docstring), so this stops where "b = c = 0, a = d in lams" does."""
     check_step(q, 1, 2)
-    a0, b0, c0, d0 = a, b, c, d = [e % q for e in g]
+    a, b, c, d = [e % q for e in g]
     if (a * d - b * c - 1) % q:
         raise ValueError(f"determinant of {g} is not 1 mod {q}")
-    k = 1
-    while b or c or a != d or a not in lams:
-        a, b = (a * a0 + b * c0) % q, (a * b0 + b * d0) % q
-        c, d = (c * a0 + d * c0) % q, (c * b0 + d * d0) % q
-        k += 1
-        if k > 2 * q * q:
-            raise RuntimeError("order computation runaway")
-    return k
+    m = q // math.gcd(q, b, c, a - d)
+    t, s0, s1 = a + d, 0, 1
+    for k in range(1, 2 * q * q + 1):
+        if not s1 % m and (s1 * a - s0) % q in lams:
+            return k
+        s0, s1 = s1, (t * s1 - s0) % q
+    raise RuntimeError("order computation runaway")
 
 
 def element_order(q: int, g: Mat) -> int:
@@ -163,9 +166,20 @@ def max_element_order(q: int) -> int:
 
     Taken modulo all scalars: the sign quotient is bigger for some
     composite q and its longer elements (order 30 at level 15) are scalar
-    multiples of shorter ones.
-    """
-    return max(projective_element_order(q, g) for g in _reps(q, _scalars(q)))
+    multiples of shorter ones.  A scalar power has determinant lam^2 = 1,
+    so the order is the least k with s_k = 0 mod m, walked mod m."""
+    best, steps = 0, range(1, 2 * q * q + 1)
+    for a, b, c, d in _reps(q, _scalars(q)):
+        m = q // math.gcd(q, b, c, a - d)
+        t, s0, s1 = (a + d) % m, 0, 1 % m
+        for k in steps:
+            if not s1:
+                break
+            s0, s1 = s1, (t * s1 - s0) % m
+        else:
+            raise RuntimeError("order computation runaway")
+        best = k if k > best else best
+    return best
 
 
 def _center_of(q: int, lams: tuple[int, ...]) -> set[Mat]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcurve.canonical import EliminationError
-from modcurve.cli import main, parse_cusp, run_suite
+from modcurve.cli import build_parser, cmd_cusps, main, parse_cusp, run_suite
 from modcurve.golden import load_golden
 
 
@@ -85,6 +86,33 @@ class TestCuspsCommand:
     def test_level_beyond_guard(self, capsys, q):
         status, out, err = run(capsys, "cusps", "--q", q, "--n", "1")
         assert status == 2 and out == "" and "3 <= q <= 60" in err
+
+    # SHA-256 and length of each rendering; the text lines are built apart
+    # from the JSON document, and neither may change these bytes
+    PINNED = [
+        (["--q", "60", "--n", "60", "--widths", "--distribution"], "text", 34100,
+         "54596a3e97d6796afbd2c140b2f0da111142f225f0bcce31d60302f2f0c26b52"),
+        (["--q", "60", "--n", "60", "--widths", "--distribution"], "json", 96412,
+         "776c79320d485447905bfde9f988ff9e40a1b72445a77758628fc76783904537"),
+        (["--q", "8", "--n", "1", "--widths"], "text", 202,
+         "04dec68246e7eee8ec210666c3e6558bff92e15bf98167a817223736fc62d34e"),
+        (["--q", "8", "--n", "1", "--widths"], "json", 613,
+         "f7c0d24c91d26379b348873fff7c83f1ba30472f237e6eb718447b21a00749d2"),
+    ]
+
+    @pytest.mark.parametrize("argv,fmt,size,digest", PINNED)
+    def test_output_bytes_pinned(self, capsys, argv, fmt, size, digest):
+        status, out, _ = run(capsys, "--format", fmt, "cusps", *argv)
+        data = out.encode()
+        assert status == 0 and len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_json_builds_no_orbit_lines(self):
+        args = build_parser().parse_args(["--format", "json", "cusps", "--q", "8",
+                                          "--n", "1", "--widths", "--distribution"])
+        doc, lines, status = cmd_cusps(args)
+        assert status == 0 and len(doc["result"]["orbits"]) == 6
+        assert not any("rep=" in line for line in lines)
 
     def test_distribution_json(self, capsys):
         status, out, _ = run(capsys, "--format", "json", "cusps", "--q", "8",

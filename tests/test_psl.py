@@ -134,6 +134,19 @@ def _reference_order(q, g, canon):
     return k
 
 
+def _matrix_walk_order(q, g, lams):
+    """Least k >= 1 with g^k = lam * I for some lam in lams, multiplying the
+    four entries of each power by g inline: the reference for the library's
+    trace-recurrence kernels, sharing no code with them."""
+    a0, b0, c0, d0 = a, b, c, d = g
+    k = 1
+    while b or c or a != d or a not in lams:
+        a, b = (a * a0 + b * c0) % q, (a * b0 + b * d0) % q
+        c, d = (c * a0 + d * c0) % q, (c * b0 + d * d0) % q
+        k += 1
+    return k
+
+
 class TestAgainstDefinitions:
     """The cached representative sets and the scalar-aware oracles against
     the canonical forms psl_canon and projective_canon applied to each
@@ -162,6 +175,19 @@ class TestAgainstDefinitions:
         assert max_element_order(q) == max(
             _reference_order(q, g, projective_canon) for g in group)
 
+    @pytest.mark.parametrize("q", range(2, 41))
+    def test_max_order_by_matrix_walk(self, monkeypatch, q):
+        lams, group = scalar_units(q), enumerate_projective(q)
+        walked = [_matrix_walk_order(q, g, lams) for g in group]
+        assert max_element_order(q) == max(walked)
+        # the maximum over a one-class set is that class's order, so the
+        # kernel's order of every class is checked, not only the largest
+        one = []
+        monkeypatch.setattr(psl, "_reps", lambda q, lams: one)
+        for g, order in zip(group, walked):
+            one[:] = [g]
+            assert max_element_order(q) == order
+
     @pytest.mark.parametrize("q", [8, 12, 15, 16])
     def test_orders_by_reference_walk(self, q):
         for g in enumerate_psl(q):
@@ -180,6 +206,18 @@ class TestKernelsAgainstReference:
         assert element_order(q, g) == _reference_order(q, g, psl_canon)
         assert projective_element_order(q, g) == \
             _reference_order(q, g, projective_canon)
+
+    @given(st.integers(2, 40), ST_WORDS, st.data())
+    def test_powers_follow_trace_recurrence(self, q, ks, data):
+        # g^k = s_k*g - s_(k-1)*I, s_0 = 0, s_1 = 1, s_(k+1) = t*s_k - s_(k-1)
+        g = _st_word(q, ks)
+        a, b, c, d = g
+        s0, s1, power = 0, 1, g
+        for _ in range(data.draw(st.integers(1, 3 * q)) - 1):
+            s0, s1 = s1, (a + d) * s1 - s0
+            power = mat_mul(q, power, g)
+        assert power == tuple(x % q for x in (s1 * a - s0, s1 * b,
+                                              s1 * c, s1 * d - s0))
 
     @pytest.mark.parametrize("q", [32, 36, 40])
     def test_projective_set_at_large_levels(self, q):
