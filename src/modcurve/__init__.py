@@ -6,8 +6,8 @@ canonical model in P^4."""
 from .arith import (Cyclotomic, GaussRational, divisors, ext_gcd, factorize,
                     is_prime, mult_n, n1, n2, n3, solve_unit_congruence)
 from .cusps import (cusp_canonical, enumerate_cusps, find_equivalence_witness,
-                    h_formula, h_n_formula, orbit_width_sum_check, tau_orbits,
-                    width, width_bruteforce, width_distribution)
+                    h_formula, h_n_formula, tau_orbits, width, width_bruteforce,
+                    width_distribution)
 from .curve import (INF, Monomial, MoebiusMap, SemiHyperellipticCurve,
                     curve_genus, deck_transform, differential_order,
                     holomorphic_basis, moebius_lift_check, octic_model,
@@ -23,7 +23,7 @@ from .psl import (center, cusp_action, element_order, enumerate_psl,
                   gamma_qn_member, maps_between_cusps, max_element_order,
                   r_formula, r_n_formula, type_classify)
 from .canonical import (automorphism_count_crosscheck, elimination_solve,
-                        embed_point, quadric_residuals, sigma_matrix,
-                        sigma_preserves_ideal)
+                        embed_point, preserves_ideal, quadric_residuals,
+                        sigma_matrix, sigma_preserves_ideal)
 
 __version__ = "0.1.0"

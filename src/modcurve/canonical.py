@@ -37,8 +37,8 @@ from .arith import Cyclotomic, ExactRing
 from .cusps import cusp_canonical, enumerate_cusps
 from .genus import euler_genus
 from .poly import Poly
-from .psl import (center, maps_between_cusps, psl_canon, r_formula,
-                  scalar_units, sign_center)
+from .psl import (center, cusp_class_action, maps_between_cusps, psl_canon,
+                  r_formula, scalar_units, sign_center)
 
 QuadMono = tuple[int, int]  # (i, j) with i <= j, 0-indexed coordinates
 Quadric = dict[QuadMono, object]
@@ -144,10 +144,6 @@ def map_quadric(q: Quadric, f) -> Quadric:
     return {k: c for k, c in out.items() if not c == 0}
 
 
-def in_quadric_span(p: Quadric, a) -> bool:
-    return not reduce_by_span(p, quadric_forms(a))
-
-
 def sigma_matrix(a, eta3: Cyclotomic):
     """The swap-automorphism candidate diag(-eta3^4, eta3^2, eta3) plus the
     2x2 block ((-1, a-1), (0, 1))."""
@@ -175,13 +171,17 @@ def deck_matrix(zeta: Cyclotomic):
     )
 
 
-def sigma_preserves_ideal(a, eta3: Cyclotomic) -> bool:
-    """Exact ideal-preservation test for the candidate matrix over
-    Z[t]/(t^8 - 1)."""
-    m = sigma_matrix(a, eta3)
+def preserves_ideal(m, a) -> bool:
+    """Exact test that z -> M z maps the quadric ideal at parameter a to itself."""
     forms = quadric_forms(a)
     return all(not reduce_by_span(transform_quadric(q, m), forms)
                for q in forms)
+
+
+def sigma_preserves_ideal(a, eta3: Cyclotomic) -> bool:
+    """Exact ideal-preservation test for the candidate matrix over
+    Z[t]/(t^8 - 1)."""
+    return preserves_ideal(sigma_matrix(a, eta3), a)
 
 
 def sigma_count(a) -> int:
@@ -193,10 +193,6 @@ def sigma_count(a) -> int:
 def sigma_family(a=-1) -> list:
     """All eight candidate matrices, eta3 running over the 8th roots of unity."""
     return [sigma_matrix(a, Cyclotomic.root(8, j)) for j in range(8)]
-
-
-def apply_matrix(m, pt) -> tuple:
-    return tuple(sum(m[i][j] * pt[j] for j in range(5)) for i in range(5))
 
 
 # ---------------------------------------------------------------------------
@@ -528,16 +524,8 @@ def hyperellipticity_obstruction() -> dict:
     q = 8
     cent = sign_center(q)
     scalars = {psl_canon(q, (lam, 0, 0, lam)) for lam in scalar_units(q)}
-    merged = set()
-    for (x, z) in enumerate_cusps(q):
-        orbit = set()
-        for lam in (1, 3):
-            for s in (1, -1):
-                orbit.add(((s * lam * x) % q, (s * lam * z) % q))
-        merged.add(min(orbit))
-    h_quot = len(merged)
-    r_quot = r_formula(q) // 2
-    g_quot = euler_genus(h_quot, r_quot)
+    merged = {min(c, cusp_class_action(q, (3, 0, 0, 3), c)) for c in enumerate_cusps(q)}
+    g_quot = euler_genus(len(merged), r_formula(q) // 2)
     return {
         "sign_center_size": len(cent),
         "center_is_scalar": cent <= scalars,

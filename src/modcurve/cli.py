@@ -26,14 +26,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
-from .arith import Cyclotomic, check_step, divisors
+from .arith import GAUSS_I, Cyclotomic, check_step, divisors
 from . import canonical as canon
 from .cusps import (class_to_cusp, cusp_canonical, cusp_str, enumerate_cusps,
-                    h_formula, h_n_formula, orbit_rep, tau_orbits, width,
-                    width_bruteforce, width_distribution)
+                    find_equivalence_witness, h_formula, h_n_formula, orbit_rep,
+                    tau_orbits, width, width_bruteforce, width_distribution)
 from .curve import (BranchPoint, InfinityPoint, Monomial, SemiHyperellipticCurve,
                     differential_order, octic_family, octic_model,
                     octic_to_quartic_maps, quartic_model, solve_branch_constant,
@@ -42,11 +41,14 @@ from .equation import (SemiHyperellipticEquation, build_equation,
                        equation_string, exponent_from_rotation,
                        normalize_with_convention, rotation_number, rotation_table,
                        substitute_label, undetermined_labels, CONVENTIONS)
-from .genus import genus_prime_quotient, genus_q, genus_qn, is_semihyperelliptic_level
+from .genus import (genus_prime_quotient, genus_q, genus_qn, hurwitz_deficiency,
+                    is_semihyperelliptic_level)
 from .golden import golden
-from .psl import (ENUM_GUARD, center, cusp_class_action, element_order,
-                  enumerate_psl, maps_between_cusps, max_element_order,
-                  max_order_formula, r_formula, r_n_formula, type_classify)
+from .poly import Poly
+from .psl import (ENUM_GUARD, center, cusp_action, cusp_class_action, element_order,
+                  enumerate_psl, gamma_qn_member, maps_between_cusps,
+                  max_element_order, max_order_formula, r_formula, r_n_formula,
+                  type_classify)
 
 
 class UnsupportedError(Exception):
@@ -146,15 +148,40 @@ def _table7(_q_max: int, _seed: int) -> list[dict]:
     return checks
 
 
+def _witnesses(q: int) -> dict:
+    """The equivalence witness search against the class rule at level q.
+
+    Each class lift c has two twins in its class, under (1, 0; q, 1) and under
+    (-1, 0; q, -1); the second is reached only by the search's sign -1.  Both
+    need a witness = I (mod q) that maps c to them, and the previous class
+    needs none.
+    """
+    classes = enumerate_cusps(q)
+    bad = 0
+    for i, cls in enumerate(classes):
+        c = class_to_cusp(q, cls)
+        for m in ((1, 0, q, 1), (-1, 0, q, -1)):
+            twin = cusp_action(m, c)
+            g = find_equivalence_witness(q, c, twin)
+            bad += g is None or not gamma_qn_member(g, q, q) or cusp_action(g, c) != twin
+        bad += find_equivalence_witness(q, c, class_to_cusp(q, classes[i - 1])) is not None
+    return bool_check(f"witnesses q={q}", bad == 0, f"{bad} mismatches")
+
+
 def _oracles(q_max: int, _seed: int) -> list[dict]:
     checks = []
     for q in range(3, q_max + 1):
-        checks.append(make_check(f"psl count q={q}", r_formula(q), len(enumerate_psl(q))))
+        group_order = len(enumerate_psl(q))
+        checks.append(make_check(f"psl count q={q}", r_formula(q), group_order))
+        checks.append(make_check(f"hurwitz q={q}", 2 * genus_q(q) - 2,
+                                 hurwitz_deficiency(group_order, 0, [q, 3, 2])))
         checks.append(make_check(f"cusp count q={q}", h_formula(q), len(enumerate_cusps(q))))
     for q in range(2, q_max + 1):
         checks.append(make_check(f"max order q={q}", max_order_formula(q),
                                  max_element_order(q)))
     for q in range(5, q_max + 1):
+        if q <= 12:  # every pair is one exhaustive search; level 12 bounds the cost
+            checks.append(_witnesses(q))
         for n in divisors(q):
             orbits = tau_orbits(q, n)
             checks.append(make_check(f"orbit count q={q} n={n}",
@@ -190,6 +217,16 @@ def _canonical(_q_max: int, _seed: int) -> list[dict]:
                                             for m in canon.sigma_family(-1)]))
     checks.append(bool_check("automorphism count crosscheck",
                              canon.automorphism_count_crosscheck()))
+    a = s = Poly.x()  # the parameter, and a square root of it for the zero images
+    points = [(a, canon.image_of_one()), (a, canon.image_of_a(a))]
+    points += [(s * s, pt) for pt in canon.images_of_zero(s)]
+    points += [(a, pt) for pt in canon.images_of_infinity(GAUSS_I)]
+    checks.append(bool_check("special points on the quadrics",
+                             all(r == 0 for param, pt in points
+                                 for r in canon.quadric_residuals(param, pt))))
+    decks = [canon.deck_matrix(Cyclotomic.root(8, j)) for j in range(8)]
+    checks.append(make_check("deck matrices preserve the ideal", 8,
+                             sum(canon.preserves_ideal(m, -1) for m in decks)))
     inf_cls = cusp_canonical(8, (1, 0))
     swap_cls = cusp_canonical(8, (3, 8))
     quarter = {cusp_canonical(8, (1, 4)), cusp_canonical(8, (3, 4))}
@@ -347,15 +384,7 @@ def cmd_equation(args) -> tuple[dict, list[str], int]:
               "equation": equation_string(eq)}
     lines.append(f"raw: {result['equation']}")
     if args.normalize or args.solve_constants:
-        if len(eq.terms) >= 3:
-            eq = normalize_with_convention(eq, args.convention)
-        else:
-            # two branch orbits: infinity and zero use them up (level 5)
-            order = sorted(eq.terms, key=lambda t: -t.exponent)
-            eq = SemiHyperellipticEquation(
-                p=eq.p,
-                terms=(replace(order[1], label=Fraction(0)),),
-                inf_exponent=order[0].exponent)
+        eq = normalize_with_convention(eq, args.convention)
         result["equation"] = equation_string(eq)
         result["undetermined"] = undetermined_labels(eq)
         lines.append(f"normalized: {result['equation']}")

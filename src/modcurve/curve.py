@@ -188,16 +188,6 @@ def order_vector(c: SemiHyperellipticCurve, mono: Monomial) -> tuple[int, ...]:
     return tuple(differential_order(c, mono, pt) for pt in pts)
 
 
-def divisor_degree(c: SemiHyperellipticCurve, mono: Monomial) -> int:
-    """Total degree of the divisor of the monomial (2g - 2 for differentials,
-    0 for functions)."""
-    total = 0
-    for i in range(len(c.branches)):
-        total += c.fiber_size(i) * differential_order(c, mono, BranchPoint(i, 1))
-    total += c.inf_fiber_size * differential_order(c, mono, InfinityPoint(1))
-    return total
-
-
 def holomorphic_basis(c: SemiHyperellipticCurve) -> list[Monomial]:
     """A basis of holomorphic differentials made of monomials
     prod (x - a_i)^alpha_i / y^gamma * dx.
@@ -274,10 +264,6 @@ class MoebiusMap:
         if self.a * self.d - self.b * self.c == 0:
             raise ValueError("Moebius map needs nonzero determinant")
 
-    @classmethod
-    def scaling(cls, factor) -> "MoebiusMap":
-        return cls(Fraction(factor), Fraction(0), Fraction(0), Fraction(1))
-
     def apply(self, v):
         if v is INF:
             return INF if self.c == 0 else Fraction(self.a, self.c)
@@ -286,12 +272,6 @@ class MoebiusMap:
         if den == 0:
             return INF
         return (self.a * v + self.b) / den
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        return MoebiusMap(self.a * other.a + self.b * other.c,
-                          self.a * other.b + self.b * other.d,
-                          self.c * other.a + self.d * other.c,
-                          self.c * other.b + self.d * other.d)
 
 
 @dataclass(frozen=True)

@@ -207,13 +207,6 @@ def width_distribution(q: int, n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def orbit_width_sum_check(q: int, n: int, orbit: tuple[ClassPair, ...]) -> bool:
-    """Index-p width sum: (q/n) * W(rep) must equal q * orbit size, the
-    level-q width of every class being q."""
-    rep = class_to_cusp(q, orbit_rep(orbit))
-    return (q // n) * width(q, n, rep) == q * len(orbit)
-
-
 def orbit_width_sum(q: int, n: int) -> int:
     """Sum of widths over all translation orbits; must equal the group index."""
     return sum(width(q, n, class_to_cusp(q, orbit_rep(o))) for o in tau_orbits(q, n))

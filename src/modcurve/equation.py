@@ -13,7 +13,8 @@ level-q curve (p = q/n, q >= 5):
 
 Branched orbits are exactly those of size < p, and the exponent sum over
 them is divisible by p.  Normalization sends three chosen orbits to
-infinity, 0 and 1; leftover branch values stay symbolic.
+infinity, 0 and 1 (the only two, at level 5, to infinity and 0); leftover
+branch values stay symbolic.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def normalize_equation(eq: SemiHyperellipticEquation, to_inf: int,
 
 def normalize_with_convention(eq: SemiHyperellipticEquation,
                               convention: str = "gcd") -> SemiHyperellipticEquation:
-    """Pick the three normalization targets by a named convention.
+    """Pick the normalization targets by a named convention.
 
     "gcd":       largest exponent to infinity, then the largest
                  gcd(p, m) to zero, the rest ascending;
@@ -195,12 +196,18 @@ def normalize_with_convention(eq: SemiHyperellipticEquation,
     "minimal":   smallest exponent to infinity, the rest ascending.
 
     No choice is canonical; different presentations in the literature use
-    different ones, so the convention stays caller-selectable.
+    different ones, so the convention stays caller-selectable.  With only
+    two branch orbits (level 5) infinity and zero use them up: under every
+    convention the larger exponent goes to infinity and the other to 0.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
-    if len(eq.terms) < 3:
-        raise ValueError("normalization conventions need at least 3 branch orbits")
+    if len(eq.terms) == 2:
+        high, low = sorted(eq.terms, key=lambda t: -t.exponent)
+        return SemiHyperellipticEquation(p=eq.p, terms=(replace(low, label=Fraction(0)),),
+                                         inf_exponent=high.exponent)
+    if len(eq.terms) < 2:
+        raise ValueError("normalization conventions need at least 2 branch orbits")
     order = sorted(range(len(eq.terms)),
                    key=lambda i: (eq.terms[i].exponent, eq.terms[i].orbit or ()))
     if convention == "minimal":

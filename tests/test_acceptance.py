@@ -1,25 +1,32 @@
 """End-to-end acceptance suite.
 
 One test per criterion; each prints its own PASS line (visible with -s or
-in verbose runs via the test name).  Criteria 2, 7, 10, 11 and 12 read the
-checks of the `verify` registry suites, each suite run once at q_max = 24
-and shared between the tests that look at it.  Everything is exact except
+in verbose runs via the test name).  Criteria 2, 7, 10, 11, 12 and 13 read
+the checks of the `verify` registry suites, each suite run once at
+q_max = 24 and shared between the tests that look at it.  The mutation
+tests run a suite at q_max = 12 with one checked function broken and
+require its check, and only its check, to fail.  Everything is exact except
 the numeric isomorphism check, which carries an explicit 1e-9 tolerance.
 """
 
+import inspect
+import textwrap
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
+
+from modcurve import canonical, cli
 from modcurve.cli import SUITES, run_suite
-from modcurve.curve import (SemiHyperellipticCurve, divisor_degree,
+from modcurve.curve import (SemiHyperellipticCurve,
                             holomorphic_basis, octic_family, order_vector,
                             solve_branch_constant)
+from modcurve.cusps import find_equivalence_witness
 from modcurve.equation import (build_equation, equation_string,
                                normalize_with_convention, rotation_table,
                                substitute_label)
-from modcurve.genus import genus_prime_quotient, genus_q, genus_qn, \
-    hurwitz_deficiency
-from modcurve.psl import r_formula
+from modcurve.genus import genus_prime_quotient, genus_q, genus_qn, hurwitz_deficiency
+from test_curve import divisor_degree
 
 
 def report(number: int, label: str):
@@ -37,7 +44,7 @@ def test_criterion_01_table1_reproduction():
 
 # checks per registry suite at q_max = 24, seed = 0
 SUITE_COUNTS = {"table1": 40, "table2": 12, "table6": 36, "table7": 21,
-                "oracles": 371, "canonical": 12, "iso": 2}
+                "oracles": 401, "canonical": 14, "iso": 2}
 
 
 @lru_cache(maxsize=None)
@@ -58,9 +65,56 @@ def test_registry_suites():
         assert {c["source"] for c in checks} == {SUITES[name][0]}, name
 
 
+def mutant(func, old: str, new: str):
+    """func recompiled from its own source with one edit, in its module's globals."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, old
+    scope = dict(func.__globals__)
+    exec(source.replace(old, new), scope)
+    return scope[func.__name__]
+
+
+def failed_checks(suite: str) -> dict:
+    return {c["name"]: c["got"] for c in run_suite(suite, q_max=12, seed=0)
+            if not c["pass"]}
+
+
+def test_hurwitz_check_catches_a_wrong_branch_order(monkeypatch):
+    monkeypatch.setattr(cli, "hurwitz_deficiency", lambda n, g, orders:
+                        hurwitz_deficiency(n, g, [orders[0], orders[1] - 1, orders[2]]))
+    assert list(failed_checks("oracles")) == [f"hurwitz q={q}" for q in range(3, 13)]
+
+
+@pytest.mark.parametrize("old, new", [("for s in (1, -1):", "for s in (1,):"),
+                                      ("for s in (1, -1):", "for s in (-1,):"),
+                                      ("for j in range(q):", "for j in range(1, q):")])
+def test_witness_check_catches_search_mutants(monkeypatch, old, new):
+    monkeypatch.setattr(cli, "find_equivalence_witness",
+                        mutant(find_equivalence_witness, old, new))
+    assert list(failed_checks("oracles")) == [f"witnesses q={q}" for q in range(5, 13)]
+
+
+def test_special_point_check_catches_a_wrong_image(monkeypatch):
+    monkeypatch.setattr(canonical, "image_of_a", lambda a: (0, 0, 0, a + 1, 1))
+    assert failed_checks("canonical") == {"special points on the quadrics": "false"}
+
+
+def test_deck_check_catches_a_wrong_scaling(monkeypatch):
+    deck_matrix = canonical.deck_matrix
+
+    def z3_by_zeta_squared(zeta):
+        m = [list(row) for row in deck_matrix(zeta)]
+        m[2][2] = zeta * zeta
+        return tuple(map(tuple, m))
+
+    monkeypatch.setattr(canonical, "deck_matrix", z3_by_zeta_squared)
+    assert failed_checks("canonical") == {"deck matrices preserve the ideal": "2"}
+
+
 def test_criterion_02_formula_vs_oracle():
-    checks = [c for c in suite_checks("oracles")
-              if not c["name"].startswith("max order")]
+    kinds = ("psl count", "cusp count", "orbit count", "widths", "width sum",
+             "width distribution")
+    checks = [c for c in suite_checks("oracles") if c["name"].startswith(kinds)]
     assert_all_pass(checks, "oracles")
     # psl and cusp counts for q = 3..24, then orbit count, widths, width sum
     # and width distribution for every divisor n of q = 5..24
@@ -147,12 +201,13 @@ def test_criterion_10_max_element_orders():
 
 def test_criterion_11_canonical_model():
     checks = suite_checks("canonical")
-    assert len(checks) == 12
+    assert len(checks) == 14
     assert_all_pass(checks, "canonical")
     names = {c["name"] for c in checks}
     assert {"elimination a", "sigma count at a=-1", "transporter count",
             "transporters swap and preserve orbits",
-            "automorphism count crosscheck"} <= names
+            "automorphism count crosscheck", "special points on the quadrics",
+            "deck matrices preserve the ideal"} <= names
     report(11, "canonical model: eight matrices, a = -1, matching counts")
 
 
@@ -165,7 +220,7 @@ def test_criterion_12_numeric_isomorphism():
 
 
 def test_criterion_13_hurwitz_consistency():
-    for q in (7, 8, 12):
-        assert hurwitz_deficiency(r_formula(q), 0, [q, 3, 2]) \
-            == 2 * genus_q(q) - 2
-    report(13, "Hurwitz relation closes for q = 7, 8, 12")
+    checks = [c for c in suite_checks("oracles") if c["name"].startswith("hurwitz")]
+    assert [c["name"] for c in checks] == [f"hurwitz q={q}" for q in range(3, 25)]
+    assert_all_pass(checks, "hurwitz")
+    report(13, "Hurwitz relation closes against the enumerated group, q = 3..24")

@@ -8,16 +8,24 @@ from hypothesis import given, settings, strategies as st
 
 from modcurve import canonical
 from modcurve.arith import Cyclotomic, GAUSS_I, GaussRational
-from modcurve.canonical import (MPoly, apply_matrix, deck_matrix,
+from modcurve.canonical import (MPoly, deck_matrix,
                                 elimination_solve, embed_point,
                                 hyperellipticity_obstruction, image_of_a,
                                 image_of_one, images_of_infinity,
-                                images_of_zero, in_quadric_span,
+                                images_of_zero,
                                 automorphism_count_crosscheck, map_quadric,
                                 quadric_forms, quadric_residuals,
                                 reduce_by_span, sigma_family, sigma_matrix,
                                 sigma_preserves_ideal, transform_quadric)
 from modcurve.poly import Poly
+
+
+def apply_matrix(m, pt) -> tuple:
+    return tuple(sum(m[i][j] * pt[j] for j in range(5)) for i in range(5))
+
+
+def in_quadric_span(p, a) -> bool:
+    return not reduce_by_span(p, quadric_forms(a))
 
 
 def mat_mul5(m1, m2):

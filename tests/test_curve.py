@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from modcurve import curve
 from modcurve.curve import (INF, AffinePoint, BranchPoint, InfinityPoint,
-                            LiftCertificate, MoebiusMap, Monomial,
+                            LiftCertificate, Monomial,
                             SemiHyperellipticCurve, curve_genus, deck_transform,
-                            differential_order, divisor_degree,
+                            differential_order,
                             holomorphic_basis, moebius_lift_check,
                             octic_family, octic_model, octic_to_quartic_maps,
                             order_vector,
@@ -13,6 +14,30 @@ from modcurve.curve import (INF, AffinePoint, BranchPoint, InfinityPoint,
                             rotation_at_branch, solve_branch_constant,
                             verify_isomorphism_numeric)
 from modcurve.equation import RotationNumber
+
+
+def divisor_degree(c: SemiHyperellipticCurve, mono: Monomial) -> int:
+    """Total degree of the divisor of the monomial (2g - 2 for differentials,
+    0 for functions)."""
+    total = 0
+    for i in range(len(c.branches)):
+        total += c.fiber_size(i) * differential_order(c, mono, BranchPoint(i, 1))
+    total += c.inf_fiber_size * differential_order(c, mono, InfinityPoint(1))
+    return total
+
+
+class MoebiusMap(curve.MoebiusMap):
+    """The library's map plus the constructors and products the tests use."""
+
+    @classmethod
+    def scaling(cls, factor) -> "MoebiusMap":
+        return cls(Fraction(factor), Fraction(0), Fraction(0), Fraction(1))
+
+    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
+        return MoebiusMap(self.a * other.a + self.b * other.c,
+                          self.a * other.b + self.b * other.d,
+                          self.c * other.a + self.d * other.c,
+                          self.c * other.b + self.d * other.d)
 
 
 def klein_curve():

@@ -8,9 +8,16 @@ from modcurve.arith import divisors, n2
 from modcurve.cusps import (class_to_cusp, cusp_canonical,
                             enumerate_cusps, find_equivalence_witness,
                             h_formula, h_n_formula, orbit_width_sum,
-                            orbit_width_sum_check, orbit_rep, tau_orbits,
+                            orbit_rep, tau_orbits,
                             width, width_bruteforce, width_distribution)
 from modcurve.psl import gamma_qn_member, r_n_formula
+
+
+def orbit_width_sum_check(q: int, n: int, orbit: tuple) -> bool:
+    """Index-p width sum: (q/n) * W(rep) must equal q * orbit size, the
+    level-q width of every class being q."""
+    rep = class_to_cusp(q, orbit_rep(orbit))
+    return (q // n) * width(q, n, rep) == q * len(orbit)
 
 
 def width_sum_matches_index(q: int, n: int) -> bool:

@@ -11,7 +11,8 @@ from modcurve.equation import (RotationNumber, build_equation, equation_string,
                                exponent_from_rotation, normalize_equation,
                                normalize_with_convention, rotation_from_exponent,
                                rotation_number, rotation_of_class,
-                               rotation_table, substitute_label)
+                               rotation_table, substitute_label, CONVENTIONS,
+                               SemiHyperellipticEquation)
 from modcurve.genus import genus_q
 
 
@@ -189,8 +190,12 @@ class TestNormalization:
             normalize_with_convention(build_equation(8, 1), "fancy")
 
     def test_level5_fully_determined(self):
-        # only two branch orbits: the three-point convention does not apply
+        # only two branch orbits: the larger exponent goes to infinity, the other to 0
         eq = build_equation(5, 1)
         assert eq.exponent_multiset == (1, 4)
+        for convention in CONVENTIONS:
+            assert equation_string(normalize_with_convention(eq, convention)) == "y^5 = x"
+
+    def test_fewer_than_two_orbits_rejected(self):
         with pytest.raises(ValueError):
-            normalize_with_convention(eq)
+            normalize_with_convention(SemiHyperellipticEquation(p=2, terms=()))
