@@ -98,6 +98,15 @@ def check_step(q: int, n: int, least: int = 1) -> None:
         raise ValueError(f"n = {n} must divide q = {q}")
 
 
+def exact_int(x: Fraction, what: str) -> int:
+    """The one statement of the closed forms' integrality rule: int(x), or
+    ArithmeticError when x is fractional.  A raise, not an assert, so a
+    fractional value is never rounded, under python -O included."""
+    if x.denominator != 1:
+        raise ArithmeticError(f"non-integral {what}: {x}")
+    return int(x)
+
+
 def divisors(n: int) -> list[int]:
     ds = [1]
     for p, r in factorize(n):

@@ -37,8 +37,7 @@ from .arith import Cyclotomic, ExactRing
 from .cusps import cusp_canonical, enumerate_cusps
 from .genus import euler_genus
 from .poly import Poly
-from .psl import (center, cusp_class_action, maps_between_cusps, psl_canon,
-                  r_formula, scalar_units, sign_center)
+from .psl import center, cusp_class_action, maps_between_cusps, r_formula, sign_center
 
 QuadMono = tuple[int, int]  # (i, j) with i <= j, 0-indexed coordinates
 Quadric = dict[QuadMono, object]
@@ -523,12 +522,11 @@ def hyperellipticity_obstruction() -> dict:
     """
     q = 8
     cent = sign_center(q)
-    scalars = {psl_canon(q, (lam, 0, 0, lam)) for lam in scalar_units(q)}
     merged = {min(c, cusp_class_action(q, (3, 0, 0, 3), c)) for c in enumerate_cusps(q)}
     g_quot = euler_genus(len(merged), r_formula(q) // 2)
     return {
         "sign_center_size": len(cent),
-        "center_is_scalar": cent <= scalars,
+        "center_is_scalar": all(b == c == 0 and a == d for a, b, c, d in cent),
         "projective_center_trivial": len(center(q)) == 1,
         "central_involution_quotient_genus": g_quot,
         "hyperelliptic": g_quot == 0,

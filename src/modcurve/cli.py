@@ -23,16 +23,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 from fractions import Fraction
 
 from .arith import GAUSS_I, Cyclotomic, check_step, divisors
 from . import canonical as canon
-from .cusps import (class_to_cusp, cusp_canonical, cusp_str, enumerate_cusps,
+from .cusps import (check_cusp, class_to_cusp, cusp_canonical, cusp_str, enumerate_cusps,
                     find_equivalence_witness, h_formula, h_n_formula, orbit_rep,
-                    tau_orbits, width, width_bruteforce, width_distribution)
+                    tau_orbits, width, width_bruteforce, width_distribution,
+                    width_tally)
 from .curve import (BranchPoint, InfinityPoint, Monomial, SemiHyperellipticCurve,
                     differential_order, octic_family, octic_model,
                     octic_to_quartic_maps, quartic_model, solve_branch_constant,
@@ -56,22 +56,16 @@ class UnsupportedError(Exception):
 
 
 def parse_cusp(s: str) -> tuple[int, int]:
-    if s in ("inf", "oo", "1/0"):
+    if s in ("inf", "oo"):
         return (1, 0)
     try:
         x_str, z_str = s.split("/") if "/" in s else (s, "1")
         x, z = int(x_str), int(z_str)
     except ValueError as exc:
         raise ValueError(f"cannot parse cusp {s!r}; use inf or X/Z") from exc
-    if z < 0:
+    if z < 0 or z == 0 and x < 0:
         x, z = -x, -z
-    if z == 0:
-        if abs(x) != 1:
-            raise ValueError(f"{s!r} is not a reduced cusp")
-        return (1, 0)
-    if math.gcd(x, z) != 1:
-        raise ValueError(f"{s!r} is not a coprime pair")
-    return (x, z)
+    return check_cusp((x, z))
 
 
 def make_check(name: str, expected, got) -> dict:
@@ -88,13 +82,15 @@ def bool_check(name: str, ok: bool, detail: str = "") -> dict:
 # verification registry: every suite is a runner (q_max, seed) -> checks
 # ---------------------------------------------------------------------------
 
+def _genus_rows(table: str, q: int) -> list[dict]:
+    """The g and g1 checks of a golden genus table at level q."""
+    g1 = genus_qn(q, 1) if q >= 5 else 0  # rational curve below level 5
+    return [make_check(f"table{table} g q={q}", golden(table, "g", q), genus_q(q)),
+            make_check(f"table{table} g1 q={q}", golden(table, "g1", q), g1)]
+
+
 def _table1(q_max: int, _seed: int) -> list[dict]:
-    checks = []
-    for q in range(1, min(q_max, 20) + 1):
-        checks.append(make_check(f"table1 g q={q}", golden("1", "g", q), genus_q(q)))
-        got = genus_qn(q, 1) if q >= 5 else 0  # rational curve below level 5
-        checks.append(make_check(f"table1 g1 q={q}", golden("1", "g1", q), got))
-    return checks
+    return [c for q in range(1, min(q_max, 20) + 1) for c in _genus_rows("1", q)]
 
 
 def _table2(_q_max: int, _seed: int) -> list[dict]:
@@ -140,9 +136,7 @@ def _table6(_q_max: int, _seed: int) -> list[dict]:
 def _table7(_q_max: int, _seed: int) -> list[dict]:
     checks = []
     for q in (2, 10, 14, 22, 26, 34, 38):
-        checks.append(make_check(f"table7 g q={q}", golden("7", "g", q), genus_q(q)))
-        g1 = genus_qn(q, 1) if q >= 5 else 0
-        checks.append(make_check(f"table7 g1 q={q}", golden("7", "g1", q), g1))
+        checks += _genus_rows("7", q)
         gp = genus_prime_quotient(q) if q >= 10 else 0
         checks.append(make_check(f"table7 gp q={q}", golden("7", "gp", q), gp))
     return checks
@@ -186,16 +180,11 @@ def _oracles(q_max: int, _seed: int) -> list[dict]:
             orbits = tau_orbits(q, n)
             checks.append(make_check(f"orbit count q={q} n={n}",
                                      h_n_formula(q, n), len(orbits)))
-            mismatch = 0
-            tally: dict[int, int] = {}
-            for orbit in orbits:
-                rep = class_to_cusp(q, orbit_rep(orbit))
-                w = width(q, n, rep)
-                tally[w] = tally.get(w, 0) + 1
-                if w != width_bruteforce(q, n, rep):
-                    mismatch += 1
+            reps = [class_to_cusp(q, orbit_rep(orbit)) for orbit in orbits]
+            mismatch = sum(width(q, n, c) != width_bruteforce(q, n, c) for c in reps)
             checks.append(bool_check(f"widths q={q} n={n}", mismatch == 0,
                                      f"{mismatch} mismatches"))
+            tally = width_tally(q, n, orbits)
             checks.append(make_check(f"width sum q={q} n={n}", r_n_formula(q, n),
                                      sum(w * k for w, k in tally.items())))
             dist = width_distribution(q, n)
@@ -326,13 +315,7 @@ def cmd_cusps(args) -> tuple[dict, list[str], int]:
         result["note"] = "widths from the congruence scan: the closed form needs q >= 5"
         lines.append(result["note"])
     if args.distribution:
-        if q >= 5:
-            dist = width_distribution(q, n)
-        else:
-            dist = {}
-            for orbit in orbits:
-                w = width(q, n, class_to_cusp(q, orbit_rep(orbit)))
-                dist[w] = dist.get(w, 0) + 1
+        dist = width_distribution(q, n) if q >= 5 else width_tally(q, n, orbits)
         result["distribution"] = {str(k): str(v) for k, v in sorted(dist.items())}
         lines.append("width distribution: "
                      + ", ".join(f"{k}:{v}" for k, v in sorted(dist.items())))

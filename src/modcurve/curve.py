@@ -23,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Callable, Optional, Union
 
 from .cusps import _mat_mul2
@@ -379,22 +380,16 @@ def solve_branch_constant(c: SemiHyperellipticCurve,
     iu, iv = points.index(u), points.index(v)
     exact_values = [Fraction(w) for w, _ in c.branches if not isinstance(w, str)]
 
-    candidates = []
-    for s in range(1, c.p):
-        if math.gcd(s, c.p) != 1:
-            continue
-        allowed = [[j for j in range(len(points))
-                    if exps[j] % c.p == (s * exps[i]) % c.p]
-                   for i in range(len(points))]
-        if iv not in allowed[iu] or iu not in allowed[iv]:
-            continue
-        for perm in _bijections(allowed, {iu: iv, iv: iu}):
-            candidates.append((s, perm))
+    units = [s for s in range(1, c.p) if math.gcd(s, c.p) == 1]
+    candidates = [perm for perm in permutations(range(len(points)))
+                  if perm[iu] == iv and perm[iv] == iu
+                  and any(all(exps[j] % c.p == s * exps[i] % c.p
+                              for i, j in enumerate(perm)) for s in units)]
     if not candidates:
         raise ValueError("no branch permutation matches the demanded swap")
 
     solutions: set[Fraction] = set()
-    for s, perm in candidates:
+    for perm in candidates:
         src = [_value_poly(points[i], sym) for i in range(len(points))]
         dst = [_value_poly(points[perm[i]], sym) for i in range(len(points))]
         m_src = _to_zero_one_inf(*src[:3])
@@ -426,31 +421,6 @@ def solve_branch_constant(c: SemiHyperellipticCurve,
             if moebius_lift_check(solved, t_exact) is not None:
                 solutions.add(root)
     return sorted(solutions)
-
-
-def _bijections(allowed: list[list[int]], pinned: dict[int, int]):
-    """All bijections i -> pi(i) with pi(i) in allowed[i], respecting pins."""
-    n = len(allowed)
-    used = set(pinned.values())
-    assign: dict[int, int] = dict(pinned)
-
-    def rec(i: int):
-        if i == n:
-            yield dict(assign)
-            return
-        if i in assign:
-            yield from rec(i + 1)
-            return
-        for j in allowed[i]:
-            if j in used:
-                continue
-            assign[i] = j
-            used.add(j)
-            yield from rec(i + 1)
-            used.remove(j)
-            del assign[i]
-
-    yield from rec(0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ scan is trustworthy, so width() delegates to it there.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from .arith import check_step, euler_product, ext_gcd, factorize, mult_n, n3
+from .arith import check_step, euler_product, exact_int, ext_gcd, factorize, mult_n, n3
 from .psl import Mat
 
 Cusp = tuple[int, int]
@@ -99,9 +100,7 @@ def _mat_mul2(m1: tuple, m2: tuple) -> tuple:
 def h_formula(q: int) -> int:
     """Number of level-q cusp classes: q^2/2 * prod(1 - 1/l^2), q >= 3."""
     check_step(q, 1, 3)
-    h = Fraction(q * q, 2) * euler_product(q)
-    assert h.denominator == 1
-    return int(h)
+    return exact_int(Fraction(q * q, 2) * euler_product(q), f"cusp count for q = {q}")
 
 
 def enumerate_cusps(q: int) -> list[ClassPair]:
@@ -120,9 +119,8 @@ def h_n_formula(q: int, n: int) -> int:
     Valid for q >= 5 (the width formula underneath it fails at q = 4).
     """
     check_step(q, n, 5)
-    h = Fraction(n * q, 2) * mult_n(q // n) * euler_product(q)
-    assert h.denominator == 1
-    return int(h)
+    return exact_int(Fraction(n * q, 2) * mult_n(q // n) * euler_product(q),
+                     f"cusp count for (q, n) = ({q}, {n})")
 
 
 def tau_orbits(q: int, n: int) -> list[tuple[ClassPair, ...]]:
@@ -202,9 +200,14 @@ def width_distribution(q: int, n: int) -> dict[int, int]:
         for (pi, ri), j in zip(fact, js):
             w *= pi**j
             cnt *= n3(pi, ri, j)
-        assert cnt.denominator == 1
-        out[w] = int(cnt)
+        out[w] = exact_int(cnt, f"orbit count of width {w}")
     return dict(sorted(out.items()))
+
+
+def width_tally(q: int, n: int, orbits: list[tuple[ClassPair, ...]]) -> dict[int, int]:
+    """Map width -> number of the given translation orbits with that width,
+    each orbit's width taken by width() at its representative."""
+    return dict(Counter(width(q, n, class_to_cusp(q, orbit_rep(o))) for o in orbits))
 
 
 def orbit_width_sum(q: int, n: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import check_step, divisors, euler_product, mult_n
+from .arith import check_step, divisors, euler_product, exact_int, mult_n
 from .psl import type_classify
 
 
@@ -22,20 +22,16 @@ def genus_q(q: int) -> int:
     check_step(q, 1)
     if q <= 2:
         return 0
-    g = 1 + Fraction((q - 6) * q * q, 24) * euler_product(q)
-    if g.denominator != 1:
-        raise ArithmeticError(f"non-integral genus for q = {q}")
-    return int(g)
+    return exact_int(1 + Fraction((q - 6) * q * q, 24) * euler_product(q),
+                     f"genus for q = {q}")
 
 
 def genus_qn(q: int, n: int) -> int:
     """Genus of the quotient by translation-by-n, for q >= 5 and n | q:
     1 + (q - 6*N(q/n)) * n*q/24 * prod(1 - 1/l^2)."""
     check_step(q, n, 5)
-    g = 1 + (q - 6 * mult_n(q // n)) * Fraction(n * q, 24) * euler_product(q)
-    if g.denominator != 1:
-        raise ArithmeticError(f"non-integral genus for (q, n) = ({q}, {n})")
-    return int(g)
+    return exact_int(1 + (q - 6 * mult_n(q // n)) * Fraction(n * q, 24) * euler_product(q),
+                     f"genus for (q, n) = ({q}, {n})")
 
 
 def euler_genus(h: int, r: int) -> int:
@@ -54,10 +50,8 @@ def genus_prime_quotient(q: int) -> int:
         raise ValueError(f"q = {q} is not of type I")
     check_step(q, 1, 10)
     p = q // 2
-    g = 1 + (p - 3 * mult_n(p)) * Fraction(p, 12) * euler_product(p)
-    if g.denominator != 1:
-        raise ArithmeticError(f"non-integral genus for q = {q}")
-    return int(g)
+    return exact_int(1 + (p - 3 * mult_n(p)) * Fraction(p, 12) * euler_product(p),
+                     f"genus for q = {q}")
 
 
 def hurwitz_deficiency(n_autos: int, g_bar: int, branch_orders: list[int]) -> int:
@@ -67,10 +61,7 @@ def hurwitz_deficiency(n_autos: int, g_bar: int, branch_orders: list[int]) -> in
     s = Fraction(2 * g_bar - 2)
     for m in branch_orders:
         s += 1 - Fraction(1, m)
-    val = n_autos * s
-    if val.denominator != 1:
-        raise ArithmeticError("Hurwitz relation does not close to an integer")
-    return int(val)
+    return exact_int(n_autos * s, "Hurwitz relation value")
 
 
 def is_semihyperelliptic_level(q: int) -> bool:

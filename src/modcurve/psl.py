@@ -31,18 +31,11 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .arith import check_step, euler_product
+from .arith import check_step, euler_product, exact_int
 
 Mat = tuple[int, int, int, int]
 
 ENUM_GUARD = 40
-
-
-def psl_canon(q: int, m: Mat) -> Mat:
-    """Canonical representative of {M, -M} mod q."""
-    m = tuple(x % q for x in m)
-    n = tuple(-x % q for x in m)
-    return min(m, n)
 
 
 def enumerate_sl(q: int) -> list[Mat]:
@@ -109,9 +102,7 @@ def r_n_formula(q: int, n: int) -> int:
     """Index of the intermediate group of level q and translation step n:
     n*q^2/2 * prod(1 - 1/l^2).  Requires q >= 3 and n | q."""
     check_step(q, n, 3)
-    r = Fraction(n * q * q, 2) * euler_product(q)
-    assert r.denominator == 1
-    return int(r)
+    return exact_int(Fraction(n * q * q, 2) * euler_product(q), f"index at q = {q}, n = {n}")
 
 
 def _order(q: int, g: Mat, lams: tuple[int, ...]) -> int:

@@ -1,12 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from modcurve.arith import (Cyclotomic, GaussRational, GAUSS_I, check_step,
-                            divisors, ext_gcd, factorize, is_prime, mult_n, n1,
-                            n2, n3, solve_unit_congruence)
+                            divisors, exact_int, ext_gcd, factorize, is_prime,
+                            mult_n, n1, n2, n3, solve_unit_congruence)
 from modcurve.canonical import MPoly
 from modcurve.poly import Poly
 
@@ -81,6 +85,43 @@ class TestCheckStep:
     def test_level_is_checked_first(self):
         with pytest.raises(ValueError, match="at least 5"):
             check_step(3, 2, 5)
+
+
+class TestExactInt:
+    def test_integral(self):
+        assert exact_int(Fraction(12, 3), "count") == 4
+        assert type(exact_int(Fraction(4), "count")) is int
+
+    def test_fractional_raises(self):
+        with pytest.raises(ArithmeticError, match="non-integral count: 7/2"):
+            exact_int(Fraction(7, 2), "count")
+
+    # python -O strips asserts; with them, the first three closed forms below
+    # rounded to 85, 10 and 2 and the orbit counts to 0
+    OPTIMIZED = """
+from fractions import Fraction
+from modcurve import arith, cusps, psl
+
+def attempt(call, *args):
+    try:
+        return str(call(*args))
+    except ArithmeticError:
+        return "ArithmeticError"
+
+cusps.euler_product = psl.euler_product = lambda q: Fraction(1, 3)
+print(attempt(psl.r_n_formula, 8, 8), attempt(cusps.h_formula, 8),
+      attempt(cusps.h_n_formula, 8, 1), attempt(cusps.width_distribution, 8, 1))
+cusps.euler_product = arith.euler_product
+cusps.n3 = lambda p_i, r_i, j: Fraction(1, 7)
+print(attempt(cusps.width_distribution, 8, 1))
+"""
+
+    def test_fractional_closed_forms_raise_under_optimize(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-O", "-c", self.OPTIMIZED],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.split() == ["ArithmeticError"] * 5
 
 
 class TestFactorize:

@@ -114,6 +114,20 @@ class TestCuspsCommand:
         assert status == 0 and len(doc["result"]["orbits"]) == 6
         assert not any("rep=" in line for line in lines)
 
+    @pytest.mark.parametrize("q,n,dist", [
+        ("3", "3", {"3": "4"}),
+        ("4", "1", {"1": "2", "4": "1"}),
+        ("4", "2", {"2": "2", "4": "2"}),
+        ("4", "4", {"4": "6"}),
+    ])
+    def test_distribution_below_level5(self, capsys, q, n, dist):
+        argv = ["cusps", "--q", q, "--n", n, "--distribution"]
+        status, out, _ = run(capsys, *argv)
+        text = ", ".join(f"{w}:{k}" for w, k in dist.items())
+        assert status == 0 and out.splitlines()[-1] == f"width distribution: {text}"
+        status, out, _ = run(capsys, "--format", "json", *argv)
+        assert status == 0 and json.loads(out)["result"]["distribution"] == dist
+
     def test_distribution_json(self, capsys):
         status, out, _ = run(capsys, "--format", "json", "cusps", "--q", "8",
                              "--n", "1", "--distribution")
@@ -131,6 +145,20 @@ class TestRotationCommand:
         status, out, _ = run(capsys, "rotation", "--q", "8", "--cusp", "1/3")
         assert status == 0 and "unbranched" in out
 
+    @pytest.mark.parametrize("argv,pair", [
+        (["rotation", "--q", "8", "--cusp", "2/4"], "(2, 4)"),
+        (["group", "--q", "8", "--cusp-maps", "3/0", "inf"], "(3, 0)"),
+    ])
+    def test_malformed_cusp(self, capsys, argv, pair):
+        status, out, err = run(capsys, *argv)
+        assert status == 2 and out == ""
+        assert err == f"error: not a valid cusp pair: {pair}\n"
+
+    def test_negative_infinity(self, capsys):
+        status, out, _ = run(capsys, "--format", "json", "rotation", "--q", "8",
+                             "--cusp=-1/0")
+        assert status == 0 and json.loads(out)["result"]["cusp"] == "1/0"
+
     def test_bad_divisor_is_argument_error(self, capsys):
         status, _, err = run(capsys, "rotation", "--q", "8", "--n", "3",
                              "--cusp", "1/4")
@@ -143,6 +171,17 @@ class TestEquationCommand:
                              "--solve-constants")
         assert status == 0
         assert "y^8 = x^2*(x-1)*(x+1)" in out
+
+    @pytest.mark.parametrize("convention,last", [
+        ("gcd", "solved a = -1: y^8 = x^2*(x-1)*(x+1)"),
+        ("ascending", "solved a = 1/2: y^8 = x*(x-1)*(x-1/2)^2"),
+        ("minimal", "solved a = -1: y^8 = x*(x-1)^2*(x+1)^4"),
+    ])
+    def test_level8_solved_per_convention(self, capsys, convention, last):
+        # the three conventions demand the swaps (1, a), (0, 1) and (0, inf)
+        status, out, _ = run(capsys, "equation", "--q", "8", "--solve-constants",
+                             "--convention", convention)
+        assert status == 0 and out.splitlines()[-1] == last
 
     def test_level7(self, capsys):
         status, out, _ = run(capsys, "equation", "--q", "7", "--normalize")

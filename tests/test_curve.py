@@ -240,6 +240,14 @@ class TestSolveBranchConstant:
         with pytest.raises(ValueError):
             solve_branch_constant(octic_model(), (Fraction(1), Fraction(-1)))
 
+    @pytest.mark.parametrize("demand", [(Fraction(0), Fraction(1)), (Fraction(0), INF),
+                                        ("a", INF)])
+    def test_no_unit_relates_the_pair(self, demand):
+        # exponents 2, 1, 1, 4 at 0, 1, a, infinity: no unit mod 8 carries one
+        # exponent of the pair to the other, so no permutation qualifies
+        with pytest.raises(ValueError, match="no branch permutation"):
+            solve_branch_constant(octic_family(), demand)
+
     def test_infinity_in_demand(self):
         # relabeled family with the symbol at exponent 4: the swapped pair
         # of unit-exponent points is then {0, infinity}

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from modcurve.cusps import (class_to_cusp, cusp_canonical,
                             enumerate_cusps, find_equivalence_witness,
                             h_formula, h_n_formula, orbit_width_sum,
                             orbit_rep, tau_orbits,
-                            width, width_bruteforce, width_distribution)
+                            width, width_bruteforce, width_distribution,
+                            width_tally)
 from modcurve.psl import gamma_qn_member, r_n_formula
 
 
@@ -217,6 +219,18 @@ class TestWidthDistribution:
                 w = width(q, n, class_to_cusp(q, orbit_rep(orbit)))
                 direct[w] = direct.get(w, 0) + 1
             assert dist == direct
+
+    @pytest.mark.parametrize("q", range(3, 13))
+    def test_width_tally(self, q):
+        # the tally the CLI prints below level 5 and verify compares above it
+        for n in divisors(q):
+            orbits = tau_orbits(q, n)
+            brute = Counter(width_bruteforce(q, n, class_to_cusp(q, orbit_rep(o)))
+                            for o in orbits)
+            tally = width_tally(q, n, orbits)
+            assert tally == brute
+            if q >= 5:
+                assert tally == width_distribution(q, n)
 
     @pytest.mark.parametrize("q", range(5, 15))
     def test_width_sum_equals_index(self, q):

@@ -8,8 +8,7 @@ from modcurve.psl import (center, cusp_action, cusp_class_action,
                           element_order, enumerate_psl, enumerate_projective,
                           enumerate_sl, gamma_qn_member, maps_between_cusps,
                           max_element_order, max_order_formula,
-                          projective_element_order,
-                          psl_canon, r_formula,
+                          projective_element_order, r_formula,
                           r_n_formula, scalar_units, sign_center,
                           type_classify)
 
@@ -103,6 +102,13 @@ def mat_mul(q, m1, m2):
     e, f, g, h = m2
     return ((a * e + b * g) % q, (a * f + b * h) % q,
             (c * e + d * g) % q, (c * f + d * h) % q)
+
+
+def psl_canon(q, m):
+    """Canonical representative of {M, -M} mod q."""
+    m = tuple(x % q for x in m)
+    n = tuple(-x % q for x in m)
+    return min(m, n)
 
 
 def projective_canon(q, m):
