@@ -163,34 +163,36 @@ def _witnesses(q: int) -> dict:
 
 
 def _oracles(q_max: int, _seed: int) -> list[dict]:
-    checks = []
-    for q in range(3, q_max + 1):
-        group_order = len(enumerate_psl(q))
-        checks.append(make_check(f"psl count q={q}", r_formula(q), group_order))
-        checks.append(make_check(f"hurwitz q={q}", 2 * genus_q(q) - 2,
-                                 hurwitz_deficiency(group_order, 0, [q, 3, 2])))
-        checks.append(make_check(f"cusp count q={q}", h_formula(q), len(enumerate_cusps(q))))
+    # one pass over the levels, so the bounded group cache builds each once
+    counts, orders, cusp_checks = [], [], []
     for q in range(2, q_max + 1):
-        checks.append(make_check(f"max order q={q}", max_order_formula(q),
+        if q >= 3:
+            group_order = len(enumerate_psl(q))
+            counts.append(make_check(f"psl count q={q}", r_formula(q), group_order))
+            counts.append(make_check(f"hurwitz q={q}", 2 * genus_q(q) - 2,
+                                     hurwitz_deficiency(group_order, 0, [q, 3, 2])))
+            counts.append(make_check(f"cusp count q={q}", h_formula(q), len(enumerate_cusps(q))))
+        orders.append(make_check(f"max order q={q}", max_order_formula(q),
                                  max_element_order(q)))
-    for q in range(5, q_max + 1):
+        if q < 5:
+            continue
         if q <= 12:  # every pair is one exhaustive search; level 12 bounds the cost
-            checks.append(_witnesses(q))
+            cusp_checks.append(_witnesses(q))
         for n in divisors(q):
             orbits = tau_orbits(q, n)
-            checks.append(make_check(f"orbit count q={q} n={n}",
-                                     h_n_formula(q, n), len(orbits)))
+            cusp_checks.append(make_check(f"orbit count q={q} n={n}",
+                                          h_n_formula(q, n), len(orbits)))
             reps = [class_to_cusp(q, orbit_rep(orbit)) for orbit in orbits]
             mismatch = sum(width(q, n, c) != width_bruteforce(q, n, c) for c in reps)
-            checks.append(bool_check(f"widths q={q} n={n}", mismatch == 0,
-                                     f"{mismatch} mismatches"))
+            cusp_checks.append(bool_check(f"widths q={q} n={n}", mismatch == 0,
+                                          f"{mismatch} mismatches"))
             tally = width_tally(q, n, orbits)
-            checks.append(make_check(f"width sum q={q} n={n}", r_n_formula(q, n),
-                                     sum(w * k for w, k in tally.items())))
+            cusp_checks.append(make_check(f"width sum q={q} n={n}", r_n_formula(q, n),
+                                          sum(w * k for w, k in tally.items())))
             dist = width_distribution(q, n)
-            checks.append(bool_check(f"width distribution q={q} n={n}",
-                                     dist == tally, f"{dist} != {tally}"))
-    return checks
+            cusp_checks.append(bool_check(f"width distribution q={q} n={n}",
+                                          dist == tally, f"{dist} != {tally}"))
+    return counts + orders + cusp_checks
 
 
 def _canonical(_q_max: int, _seed: int) -> list[dict]:

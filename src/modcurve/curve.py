@@ -225,7 +225,8 @@ def holomorphic_basis(c: SemiHyperellipticCurve) -> list[Monomial]:
     if len(basis) != g:
         raise RuntimeError(f"basis search found {len(basis)} differentials; "
                            f"genus is {g}")
-    assert all(min(order_vector(c, mono)) >= 0 for mono in basis)
+    if not all(min(order_vector(c, mono)) >= 0 for mono in basis):
+        raise RuntimeError("basis search found a differential with a pole")
     return basis
 
 

@@ -138,9 +138,9 @@ def build_equation(q: int, n: int) -> SemiHyperellipticEquation:
         if len(orbit) >= p:
             continue
         rots = {rotation_of_class(q, n, cls) for cls in orbit}
-        assert len(rots) == 1, "rotation number must be constant on an orbit"
         rot = rots.pop()
-        assert rot.orbit_len == len(orbit)
+        if rots or rot.orbit_len != len(orbit):
+            raise RuntimeError("rotation number must be constant on an orbit")
         m = exponent_from_rotation(p, rot)
         terms.append(BranchTerm(exponent=m, orbit=orbit, rotation=rot))
     eq = SemiHyperellipticEquation(

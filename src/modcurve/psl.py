@@ -16,8 +16,8 @@ non-sign scalar there.  For q <= 40 the projective center is trivial except
 at q = 16 and 32, where it has two classes (at 16: I and (3, 8; 8, 11)).
 
 A canonical representative is the lexicographic minimum over the coset; the
-choice is deterministic and independent of enumeration order.  Each level is
-enumerated once per process, the projective set filtered from the sign set.
+choice is deterministic and independent of enumeration order.  Only least
+members are generated, and the last eight (level, quotient) sets are cached.
 Enumeration is guarded at q <= 40 (|SL| grows like q^3).  Orders walk the
 powers of g = (a, b; c, d) by Cayley-Hamilton, g^2 = t*g - I with t = a + d:
 g^k = s_k*g - s_(k-1)*I for s_0 = 0, s_1 = 1, s_(k+1) = t*s_k - s_(k-1).  So
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from .arith import check_step, euler_product, exact_int
 
@@ -38,43 +38,44 @@ Mat = tuple[int, int, int, int]
 ENUM_GUARD = 40
 
 
-def enumerate_sl(q: int) -> list[Mat]:
-    """All of SL(2, Z/qZ), by solving a*d = 1 + b*c for d."""
+def _least(x: int, fix: tuple[int, ...], q: int) -> tuple[int, ...] | None:
+    """None when some lam in fix moves x below itself, else the lams that
+    fix x: only those can still tie with the identity on later entries."""
+    ys = [lam * x % q for lam in fix]
+    return None if min(ys) < x else tuple(lam for lam, y in zip(fix, ys) if y == x)
+
+
+@lru_cache(maxsize=8)
+def _reps(q: int, lams: tuple[int, ...]) -> tuple[Mat, ...]:
+    """The lexicographically least member of each class {lam * m : lam in
+    lams} of SL(2, Z/qZ), in lexicographic order, solving a*d = 1 + b*c for d.
+
+    Only a and b are compared, b only against the lams fixing a: a lam
+    fixing a and b has (lam - 1)(a*d - b*c) = 0, so lam = 1 and c, d are free.
+    """
     if not 2 <= q <= ENUM_GUARD:
         raise ValueError(f"enumeration supports 2 <= q <= {ENUM_GUARD}, got {q}")
     out = []
     for a in range(q):
+        fa = _least(a, lams, q)
+        if fa is None:
+            continue
         g = math.gcd(a, q)
         qg = q // g
         ainv = pow(a // g, -1, qg) if qg > 1 else 0
         for b in range(q):
+            if _least(b, fa, q) is None:
+                continue
+            if g == 1:  # a unit: d is unique
+                out += [(a, b, c, (1 + b * c) * ainv % q) for c in range(q)]
+                continue
             for c in range(q):
                 rhs = (1 + b * c) % q
                 if rhs % g:
                     continue
-                d0 = (rhs // g) * ainv % qg
-                for k in range(g):
-                    out.append((a, b, c, d0 + k * qg))
-    return out
-
-
-@cache
-def _reps(q: int, lams: tuple[int, ...]) -> tuple[Mat, ...]:
-    """The lexicographically least member of each class {lam * m : lam in
-    lams} of SL(2, Z/qZ).  Beyond the signs, filter the sign representatives:
-    a scalar class's least member is least in its sign class."""
-    extra = [lam for lam in lams if lam not in _signs(q)]
-    others = extra or [lam for lam in lams if lam != 1]
-    reps = []
-    for m in _reps(q, _signs(q)) if extra else enumerate_sl(q):
-        a = m[0]
-        for lam in others:
-            la = lam * a % q
-            if la < a or la == a and tuple(lam * x % q for x in m) < m:
-                break
-        else:
-            reps.append(m)
-    return tuple(reps)
+                for d in range(rhs // g * ainv % qg, q, qg):
+                    out.append((a, b, c, d))
+    return tuple(out)
 
 
 def _signs(q: int) -> tuple[int, ...]:

@@ -380,6 +380,19 @@ class TestVerifyCommand:
         assert status == 0 and "12/12 checks passed" in out
 
 
+class TestOracleGroupCache:
+    def test_each_group_built_once(self, capsys):
+        # one pass over the levels: no (level, quotient) key is evicted from
+        # the eight-entry cache before the run is done with it
+        from modcurve import psl
+        psl._reps.cache_clear()
+        status, out, _ = run(capsys, "verify", "--oracles", "--q-max", "40")
+        keys = ({(q, psl._signs(q)) for q in range(3, 41)}
+                | {(q, psl._scalars(q)) for q in range(2, 41)})
+        assert status == 0 and out.endswith("\n761/761 checks passed\n")
+        assert psl._reps.cache_info().misses == len(keys)
+
+
 class TestParserReuse:
     def test_built_once_per_process(self, capsys):
         from modcurve import cli

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +289,37 @@ class TestNumericIsomorphism:
         report = verify_isomorphism_numeric(octic_model(), quartic_model(),
                                             lambda x, y: (x, y), samples=16)
         assert not report["pass"]
+
+
+class TestChecksUnderOptimize:
+    # python -O strips asserts; these checks raise, so they hold there too.
+    # With asserts, the patched basis search returned 5 monomials under -O.
+    OPTIMIZED = """
+import itertools
+from modcurve import curve, equation
+
+def attempt(call, *args):
+    try:
+        call(*args)
+        return "returned"
+    except RuntimeError as exc:
+        return type(exc).__name__
+
+real = curve.differential_order
+curve.differential_order = lambda c, mono, pt: -1
+print(attempt(curve.holomorphic_basis, curve.octic_model()))
+curve.differential_order = real
+# orbit sizes 1, 1, 2, ... at level 8, step 1: the third orbit sees k = 1, 3
+ks = itertools.cycle((1, 3))
+equation.rotation_of_class = lambda q, n, cls: equation.RotationNumber(1, next(ks))
+print(attempt(equation.build_equation, 8, 1))
+equation.rotation_of_class = lambda q, n, cls: equation.RotationNumber(7, 1)
+print(attempt(equation.build_equation, 8, 1))
+"""
+
+    def test_checks_raise_under_optimize(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-O", "-c", self.OPTIMIZED],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.split() == ["RuntimeError"] * 3

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,7 @@ from modcurve.cusps import cusp_canonical, enumerate_cusps
 from modcurve.genus import genus_q, hurwitz_deficiency
 from modcurve.psl import (center, cusp_action, cusp_class_action,
                           element_order, enumerate_psl, enumerate_projective,
-                          enumerate_sl, gamma_qn_member, maps_between_cusps,
+                          gamma_qn_member, maps_between_cusps,
                           max_element_order, max_order_formula,
                           projective_element_order, r_formula,
                           r_n_formula, scalar_units, sign_center,
@@ -95,6 +97,24 @@ class TestCenter:
         assert len(enumerate_projective(8)) == 96
 
 
+def enumerate_sl(q):
+    """All of SL(2, Z/qZ), by solving a*d = 1 + b*c for d: the reference the
+    library's direct generation of least class members is checked against."""
+    out = []
+    for a in range(q):
+        g = math.gcd(a, q)
+        qg = q // g
+        ainv = pow(a // g, -1, qg) if qg > 1 else 0
+        for b in range(q):
+            for c in range(q):
+                rhs = (1 + b * c) % q
+                if rhs % g:
+                    continue
+                d0 = (rhs // g) * ainv % qg
+                out += [(a, b, c, d0 + k * qg) for k in range(g)]
+    return out
+
+
 def mat_mul(q, m1, m2):
     """The product m1 * m2 mod q, for the reference oracles below; the
     library's kernels multiply inline and share no code with it."""
@@ -158,11 +178,17 @@ class TestAgainstDefinitions:
     the canonical forms psl_canon and projective_canon applied to each
     element and product."""
 
-    @pytest.mark.parametrize("q", range(2, 25))
+    @pytest.mark.parametrize("q", range(2, 41))
     def test_representative_sets(self, q):
+        # the whole of SL filtered by each canonical form, against the direct
+        # generation; the cached tuples are in lexicographic order
         sl = enumerate_sl(q)
-        assert enumerate_projective(q) == {projective_canon(q, m) for m in sl}
-        assert enumerate_psl(q) == {psl_canon(q, m) for m in sl}
+        assert len(sl) == (2 * r_formula(q) if q > 2 else 6)
+        for enum, lams, canon in ((enumerate_psl, psl._signs(q), psl_canon),
+                                  (enumerate_projective, psl._scalars(q), projective_canon)):
+            ref = sorted({canon(q, m) for m in sl})
+            assert enum(q) == set(ref)
+            assert list(psl._reps(q, lams)) == ref
 
     @pytest.mark.parametrize("q", range(2, 17))
     def test_center_by_direct_scan(self, q):
@@ -227,32 +253,29 @@ class TestKernelsAgainstReference:
 
     @pytest.mark.parametrize("q", [32, 36, 40])
     def test_projective_set_at_large_levels(self, q):
-        # 4 to 8 scalars at these levels
-        assert enumerate_projective(q) == \
-            {projective_canon(q, m) for m in enumerate_sl(q)}
+        # 4 to 8 scalars at these levels: each generated member has
+        # determinant 1 and is the least of its scalar class
+        for m in enumerate_projective(q):
+            a, b, c, d = m
+            assert (a * d - b * c) % q == 1 and projective_canon(q, m) == m
 
     @pytest.mark.parametrize("first,second", [(enumerate_psl, enumerate_projective),
                                               (enumerate_projective, enumerate_psl)])
-    def test_composite_level_enumerated_once(self, monkeypatch, first, second):
-        calls = []
-        real = psl.enumerate_sl
-        monkeypatch.setattr(psl, "enumerate_sl",
-                            lambda q: calls.append(q) or real(q))
+    def test_composite_level_enumerated_once(self, first, second):
+        # level 24 has eight scalars: two keys, each generated once
         psl._reps.cache_clear()
-        first(24)
-        second(24)
-        assert calls == [24]
+        for _ in range(2):
+            first(24)
+            second(24)
+        info = psl._reps.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (2, 2, 8)
 
-    def test_level_two_enumerated_once(self, monkeypatch):
+    def test_level_two_enumerated_once(self):
         # -I = I mod 2, so the sign and projective sets are the same 6 matrices
-        calls = []
-        real = psl.enumerate_sl
-        monkeypatch.setattr(psl, "enumerate_sl",
-                            lambda q: calls.append(q) or real(q))
         psl._reps.cache_clear()
         signs = enumerate_psl(2)
         assert enumerate_projective(2) == signs and len(signs) == 6
-        assert calls == [2]
+        assert psl._reps.cache_info().misses == 1
 
     @pytest.mark.parametrize("order", [element_order, projective_element_order])
     @pytest.mark.parametrize("q", [-1, 0, 1])
