@@ -359,6 +359,9 @@ def cmd_equation(args) -> tuple[dict, list[str], int]:
                   "note": "the curve is rational; any coordinate works"}
         return _document("equation", inputs, result), [result["equation"],
                                                        result["note"]], 0
+    if args.solve_constants and q != 8:
+        raise UnsupportedError(f"constant solving is only established for level 8; "
+                               f"level {q} constants remain undetermined")
     eq = build_equation(q, 1)
     rows = [{"cusp": c, "n": str(s), "k": str(k), "m": str(m)}
             for c, s, k, m in rotation_table(q, 1)]
@@ -376,10 +379,6 @@ def cmd_equation(args) -> tuple[dict, list[str], int]:
         if result["undetermined"]:
             lines.append("undetermined constants: " + ", ".join(result["undetermined"]))
     if args.solve_constants:
-        if q != 8:
-            raise UnsupportedError(
-                f"constant solving is only established for level 8; level {q} "
-                f"constants remain undetermined")
         label, sols = _solve_constant(eq)
         if len(sols) != 1:
             raise UnsupportedError(f"constant solving produced {sols}")
@@ -422,11 +421,10 @@ def cmd_group(args) -> tuple[dict, list[str], int]:
     lines = []
     if args.order is not None:
         try:
-            entries = tuple(int(e) for e in args.order.split(","))
+            a, b, c, d = (int(e) for e in args.order.split(","))
         except ValueError as exc:
             raise ValueError("--order wants four comma-separated integers") from exc
-        if len(entries) != 4:
-            raise ValueError("--order wants four comma-separated integers")
+        entries = (a, b, c, d)
         order = element_order(q, entries)
         result["order"] = str(order)
         lines.append(f"order of {entries} mod {q}: {order}")

@@ -1,13 +1,18 @@
 """Cyclic covers y^p = prod (x - a_i)^(m_i) of the projective line as
 geometric objects.
 
-Local data at the added points comes from the explicit charts of the
-compactification: over a branch value a_i there are gcd(p, m_i) points
-where x - a_i vanishes to order p/gcd(p, m_i), y to order m_i/gcd(p, m_i)
-and dx to order p/gcd(p, m_i) - 1; over infinity there are gcd(p, m)
-points (m the exponent sum) with the corresponding negative orders.  Branch
-values may stay symbolic (strings); only multiplicities enter the order
-bookkeeping.
+Local data at the added points comes from one chart of the
+compactification, the same over every special fiber: with m the exponent
+m_i over a branch value a_i and the exponent sum over infinity, the fiber
+has n = gcd(p, m) points of ramification index e = p/n, and in a local
+parameter t the coordinate x - a_i (1/x over infinity) vanishes to order
+e, y to order s * m/n and dx to order s * e - 1, where the sign s is +1
+over a branch value and -1 over infinity.  Branch values may stay symbolic
+(strings); only multiplicities enter the order bookkeeping.
+
+The x-line is handled homogeneously: a value x is the pair (x : 1) and
+infinity is (1 : 0), so fractional-linear maps and the branch-constant
+conditions need no case for infinity.
 
 The deck transformation is (x, y) -> (x, zeta_p * y).  A fractional-linear
 map T of the x-line lifts to an automorphism commuting with it exactly when
@@ -21,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Optional, Union
@@ -83,13 +88,6 @@ class SemiHyperellipticCurve:
     def inf_exponent(self) -> int:
         return (-self.m_total) % self.p
 
-    @property
-    def inf_fiber_size(self) -> int:
-        return math.gcd(self.p, self.m_total)
-
-    def fiber_size(self, i: int) -> int:
-        return math.gcd(self.p, self.branches[i][1])
-
     def branch_map(self) -> dict:
         """Branch point -> exponent, infinity included when it is branched."""
         out = dict(self.branches)
@@ -126,16 +124,29 @@ class AffinePoint:
 CurvePoint = Union[BranchPoint, InfinityPoint, AffinePoint]
 
 
+def _chart(c: SemiHyperellipticCurve, i: int) -> tuple[int, int, int, int]:
+    """(points n, ramification index e, order v of y up to sign, sign s)
+    over the i-th special fiber; i = len(c.branches) is infinity."""
+    s = -1 if i == len(c.branches) else 1
+    m = c.m_total if s < 0 else c.branches[i][1]
+    n = math.gcd(c.p, m)
+    return n, c.p // n, m // n, s
+
+
+def _fiber(c: SemiHyperellipticCurve, pt) -> int:
+    """Index of the special fiber holding an added point."""
+    if isinstance(pt, BranchPoint):
+        return pt.index
+    if isinstance(pt, InfinityPoint):
+        return len(c.branches)
+    raise TypeError(f"unsupported point {pt!r}")
+
+
 def ramification_profile(c: SemiHyperellipticCurve) -> list[tuple[object, int, int]]:
     """Per-fiber data (value, number of points, ramification index), the
     infinity fiber last.  Each fiber satisfies points * index = p."""
-    out = []
-    for v, m in c.branches:
-        g = math.gcd(c.p, m)
-        out.append((v, g, c.p // g))
-    g = c.inf_fiber_size
-    out.append((INF, g, c.p // g))
-    return out
+    values = [v for v, _ in c.branches] + [INF]
+    return [(v, *_chart(c, i)[:2]) for i, v in enumerate(values)]
 
 
 def curve_genus(c: SemiHyperellipticCurve) -> int:
@@ -162,25 +173,13 @@ def differential_order(c: SemiHyperellipticCurve, mono: Monomial,
     """Vanishing order of the monomial at a point, from the chart data."""
     if len(mono.alphas) != len(c.branches):
         raise ValueError("one exponent per branch value is required")
-    if isinstance(pt, BranchPoint):
-        i = pt.index
-        m_i = c.branches[i][1]
-        n_i = math.gcd(c.p, m_i)
-        e_i = c.p // n_i
-        order = mono.alphas[i] * e_i - mono.gamma * (m_i // n_i)
-        if mono.dx:
-            order += e_i - 1
-        return order
-    if isinstance(pt, InfinityPoint):
-        g = c.inf_fiber_size
-        e_inf = c.p // g
-        order = -e_inf * sum(mono.alphas) + mono.gamma * (c.m_total // g)
-        if mono.dx:
-            order += -e_inf - 1
-        return order
     if isinstance(pt, AffinePoint):
         return 0  # monomials have no zeros or poles off the special fibers
-    raise TypeError(f"unsupported point {pt!r}")
+    i = _fiber(c, pt)
+    _, e, v, s = _chart(c, i)
+    # the x-factors have exponent alpha_i at a branch fiber, their sum at infinity
+    a = mono.alphas[i] if s > 0 else sum(mono.alphas)
+    return s * (e * a - mono.gamma * v) + (s * e - 1 if mono.dx else 0)
 
 
 def order_vector(c: SemiHyperellipticCurve, mono: Monomial) -> tuple[int, ...]:
@@ -201,18 +200,13 @@ def holomorphic_basis(c: SemiHyperellipticCurve) -> list[Monomial]:
     g = curve_genus(c)
     if g < 1:
         raise ValueError("positive genus required")
-    r = len(c.branches)
+    charts = [_chart(c, i) for i in range(len(c.branches) + 1)]
     basis: list[Monomial] = []
-    m_over = c.m_total // c.inf_fiber_size
-    e_inf = c.p // c.inf_fiber_size
     for gamma in range(c.p):
-        lows = []
-        for _, m_i in c.branches:
-            n_i = math.gcd(c.p, m_i)
-            e_i = c.p // n_i
-            num = gamma * (m_i // n_i) - e_i + 1
-            lows.append(max(0, -((-num) // e_i)))
-        upper = (gamma * m_over - 1) // e_inf - 1
+        # s (e A - gamma v) + s e - 1 >= 0 bounds the exponent A from below
+        # at a branch fiber (s = 1) and the exponent sum from above at infinity
+        *lows, upper = [-s * ((s * (e - gamma * v) - 1) // e) for _, e, v, s in charts]
+        lows = [max(0, lo) for lo in lows]
         slack = upper - sum(lows)
         if slack < 0:
             continue
@@ -239,14 +233,10 @@ def rotation_at_branch(c: SemiHyperellipticCurve, i: int) -> RotationNumber:
 
 def deck_transform(c: SemiHyperellipticCurve, pt: CurvePoint) -> CurvePoint:
     """(x, y) -> (x, zeta_p y); on added points, advance the sheet index."""
-    if isinstance(pt, BranchPoint):
-        n = c.fiber_size(pt.index)
-        return BranchPoint(pt.index, pt.sheet % n + 1)
-    if isinstance(pt, InfinityPoint):
-        return InfinityPoint(pt.sheet % c.inf_fiber_size + 1)
     if isinstance(pt, AffinePoint):
         return AffinePoint(pt.x, pt.y * cmath.exp(2j * cmath.pi / c.p))
-    raise TypeError(f"unsupported point {pt!r}")
+    n = _chart(c, _fiber(c, pt))[0]
+    return replace(pt, sheet=pt.sheet % n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +257,9 @@ class MoebiusMap:
             raise ValueError("Moebius map needs nonzero determinant")
 
     def apply(self, v):
-        if v is INF:
-            return INF if self.c == 0 else Fraction(self.a, self.c)
-        v = Fraction(v)
-        den = self.c * v + self.d
-        if den == 0:
-            return INF
-        return (self.a * v + self.b) / den
+        x, w = (1, 0) if v is INF else (Fraction(v), 1)
+        x, w = self.a * x + self.b * w, self.c * x + self.d * w
+        return INF if w == 0 else x / w
 
 
 @dataclass(frozen=True)
@@ -285,7 +271,6 @@ class LiftCertificate:
     twist: int
     twists: tuple[int, ...]
     permutation: tuple[tuple[object, object], ...]
-    note: str = ""
 
 
 def moebius_lift_check(c: SemiHyperellipticCurve,
@@ -312,30 +297,29 @@ def moebius_lift_check(c: SemiHyperellipticCurve,
         return None
     return LiftCertificate(
         twist=twists[0], twists=tuple(twists),
-        permutation=tuple(sorted(images.items(), key=repr)),
-        note=f"multiplicities match with twist {twists[0]} mod {c.p}; "
-             f"sufficient over a genus-zero base")
+        permutation=tuple(sorted(images.items(), key=repr)))
 
 
-def _value_poly(v, sym: str):
+def _value_poly(v, sym: str) -> tuple[Poly, Poly]:
+    """The point (x : w) of the x-line, with entries polynomial in sym."""
     if v is INF:
-        return INF
+        return Poly.const(1), Poly.const(0)
     if isinstance(v, str):
         if v != sym:
             raise ValueError(f"unexpected symbol {v!r}")
-        return Poly.x()
-    return Poly.const(Fraction(v))
+        return Poly.x(), Poly.const(1)
+    return Poly.const(Fraction(v)), Poly.const(1)
+
+
+def _det(u, v):
+    return u[0] * v[1] - u[1] * v[0]
 
 
 def _to_zero_one_inf(z1, z2, z3) -> tuple:
-    """2x2 polynomial matrix of the map sending (z1, z2, z3) to (0, 1, oo)."""
-    if z1 is INF:
-        return (Poly.const(0), z2 - z3, Poly.const(1), -z3)
-    if z2 is INF:
-        return (Poly.const(1), -z1, Poly.const(1), -z3)
-    if z3 is INF:
-        return (Poly.const(1), -z1, Poly.const(0), z2 - z1)
-    return (z2 - z3, -z1 * (z2 - z3), z2 - z1, -z3 * (z2 - z1))
+    """2x2 polynomial matrix of z -> [det(z, z1) det(z2, z3) : det(z, z3) det(z2, z1)],
+    the map sending (z1, z2, z3) to (0, 1, oo)."""
+    d23, d21 = _det(z2, z3), _det(z2, z1)
+    return (d23 * z1[1], -d23 * z1[0], d21 * z3[1], -d21 * z3[0])
 
 
 def _adj2(m):
@@ -346,13 +330,7 @@ def _adj2(m):
 def _pair_condition(t_mat, u, v) -> Poly:
     """Polynomial condition (in the symbolic constant) for T(u) = v."""
     t00, t01, t10, t11 = t_mat
-    if u is INF and v is INF:
-        return t10
-    if u is INF:
-        return t00 - v * t10
-    if v is INF:
-        return t10 * u + t11
-    return (t00 * u + t01) - v * (t10 * u + t11)
+    return _det((t00 * u[0] + t01 * u[1], t10 * u[0] + t11 * u[1]), v)
 
 
 def solve_branch_constant(c: SemiHyperellipticCurve,

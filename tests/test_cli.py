@@ -198,6 +198,22 @@ class TestEquationCommand:
         status, _, err = run(capsys, "equation", "--q", "11")
         assert status == 3 and "genus" in err
 
+    @pytest.mark.parametrize("q", ["7", "10"])
+    def test_solving_refused_before_building(self, capsys, monkeypatch, q):
+        from modcurve import cli
+
+        def boom(*args):
+            raise AssertionError("equation built before the level check")
+        monkeypatch.setattr(cli, "build_equation", boom)
+        status, out, err = run(capsys, "equation", "--q", q, "--solve-constants")
+        assert status == 3 and out == ""
+        assert err.strip() == (f"unsupported: constant solving is only established "
+                               f"for level 8; level {q} constants remain undetermined")
+
+    def test_solving_rational_level(self, capsys):
+        status, out, _ = run(capsys, "equation", "--q", "3", "--solve-constants")
+        assert status == 0 and out.splitlines()[0] == "y = 0"
+
     def test_rational_levels(self, capsys):
         status, out, _ = run(capsys, "equation", "--q", "3")
         assert status == 0 and "y = 0" in out
@@ -242,6 +258,12 @@ class TestGroupCommand:
     def test_order_at_level_one_names_the_level(self, capsys):
         status, _, err = run(capsys, "group", "--q", "1", "--order", "1,0,0,1")
         assert status == 2 and "level" in err and "determinant" not in err
+
+    @pytest.mark.parametrize("entries", ["1,2,3", "1,0,0,1,1", "x,1,0,1", ""])
+    def test_order_wants_four_integers(self, capsys, entries):
+        status, out, err = run(capsys, "group", "--q", "8", "--order", entries)
+        assert status == 2 and out == ""
+        assert err.strip() == "error: --order wants four comma-separated integers"
 
     def test_order_rejects_non_sl_matrix(self, capsys):
         status, _, err = run(capsys, "group", "--q", "8", "--order", "2,0,0,2")

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from modcurve import curve
+from modcurve import cli, curve
 from modcurve.curve import (INF, AffinePoint, BranchPoint, InfinityPoint,
                             LiftCertificate, Monomial,
                             SemiHyperellipticCurve, curve_genus, deck_transform,
@@ -17,17 +19,80 @@ from modcurve.curve import (INF, AffinePoint, BranchPoint, InfinityPoint,
                             quartic_model, ramification_profile,
                             rotation_at_branch, solve_branch_constant,
                             verify_isomorphism_numeric)
-from modcurve.equation import RotationNumber
+from modcurve.equation import (CONVENTIONS, RotationNumber, build_equation,
+                               normalize_with_convention)
+from modcurve.poly import Poly
 
 
 def divisor_degree(c: SemiHyperellipticCurve, mono: Monomial) -> int:
     """Total degree of the divisor of the monomial (2g - 2 for differentials,
     0 for functions)."""
-    total = 0
-    for i in range(len(c.branches)):
-        total += c.fiber_size(i) * differential_order(c, mono, BranchPoint(i, 1))
-    total += c.inf_fiber_size * differential_order(c, mono, InfinityPoint(1))
-    return total
+    return sum(num * order for (_, num, _), order
+               in zip(ramification_profile(c), order_vector(c, mono)))
+
+
+# Reference: the per-fiber order formulas and the x-line helpers with a case
+# for infinity, which the library states once through one chart and
+# homogeneous coordinates.
+
+def reference_order(c: SemiHyperellipticCurve, mono: Monomial, pt) -> int:
+    if isinstance(pt, BranchPoint):
+        m_i = c.branches[pt.index][1]
+        n_i = math.gcd(c.p, m_i)
+        e_i = c.p // n_i
+        order = mono.alphas[pt.index] * e_i - mono.gamma * (m_i // n_i)
+        return order + (e_i - 1 if mono.dx else 0)
+    n = math.gcd(c.p, c.m_total)
+    e_inf = c.p // n
+    order = -e_inf * sum(mono.alphas) + mono.gamma * (c.m_total // n)
+    return order + (-e_inf - 1 if mono.dx else 0)
+
+
+def reference_value_poly(v, sym: str):
+    if v is INF:
+        return INF
+    if isinstance(v, str):
+        if v != sym:
+            raise ValueError(f"unexpected symbol {v!r}")
+        return Poly.x()
+    return Poly.const(Fraction(v))
+
+
+def reference_to_zero_one_inf(z1, z2, z3) -> tuple:
+    if z1 is INF:
+        return (Poly.const(0), z2 - z3, Poly.const(1), -z3)
+    if z2 is INF:
+        return (Poly.const(1), -z1, Poly.const(1), -z3)
+    if z3 is INF:
+        return (Poly.const(1), -z1, Poly.const(0), z2 - z1)
+    return (z2 - z3, -z1 * (z2 - z3), z2 - z1, -z3 * (z2 - z1))
+
+
+def reference_pair_condition(t_mat, u, v) -> Poly:
+    t00, t01, t10, t11 = t_mat
+    if u is INF and v is INF:
+        return t10
+    if u is INF:
+        return t00 - v * t10
+    if v is INF:
+        return t10 * u + t11
+    return (t00 * u + t01) - v * (t10 * u + t11)
+
+
+def reference_solve(c: SemiHyperellipticCurve, demand: tuple) -> list[Fraction]:
+    """The library solver run on the reference x-line helpers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve, "_value_poly", reference_value_poly)
+        mp.setattr(curve, "_to_zero_one_inf", reference_to_zero_one_inf)
+        mp.setattr(curve, "_pair_condition", reference_pair_condition)
+        return solve_branch_constant(c, demand)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 class MoebiusMap(curve.MoebiusMap):
@@ -51,6 +116,27 @@ def klein_curve():
 def elliptic_curve():
     # y^2 = x^3 - 1 with the cube roots of unity as labels
     return SemiHyperellipticCurve(2, ((Fraction(1), 1), ("w", 1), ("w2", 1)))
+
+
+GENUS_ZERO_QUOTIENTS = [(5, 1), (6, 1), (6, 2), (6, 3), (7, 1), (8, 1), (8, 2),
+                        (9, 1), (10, 1), (12, 1)]
+GRID_CURVES = {
+    "octic": octic_family(),
+    "klein": klein_curve(),
+    **{f"q{q}n{n}": SemiHyperellipticCurve.from_equation(
+        normalize_with_convention(build_equation(q, n)))
+       for q, n in GENUS_ZERO_QUOTIENTS},
+}
+
+
+def special_points(c: SemiHyperellipticCurve) -> list:
+    """Every point of every special fiber, infinity last."""
+    pts = []
+    for i, (_, num, _) in enumerate(ramification_profile(c)):
+        for sheet in range(1, num + 1):
+            pts.append(BranchPoint(i, sheet) if i < len(c.branches)
+                       else InfinityPoint(sheet))
+    return pts
 
 
 class TestRamification:
@@ -114,6 +200,19 @@ class TestDifferentialOrders:
         mono = Monomial((1, 0, 0), 3)
         assert differential_order(octic_family(), mono,
                                   AffinePoint(2 + 0j, 1 + 0j)) == 0
+
+    @pytest.mark.parametrize("name", GRID_CURVES)
+    def test_matches_reference_on_grid(self, name):
+        # every monomial with exponents 0..2 and -1 <= gamma <= p, with and
+        # without dx, at every point of every special fiber
+        c = GRID_CURVES[name]
+        pts = special_points(c)
+        for alphas in itertools.product(range(3), repeat=len(c.branches)):
+            for gamma in range(-1, c.p + 1):
+                for dx in (False, True):
+                    mono = Monomial(alphas, gamma, dx)
+                    assert [differential_order(c, mono, pt) for pt in pts] == \
+                        [reference_order(c, mono, pt) for pt in pts], mono
 
     def test_canonical_degree_on_other_curves(self):
         for curve in (klein_curve(), elliptic_curve()):
@@ -259,6 +358,54 @@ class TestSolveBranchConstant:
                                          ("a", 4)))
         assert fam.inf_exponent == 1
         assert solve_branch_constant(fam, (Fraction(0), INF)) == [Fraction(-1)]
+
+
+LEVEL8_FAMILIES = {conv: SemiHyperellipticCurve.from_equation(
+    normalize_with_convention(build_equation(8, 1), conv)) for conv in CONVENTIONS}
+
+
+class TestHomogeneousLine:
+    POINTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), "a", INF]
+
+    def test_to_zero_one_inf_matches_reference_up_to_sign(self):
+        for zs in itertools.permutations(self.POINTS, 3):
+            new = curve._to_zero_one_inf(*(curve._value_poly(z, "a") for z in zs))
+            ref = reference_to_zero_one_inf(*(reference_value_poly(z, "a") for z in zs))
+            assert new in (ref, tuple(-e for e in ref)), zs
+
+    def test_pair_condition_matches_reference_up_to_sign(self):
+        t_mat = (Poly([1, 2]), Poly([-3]), Poly([0, 5, 1]), Poly([7, -1]))
+        for u, v in itertools.product(self.POINTS, repeat=2):
+            new = curve._pair_condition(t_mat, curve._value_poly(u, "a"),
+                                        curve._value_poly(v, "a"))
+            ref = reference_pair_condition(t_mat, reference_value_poly(u, "a"),
+                                           reference_value_poly(v, "a"))
+            assert new in (ref, -ref), (u, v)
+
+    @pytest.mark.parametrize("entries,v,image", [
+        ((0, 1, 1, 0), INF, Fraction(0)),
+        ((0, 1, 1, 0), Fraction(0), INF),
+        ((2, 1, 0, 1), INF, INF),
+        ((2, 1, 3, 1), INF, Fraction(2, 3)),
+        ((2, 1, 3, 1), Fraction(-1, 3), INF),
+        ((2, 1, 3, 1), 1, Fraction(3, 4)),
+    ])
+    def test_moebius_apply(self, entries, v, image):
+        assert MoebiusMap(*map(Fraction, entries)).apply(v) == image
+
+    @pytest.mark.parametrize("conv", CONVENTIONS)
+    def test_solver_matches_reference_on_every_demand(self, conv):
+        fam = LEVEL8_FAMILIES[conv]
+        for demand in itertools.permutations(fam.branch_map(), 2):
+            assert outcome(solve_branch_constant, fam, demand) == \
+                outcome(reference_solve, fam, demand), demand
+
+    def test_minimal_demand_contains_infinity(self):
+        fam = LEVEL8_FAMILIES["minimal"]
+        demand = cli._swap_demand(fam, "a")
+        assert INF in demand
+        assert solve_branch_constant(fam, demand) == reference_solve(fam, demand) \
+            == [Fraction(-1)]
 
 
 class TestNumericIsomorphism:
