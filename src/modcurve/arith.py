@@ -51,18 +51,7 @@ def solve_unit_congruence(u: int, v: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -30,13 +30,13 @@ Zero and equality tests compare the canonical term dicts; ints stay int.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Cyclotomic, ExactRing
 from .cusps import cusp_canonical, enumerate_cusps
 from .genus import euler_genus
-from .poly import Poly
+from .poly import Poly, rational_roots
 from .psl import center, cusp_class_action, maps_between_cusps, r_formula, sign_center
 
 QuadMono = tuple[int, int]  # (i, j) with i <= j, 0-indexed coordinates
@@ -316,7 +316,7 @@ class EliminationResult:
     relations: list[str]
     steps: list[str]
     entries: dict[str, MPoly]      # final matrix entries in terms of c33
-    family: list = field(default_factory=list)  # eight concrete matrices
+    family: list                   # eight concrete matrices
 
 
 class EliminationError(AssertionError):
@@ -326,6 +326,17 @@ class EliminationError(AssertionError):
 def _expect(cond: bool, step: str):
     if not cond:
         raise EliminationError(f"unexpected constraint shape at: {step}")
+
+
+def _at_root(mp: MPoly, j: int, step: str) -> Cyclotomic:
+    """The ring map c33 -> t^j into Z[t]/(t^8 - 1), on an MPoly in c33 alone
+    with constant coefficients; any other term fails step.  At j = 1 its
+    kernel is (c33^8 - 1), so a zero image is vanishing modulo c33^8 = 1."""
+    out = Cyclotomic.scalar(8, 0)
+    for key, poly in mp.terms.items():
+        _expect(set(key) <= {"c33"} and poly.degree == 0, step)
+        out = out + poly(0) * Cyclotomic.root(8, j * len(key))
+    return out
 
 
 def elimination_solve() -> EliminationResult:
@@ -339,11 +350,14 @@ def elimination_solve() -> EliminationResult:
     closing the family to the eighth roots of unity.
 
     The three pullbacks are taken once, after the linear stage; each later
-    entry is substituted into the remainders, and a = -1 is set by subs_a.
+    entry is substituted into the remainders.  a is the one rational root of
+    the z1*z5 coefficient, and subs_a then substitutes it.
     The reduction's multipliers are the z3^2, z2^2, z1^2 coefficients and no
     form holds an entry or another form's square, so both ring maps commute
     with pullback and reduction.  Every step asserts the shape of the
     constraint it consumes, so any divergence points at the exact step.
+    The octic check and the eight-matrix family both read entries through
+    the one ring map _at_root into Z[t]/(t^8 - 1).
     """
     steps: list[str] = []
     assumptions = ["a != 0", "a != 1", "matrix invertible"]
@@ -379,8 +393,7 @@ def elimination_solve() -> EliminationResult:
     # rows 3: c31 + e*c32 = 0 for e = 1, -1  ==>  c31 = c32 = 0
     plus = entry(3, 1) + entry(3, 2)
     minus = entry(3, 1) - entry(3, 2)
-    _expect((plus + minus).terms == {("c31",): Poly.const(Fraction(2))},
-            "infinity images, row 3")
+    _expect((plus + minus).terms == {("c31",): 2}, "infinity images, row 3")
     setk("c31", 0, "infinity images, row 3")
     setk("c32", 0, "infinity images, row 3")
     # row 5 at e = +-1, d = 1:  c51 + e*c52 + c54 = 0 ==> c52 = 0, c51 + c54 = 0
@@ -388,15 +401,14 @@ def elimination_solve() -> EliminationResult:
     # imaginary coefficient: c52 = 0, c51 - c54 = 0
     s1 = entry(5, 1) + entry(5, 4)   # from the rational pair
     s2 = entry(5, 1) - entry(5, 4)   # from the imaginary pair
-    _expect((s1 + s2).terms == {("c51",): Poly.const(Fraction(2))},
-            "infinity images, row 5")
+    _expect((s1 + s2).terms == {("c51",): 2}, "infinity images, row 5")
     setk("c52", 0, "infinity images, row 5")
     setk("c51", 0, "infinity images, row 5")
     setk("c54", 0, "infinity images, row 5")
 
     # the two zero images [+-sqrt(a), 0, 0, -1, 1]: row 2 gives +-c21*sqrt(a) = 0
     expr = entry(2, 1)
-    _expect(expr.terms == {("c21",): Poly.const(Fraction(1))}, "zero images")
+    _expect(expr.terms == {("c21",): 1}, "zero images")
     setk("c21", 0, "zero images, a != 0")
 
     # pull each quadric back once; setk substitutes into the remainders from now on
@@ -406,15 +418,14 @@ def elimination_solve() -> EliminationResult:
 
     # first quadric pullback
     eq = rems[0].get((2, 4), MPoly({}))   # z3*z5
-    _expect(eq.terms == {("c23",): Poly.const(Fraction(-1))}, "Q1: z3*z5")
+    _expect(eq.terms == {("c23",): -1}, "Q1: z3*z5")
     setk("c23", 0, "Q1 pullback, z3*z5 coefficient")
     eq = rems[0].get((1, 2), MPoly({}))   # z2*z3
-    _expect(eq.terms == {("c22", "c53"): Poly.const(Fraction(-1))}, "Q1: z2*z3")
+    _expect(eq.terms == {("c22", "c53"): -1}, "Q1: z2*z3")
     assumptions.append("c22 != 0 (row 2 would vanish)")
     setk("c53", 0, "Q1 pullback, z2*z3 coefficient, c22 != 0")
     eq = rems[0].get((1, 4), MPoly({}))   # z2*z5
-    _expect(eq.terms == {("c33", "c33"): Poly.const(Fraction(1)),
-                         ("c22",): Poly.const(Fraction(-1))}, "Q1: z2*z5")
+    _expect(eq.terms == {("c33", "c33"): 1, ("c22",): -1}, "Q1: z2*z5")
     setk("c22", MPoly.var("c33") ** 2, "Q1 pullback, z2*z5 coefficient")
     _expect(not rems[0], "Q1 pullback must now lie in the span")
     steps.append("Q1 pullback lies in the span")
@@ -428,70 +439,48 @@ def elimination_solve() -> EliminationResult:
     setk("c12", 0, "Q2 pullback, z2*z5 coefficient, a != 0")
     assumptions.append("c11 != 0 (row 1 would vanish)")
     eq = rems[1].get((0, 1), MPoly({}))   # z1*z2
-    _expect(eq.terms == {("c11", "c42"): Poly.const(Fraction(-1))}, "Q2: z1*z2")
+    _expect(eq.terms == {("c11", "c42"): -1}, "Q2: z1*z2")
     setk("c42", 0, "Q2 pullback, z1*z2 coefficient, c11 != 0")
     eq = rems[1].get((0, 2), MPoly({}))   # z1*z3
-    _expect(eq.terms == {("c11", "c43"): Poly.const(Fraction(-1))}, "Q2: z1*z3")
+    _expect(eq.terms == {("c11", "c43"): -1}, "Q2: z1*z3")
     setk("c43", 0, "Q2 pullback, z1*z3 coefficient, c11 != 0")
     eq = rems[1].get((3, 3), MPoly({}))   # z4^2
     _expect(set(eq.terms) == {("c11", "c41")}, "Q2: z4^2")
     setk("c41", 0, "Q2 pullback, z4^2 coefficient, c11 != 0")
     eq = rems[1].get((0, 3), MPoly({}))   # z1*z4
-    _expect(eq.terms == {("c11",): Poly.const(Fraction(1)),
-                         ("c33",) * 4: Poly.const(Fraction(1))}, "Q2: z1*z4")
+    _expect(eq.terms == {("c11",): 1, ("c33",) * 4: 1}, "Q2: z1*z4")
     setk("c11", -(MPoly.var("c33") ** 4), "Q2 pullback, z1*z4 coefficient")
     eq = rems[1].get((0, 4), MPoly({}))   # z1*z5
     _expect(set(eq.terms) == {("c33",) * 4}, "Q2: z1*z5")
     coeff = eq.terms[("c33",) * 4]
-    # coefficient is a nonzero rational multiple of (a + 1); c33 != 0
-    quot = coeff.divexact(_A + 1)
-    _expect(quot.degree == 0, "Q2: z1*z5 linear in a")
-    a_value = Fraction(-1)
-    steps.append("a = -1  [Q2 pullback, z1*z5 coefficient, c33 != 0]")
+    # c33 != 0, so the coefficient must vanish; linear in a, it has one root
+    _expect(coeff.degree == 1, "Q2: z1*z5 linear in a")
+    (a_value,) = rational_roots(coeff)
+    _expect(a_value not in (0, 1), "a != 0, a != 1")
+    steps.append(f"a = {a_value}  [Q2 pullback, z1*z5 coefficient, c33 != 0]")
 
-    # both pullbacks at a = -1 must sit in the span
+    # both pullbacks at the root must sit in the span
     at_a = [map_quadric(r, lambda c: c.subs_a(a_value)) for r in rems]
-    _expect(not at_a[0], "Q1 pullback at a = -1")
-    _expect(not at_a[1], "Q2 pullback at a = -1")
+    _expect(not at_a[0], f"Q1 pullback at a = {a_value}")
+    _expect(not at_a[1], f"Q2 pullback at a = {a_value}")
 
     # third quadric pullback: remainder must vanish modulo c33^8 = 1
     r = at_a[2]
-
-    def reduce_octic(mp: MPoly) -> MPoly:
-        out = MPoly({})
-        for key, poly in mp.terms.items():
-            n8 = key.count("c33") // 8
-            rest = tuple(k for k in key if k != "c33") + \
-                ("c33",) * (key.count("c33") - 8 * n8)
-            out = out + MPoly({rest: poly})
-        return out
-
     eq = r.get((3, 3), MPoly({}))
-    _expect(eq.terms == {(): Poly.const(Fraction(-1)),
-                         ("c33",) * 8: Poly.const(Fraction(1))}, "Q3: z4^2")
+    _expect(eq.terms == {(): -1, ("c33",) * 8: 1}, "Q3: z4^2")
     steps.append("c33^8 = 1  [Q3 pullback, z4^2 coefficient]")
     for key, val in r.items():
-        _expect(reduce_octic(val).is_zero(), f"Q3 remainder at {key}")
+        step = f"Q3 remainder at {key}"
+        _expect(_at_root(val, 1, step) == 0, step)
 
     entries = {f"c{i}{j}": entry(i, j).subs_a(a_value)
                for i in range(1, 6) for j in range(1, 6)}
     relations = ["c22 = c33^2", "c11 = -c33^4", "c44 = -1", "c45 = a - 1",
                  "c55 = 1", "c33^8 = 1"]
-
-    family = []
-    for j in range(8):
-        mat = []
-        for i in range(1, 6):
-            row = []
-            for k in range(1, 6):
-                e = entries[f"c{i}{k}"]
-                val = Cyclotomic.scalar(8, 0)
-                for key, poly in e.terms.items():
-                    _expect(set(key) <= {"c33"}, "family entries depend on c33 only")
-                    val = val + Fraction(poly(a_value)) * Cyclotomic.root(8, j * len(key))
-                row.append(val)
-            mat.append(tuple(row))
-        family.append(tuple(mat))
+    family = [tuple(tuple(_at_root(entries[f"c{i}{k}"], j,
+                                   "family entries depend on c33 only")
+                          for k in range(1, 6)) for i in range(1, 6))
+              for j in range(8)]
 
     return EliminationResult(a=a_value, assumptions=assumptions,
                              relations=relations, steps=steps,

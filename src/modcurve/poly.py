@@ -2,8 +2,8 @@
 
 Coefficients are anything with exact +, -, * and == 0 (Fraction, int,
 Cyclotomic).  Only what the equation solvers need: ring operations,
-evaluation, exact division and rational root extraction.  Subtraction,
-the reflected operators, powers and immutability come from arith.ExactRing.
+evaluation and rational root extraction.  Subtraction, the reflected
+operators, powers and immutability come from arith.ExactRing.
 """
 
 from __future__ import annotations
@@ -94,27 +94,6 @@ class Poly(ExactRing):
             out = out * value + c
         return out
 
-    def divexact(self, other: "Poly") -> "Poly":
-        """Exact quotient self / other; raises if the division leaves a remainder.
-
-        Requires an invertible (Fraction) leading coefficient in `other`.
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        lead = Fraction(div[-1]) if isinstance(div[-1], int) else div[-1]
-        out = [0] * max(len(rem) - len(div) + 1, 0)
-        for i in range(len(out) - 1, -1, -1):
-            c = rem[i + len(div) - 1] / lead
-            out[i] = c
-            if c != 0:
-                for j, d in enumerate(div):
-                    rem[i + j] = rem[i + j] - c * d
-        if any(c != 0 for c in rem):
-            raise ValueError("division is not exact")
-        return Poly(out)
-
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
@@ -147,9 +126,7 @@ def rational_roots(p: Poly) -> list[Fraction]:
     if len(coeffs) == 1:
         return sorted(roots)
     # clear denominators to integer coefficients
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
     for num in divisors(a0):

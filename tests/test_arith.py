@@ -137,6 +137,14 @@ class TestFactorize:
         assert divisors(1) == [1]
 
 
+def is_prime_reference(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_reference():
+    assert [n for n in range(-5, 20_000) if is_prime(n) != is_prime_reference(n)] == []
+
+
 class TestMultN:
     def test_examples(self):
         assert mult_n(1) == 1

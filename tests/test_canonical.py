@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from modcurve import canonical
 from modcurve.arith import Cyclotomic, GAUSS_I, GaussRational
-from modcurve.canonical import (MPoly, deck_matrix,
+from modcurve.canonical import (EliminationError, MPoly, _at_root, deck_matrix,
                                 elimination_solve, embed_point,
                                 hyperellipticity_obstruction, image_of_a,
                                 image_of_one, images_of_infinity,
@@ -17,6 +17,7 @@ from modcurve.canonical import (MPoly, deck_matrix,
                                 quadric_forms, quadric_residuals,
                                 reduce_by_span, sigma_family, sigma_matrix,
                                 sigma_preserves_ideal, transform_quadric)
+from modcurve.cli import main
 from modcurve.poly import Poly
 
 
@@ -177,11 +178,18 @@ class TestElimination:
         assert "a != 1" in res.assumptions
 
     def test_family_matches_constructor(self):
-        res = elimination_solve()
-        zero = Cyclotomic.scalar(8, 0)
-        family = [tuple(tuple(zero + e for e in row) for row in m)
-                  for m in sigma_family(-1)]
-        assert res.family == family
+        assert elimination_solve().family == sigma_family(-1)
+
+    @pytest.mark.parametrize("root", [0, 1])
+    def test_root_against_assumptions(self, monkeypatch, root):
+        monkeypatch.setattr(canonical, "rational_roots", lambda p: [Fraction(root)])
+        with pytest.raises(EliminationError, match="a != 0, a != 1$"):
+            elimination_solve()
+
+    def test_other_root_fails_the_pullbacks(self, monkeypatch):
+        monkeypatch.setattr(canonical, "rational_roots", lambda p: [Fraction(2)])
+        with pytest.raises(EliminationError, match="Q2 pullback at a = 2$"):
+            elimination_solve()
 
     def test_entries_vanishing_pattern(self):
         res = elimination_solve()
@@ -190,6 +198,45 @@ class TestElimination:
         assert res.entries["c45"] == -2
         assert res.entries["c44"] == -1
         assert res.entries["c55"] == 1
+
+
+class TestOcticCheck:
+    C33 = MPoly.var("c33")
+
+    @pytest.mark.parametrize("j", range(8))
+    def test_octic_relation_is_the_kernel(self, j):
+        assert _at_root(self.C33 ** 8 - 1, j, "step") == 0
+
+    @pytest.mark.parametrize("j, k", [(j, k) for j in range(8) for k in range(12)])
+    def test_powers_go_to_powers(self, j, k):
+        assert _at_root(self.C33 ** k, j, "step") == Cyclotomic.root(8, j * k % 8)
+
+    def test_sums_and_rational_coefficients(self):
+        mp = Fraction(1, 2) * self.C33 ** 3 - 3 * self.C33 + 2
+        t = Cyclotomic.root(8, 2)
+        assert _at_root(mp, 2, "step") == Fraction(1, 2) * t ** 3 - 3 * t + 2
+
+    @pytest.mark.parametrize("mp", [MPoly.var("c22") * MPoly.var("c33"),
+                                    MPoly.var("c11"),
+                                    MPoly({("c33",): Poly([1, 1])}),
+                                    MPoly.const(Poly.x())])
+    def test_foreign_terms_fail_the_step(self, mp):
+        with pytest.raises(EliminationError, match="at: named step$"):
+            _at_root(mp + self.C33, 1, "named step")
+
+    @pytest.mark.parametrize("k, key", [(2, "(4, 4)"), (3, "(3, 4)"), (-1, "(3, 4)")])
+    def test_scaled_q3_fails_the_remainder(self, monkeypatch, capsys, k, key):
+        forms = canonical.quadric_forms
+
+        def scaled(a):  # Q3's z4*z5 coefficient times k
+            q1, q2, q3 = forms(a)
+            return [q1, q2, {**q3, (3, 4): k * q3[(3, 4)]}]
+        monkeypatch.setattr(canonical, "quadric_forms", scaled)
+        step = f"at: Q3 remainder at {key}"
+        with pytest.raises(EliminationError, match=re.escape(step) + "$"):
+            elimination_solve()
+        assert main(["canonical"]) == 4
+        assert capsys.readouterr().err.endswith(step + "\n")
 
 
 class TestCrossChecks:

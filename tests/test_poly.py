@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from modcurve.arith import Cyclotomic
-from modcurve.poly import Poly
+from modcurve.poly import Poly, rational_roots
 
 SCALARS = st.one_of(st.integers(-3, 3),
                     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
@@ -46,3 +48,23 @@ class TestEqualityFastPaths:
         assert (x == 0) == (x.is_zero() or all(c == 0 for c in x.coeffs))
         if x == s:
             assert hash(x) == hash(s)
+
+
+class TestRationalRoots:
+    def test_products_of_linear_factors(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            roots = [Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+                     for _ in range(rng.randint(1, 4))]
+            p = Poly.const(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
+            for r in roots:
+                p = p * Poly([-r * r.denominator, r.denominator])
+            assert rational_roots(p) == sorted(set(roots))
+
+    def test_no_rational_root(self):
+        assert rational_roots(Poly([-2, 0, 1])) == []
+        assert rational_roots(Poly([Fraction(1, 2)])) == []
+
+    def test_zero_polynomial_raises(self):
+        with pytest.raises(ValueError):
+            rational_roots(Poly([]))
