@@ -5,9 +5,6 @@ congruences, trial-division factorization, the multiplicative counting
 functions
 
     N(p)  = prod_i (1 + r_i * (p_i - 1)/(p_i + 1))      for p = prod p_i^r_i
-    N1(j) = 1                 if j = 0
-            (p + 1) * p^(j-1) if j >= 1
-    N2(j) = p/(p+1), (p-1)p^j/(p+1), p^(r+1)/(p+1)      for j = 0, middle, r
     N3(j) = p/(p+1) for j in {0, r},  (p-1)/(p+1) else
 
 which control cusp counts and width distributions, and the quotient ring
@@ -119,42 +116,17 @@ def mult_n(p: int) -> Fraction:
     return out
 
 
-def n1(p_i: int, j: int) -> int:
-    """Index of the congruence condition "lower-left entry divisible by p_i^j"."""
-    if not is_prime(p_i):
-        raise ValueError(f"{p_i} is not prime")
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    if j == 0:
-        return 1
-    return (p_i + 1) * p_i ** (j - 1)
-
-
-def n2(p_i: int, r_i: int, j: int) -> Fraction:
-    """Per-prime factor counting classes of given width inside the full cusp set."""
-    _check_nj(p_i, r_i, j)
-    if j == 0:
-        return Fraction(p_i, p_i + 1)
-    if j == r_i:
-        return Fraction(p_i ** (r_i + 1), p_i + 1)
-    return Fraction((p_i - 1) * p_i**j, p_i + 1)
-
-
 def n3(p_i: int, r_i: int, j: int) -> Fraction:
     """Per-prime factor counting translation orbits of given width."""
-    _check_nj(p_i, r_i, j)
-    if j == 0 or j == r_i:
-        return Fraction(p_i, p_i + 1)
-    return Fraction(p_i - 1, p_i + 1)
-
-
-def _check_nj(p_i: int, r_i: int, j: int) -> None:
     if not is_prime(p_i):
         raise ValueError(f"{p_i} is not prime")
     if r_i < 1:
         raise ValueError("exponent r must be >= 1")
     if not 0 <= j <= r_i:
         raise ValueError(f"j = {j} out of range [0, {r_i}]")
+    if j == 0 or j == r_i:
+        return Fraction(p_i, p_i + 1)
+    return Fraction(p_i - 1, p_i + 1)
 
 
 class ExactRing:

@@ -34,10 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Cyclotomic, ExactRing
-from .cusps import cusp_canonical, enumerate_cusps
+from .cusps import enumerate_cusps
 from .genus import euler_genus
 from .poly import Poly, rational_roots
-from .psl import center, cusp_class_action, maps_between_cusps, r_formula, sign_center
+from .psl import center, cusp_class_action, r_formula, sign_center
 
 QuadMono = tuple[int, int]  # (i, j) with i <= j, 0-indexed coordinates
 Quadric = dict[QuadMono, object]
@@ -490,14 +490,6 @@ def elimination_solve() -> EliminationResult:
 # ---------------------------------------------------------------------------
 # cross-checks against the finite group
 # ---------------------------------------------------------------------------
-
-def automorphism_count_crosscheck() -> bool:
-    """The eight valid matrices match the eight level-8 group elements that
-    send the infinity cusp class to the class of 3/8."""
-    group_count = len(maps_between_cusps(
-        8, cusp_canonical(8, (1, 0)), cusp_canonical(8, (3, 8))))
-    return group_count == 8 and sigma_count(-1) == 8
-
 
 def hyperellipticity_obstruction() -> dict:
     """Support for non-hyperellipticity of the level-8 curve.

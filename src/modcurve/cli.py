@@ -95,7 +95,7 @@ def _table1(q_max: int, _seed: int) -> list[dict]:
 
 def _table2(_q_max: int, _seed: int) -> list[dict]:
     checks = []
-    rows = {row[0]: row for row in rotation_table(8, 1)}
+    rows = {row[0]: row for row in rotation_table(8, build_equation(8, 1))}
     for cusp in ("1/0", "3/8", "1/4", "1/2"):
         _, size, k, m = rows[cusp]
         for col, got in (("n", size), ("k", k), ("m", m)):
@@ -195,17 +195,29 @@ def _oracles(q_max: int, _seed: int) -> list[dict]:
     return counts + orders + cusp_checks
 
 
+def _level8_swap() -> tuple[list, dict]:
+    """The level-8 group elements carrying one exponent-1 branch orbit of
+    build_equation(8, 1) to the other (normalization sends the pair to x = 1
+    and x = a), and the orbit permutation they must induce: that pair
+    swapped, every other branch orbit fixed."""
+    terms = build_equation(8, 1).terms
+    one, a = (t.orbit for t in terms if t.exponent == 1)
+    perm = {t.orbit: t.orbit for t in terms} | {one: a, a: one}
+    return maps_between_cusps(8, one[0], a[0]), perm
+
+
 def _canonical(_q_max: int, _seed: int) -> list[dict]:
     checks = []
     res = canon.elimination_solve()
+    sigma = canon.sigma_count(-1)
+    movers, perm = _level8_swap()
     checks.append(make_check("elimination a", Fraction(-1), res.a))
-    checks.append(make_check("sigma count at a=-1", 8, canon.sigma_count(-1)))
+    checks.append(make_check("sigma count at a=-1", 8, sigma))
     for bad in (2, 3, -2):
         checks.append(make_check(f"sigma count at a={bad}", 0, canon.sigma_count(bad)))
     checks.append(bool_check("family matches elimination",
                              res.family == canon.sigma_family(-1)))
-    checks.append(bool_check("automorphism count crosscheck",
-                             canon.automorphism_count_crosscheck()))
+    checks.append(bool_check("automorphism count crosscheck", len(movers) == sigma == 8))
     a = s = Poly.x()  # the parameter, and a square root of it for the zero images
     points = [(a, canon.image_of_one()), (a, canon.image_of_a(a))]
     points += [(s * s, pt) for pt in canon.images_of_zero(s)]
@@ -216,17 +228,9 @@ def _canonical(_q_max: int, _seed: int) -> list[dict]:
     decks = [canon.deck_matrix(Cyclotomic.root(8, j)) for j in range(8)]
     checks.append(make_check("deck matrices preserve the ideal", 8,
                              sum(canon.preserves_ideal(m, -1) for m in decks)))
-    inf_cls = cusp_canonical(8, (1, 0))
-    swap_cls = cusp_canonical(8, (3, 8))
-    quarter = {cusp_canonical(8, (1, 4)), cusp_canonical(8, (3, 4))}
-    halves = {cusp_canonical(8, (1, 2)), cusp_canonical(8, (3, 2)),
-              cusp_canonical(8, (5, 2)), cusp_canonical(8, (7, 2))}
-    movers = maps_between_cusps(8, inf_cls, swap_cls)
     checks.append(make_check("transporter count", 8, len(movers)))
-    good = all(cusp_class_action(8, g, swap_cls) == inf_cls
-               and {cusp_class_action(8, g, c) for c in quarter} == quarter
-               and {cusp_class_action(8, g, c) for c in halves} == halves
-               for g in movers)
+    good = all({cusp_class_action(8, g, c) for c in orbit} == set(image)
+               for g in movers for orbit, image in perm.items())
     checks.append(bool_check("transporters swap and preserve orbits", good))
     obstruction = canon.hyperellipticity_obstruction()
     checks.append(bool_check("central classes are scalar",
@@ -362,7 +366,7 @@ def cmd_equation(args) -> tuple[dict, list[str], int]:
                                f"level {q} constants remain undetermined")
     eq = build_equation(q, 1)
     rows = [{"cusp": c, "n": str(s), "k": str(k), "m": str(m)}
-            for c, s, k, m in rotation_table(q, 1)]
+            for c, s, k, m in rotation_table(q, eq)]
     lines = ["cusp  orbit  k  m"]
     for row in rows:
         lines.append(f"  {row['cusp']:>5}  {row['n']:>3}  {row['k']:>2} {row['m']:>2}")
@@ -465,6 +469,7 @@ def cmd_canonical(args) -> tuple[dict, list[str], int]:
     res = canon.elimination_solve()
     obstruction = canon.hyperellipticity_obstruction()
     sigma_ok = canon.sigma_count(-1)
+    movers, _ = _level8_swap()
     result = {
         "quadrics": ["z3^2 - z2*z5", "z2^2 - z1*(z4+z5)",
                      "z1^2 - z4*(z4-(a-1)*z5)"],
@@ -473,7 +478,7 @@ def cmd_canonical(args) -> tuple[dict, list[str], int]:
         "assumptions": res.assumptions,
         "steps": res.steps,
         "sigma_count": str(sigma_ok),
-        "crosscheck": canon.automorphism_count_crosscheck(),
+        "crosscheck": len(movers) == sigma_ok == 8,
         "central_involution_quotient_genus":
             str(obstruction["central_involution_quotient_genus"]),
     }

@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Optional, Union
@@ -229,14 +229,6 @@ def rotation_at_branch(c: SemiHyperellipticCurve, i: int) -> RotationNumber:
     if not 0 <= i < len(c.branches):
         raise ValueError(f"branch index {i} out of range")
     return rotation_from_exponent(c.p, c.branches[i][1])
-
-
-def deck_transform(c: SemiHyperellipticCurve, pt: CurvePoint) -> CurvePoint:
-    """(x, y) -> (x, zeta_p y); on added points, advance the sheet index."""
-    if isinstance(pt, AffinePoint):
-        return AffinePoint(pt.x, pt.y * cmath.exp(2j * cmath.pi / c.p))
-    n = _chart(c, _fiber(c, pt))[0]
-    return replace(pt, sheet=pt.sheet % n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,8 @@ def find_equivalence_witness(q: int, c1: Cusp, c2: Cusp):
 
 def _complete_to_unimodular(x: int, z: int) -> Mat:
     g, u, v = ext_gcd(x, z)
-    assert g == 1
+    if g != 1:
+        raise RuntimeError(f"{x}/{z} is not reduced")
     return (x, -v, z, u)  # det = x*u + v*z = 1
 
 

@@ -70,7 +70,8 @@ def exponent_from_rotation(p: int, rot: RotationNumber) -> int:
     if math.gcd(k, big_p) != 1:
         raise ValueError(f"rotation exponent {k} is not a unit mod {big_p}")
     m = n_orb * solve_unit_congruence(k, big_p)
-    assert 1 <= m < p and math.gcd(p, m) == n_orb
+    if not (1 <= m < p and math.gcd(p, m) == n_orb):
+        raise RuntimeError(f"exponent {m} does not fit orbit length {n_orb} mod {p}")
     return m
 
 
@@ -151,15 +152,11 @@ def build_equation(q: int, n: int) -> SemiHyperellipticEquation:
     return eq
 
 
-def rotation_table(q: int, n: int) -> list[tuple[str, int, int, int]]:
-    """Rows (cusp, orbit size, k, m) for the branched orbits, in
-    (size, representative) order."""
-    eq = build_equation(q, n)
-    rows = []
-    for t in eq.terms:
-        rows.append((cusp_str(q, t.orbit[0]), t.rotation.orbit_len,
-                     t.rotation.k, t.exponent))
-    return rows
+def rotation_table(q: int, eq: SemiHyperellipticEquation) -> list[tuple[str, int, int, int]]:
+    """Rows (cusp, orbit size, k, m) for the branched orbits of
+    eq = build_equation(q, n), in (size, representative) order."""
+    return [(cusp_str(q, t.orbit[0]), t.rotation.orbit_len, t.rotation.k, t.exponent)
+            for t in eq.terms]
 
 
 CONVENTIONS = ("gcd", "ascending", "minimal")

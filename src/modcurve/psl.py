@@ -133,11 +133,6 @@ def scalar_units(q: int) -> list[int]:
     return [lam for lam in range(1, q) if (lam * lam) % q == 1]
 
 
-def enumerate_projective(q: int) -> set[Mat]:
-    """SL(2, Z/qZ) modulo all scalars."""
-    return set(_reps(q, _scalars(q)))
-
-
 def projective_element_order(q: int, g: Mat) -> int:
     """Order of g in the projective group SL/{scalars}."""
     return _order(q, g, _scalars(q))

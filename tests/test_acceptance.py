@@ -111,6 +111,25 @@ def test_deck_check_catches_a_wrong_scaling(monkeypatch):
     assert failed_checks("canonical") == {"deck matrices preserve the ideal": "2"}
 
 
+@pytest.mark.parametrize("old, new", [
+    # transporters to the exponent-2 orbit: still eight, but the wrong ones
+    ("maps_between_cusps(8, one[0], a[0])",
+     "maps_between_cusps(8, one[0], next(t.orbit for t in terms if t.exponent == 2)[0])"),
+    # an orbit map that fixes the exponent-1 pair
+    (" | {one: a, a: one}", ""),
+])
+def test_swap_check_catches_a_wrong_swap(monkeypatch, old, new):
+    monkeypatch.setattr(cli, "_level8_swap", mutant(cli._level8_swap, old, new))
+    assert failed_checks("canonical") == {"transporters swap and preserve orbits": "false"}
+
+
+def test_crosscheck_catches_a_wrong_sigma_count(monkeypatch):
+    sigma_count = canonical.sigma_count
+    monkeypatch.setattr(canonical, "sigma_count", lambda a: 7 if a == -1 else sigma_count(a))
+    assert failed_checks("canonical") == {"sigma count at a=-1": "7",
+                                          "automorphism count crosscheck": "false"}
+
+
 def test_criterion_02_formula_vs_oracle():
     kinds = ("psl count", "cusp count", "orbit count", "widths", "width sum",
              "width distribution")
@@ -131,8 +150,8 @@ def test_criterion_07_order_table():
 
 
 def test_criterion_03_rotation_table():
-    assert rotation_table(8, 1) == [("1/0", 1, 1, 1), ("3/8", 1, 1, 1),
-                                    ("1/4", 2, 1, 2), ("1/2", 4, 1, 4)]
+    assert rotation_table(8, build_equation(8, 1)) == [
+        ("1/0", 1, 1, 1), ("3/8", 1, 1, 1), ("1/4", 2, 1, 2), ("1/2", 4, 1, 4)]
     report(3, "level-8 rotation numbers and exponents")
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from modcurve.arith import (Cyclotomic, GaussRational, GAUSS_I, check_step,
                             divisors, exact_int, ext_gcd, factorize, is_prime,
-                            mult_n, n1, n2, n3, solve_unit_congruence)
+                            mult_n, n3, solve_unit_congruence)
 from modcurve.canonical import MPoly
 from modcurve.poly import Poly
 
@@ -158,16 +158,6 @@ class TestMultN:
 
 
 class TestCountingFactors:
-    def test_n1(self):
-        assert n1(2, 0) == 1
-        assert n1(2, 3) == 12
-        assert n1(5, 1) == 6
-
-    def test_n2(self):
-        assert n2(5, 1, 1) == Fraction(25, 6)
-        assert n2(2, 3, 0) == Fraction(2, 3)
-        assert n2(2, 3, 2) == Fraction(4, 3)
-
     def test_n3_boundaries(self):
         assert n3(2, 3, 0) == Fraction(2, 3)
         assert n3(2, 3, 3) == Fraction(2, 3)
@@ -177,7 +167,7 @@ class TestCountingFactors:
         with pytest.raises(ValueError):
             n3(2, 3, 4)
         with pytest.raises(ValueError):
-            n2(4, 2, 1)  # 4 is not prime
+            n3(4, 2, 1)  # 4 is not prime
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])

@@ -12,8 +12,7 @@ from modcurve.canonical import (EliminationError, MPoly, _at_root, deck_matrix,
                                 elimination_solve, embed_point,
                                 hyperellipticity_obstruction, image_of_a,
                                 image_of_one, images_of_infinity,
-                                images_of_zero,
-                                automorphism_count_crosscheck, map_quadric,
+                                images_of_zero, map_quadric,
                                 quadric_forms, quadric_residuals,
                                 reduce_by_span, sigma_family, sigma_matrix,
                                 sigma_preserves_ideal, transform_quadric)
@@ -240,9 +239,6 @@ class TestOcticCheck:
 
 
 class TestCrossChecks:
-    def test_counts_agree(self):
-        assert automorphism_count_crosscheck()
-
     def test_hyperellipticity_obstruction(self):
         report = hyperellipticity_obstruction()
         assert report["sign_center_size"] == 2

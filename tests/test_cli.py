@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcurve.canonical import EliminationError
-from modcurve.cli import build_parser, cmd_cusps, main, parse_cusp, run_suite
+from modcurve.cli import (_level8_swap, build_parser, cmd_cusps, main, parse_cusp,
+                          run_suite)
 from modcurve.golden import load_golden
 
 
@@ -210,6 +211,19 @@ class TestEquationCommand:
         assert err.strip() == (f"unsupported: constant solving is only established "
                                f"for level 8; level {q} constants remain undetermined")
 
+    def test_one_build_per_run(self, capsys, monkeypatch):
+        from modcurve import cli, equation
+
+        real, calls = equation.build_equation, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        for module in (cli, equation):
+            monkeypatch.setattr(module, "build_equation", counted)
+        status, _, _ = run(capsys, "equation", "--q", "8", "--normalize")
+        assert status == 0 and calls == [(8, 1)]
+
     def test_solving_rational_level(self, capsys):
         status, out, _ = run(capsys, "equation", "--q", "3", "--solve-constants")
         assert status == 0 and out.splitlines()[0] == "y = 0"
@@ -285,6 +299,13 @@ class TestCanonicalCommand:
         status, out, _ = run(capsys, "canonical")
         assert status == 0
         assert "a = -1" in out and "valid sigma matrices: 8" in out
+
+    def test_level8_swap(self):
+        # the exponent-1 classes (1, 0) and (3, 0) trade places, nothing else moves
+        movers, perm = _level8_swap()
+        assert len(movers) == 8
+        assert {o: i for o, i in perm.items() if o != i} == {((1, 0),): ((3, 0),),
+                                                            ((3, 0),): ((1, 0),)}
 
     def test_json_keeps_elimination_steps(self, capsys):
         status, out, _ = run(capsys, "--format", "json", "canonical")

@@ -11,7 +11,7 @@ import pytest
 from modcurve import cli, curve
 from modcurve.curve import (INF, AffinePoint, BranchPoint, InfinityPoint,
                             LiftCertificate, Monomial,
-                            SemiHyperellipticCurve, curve_genus, deck_transform,
+                            SemiHyperellipticCurve, curve_genus,
                             differential_order,
                             holomorphic_basis, moebius_lift_check,
                             octic_family, octic_model, octic_to_quartic_maps,
@@ -263,31 +263,6 @@ class TestRotationAtBranch:
             assert rotation_at_branch(curve, 0) == RotationNumber(1, 1)
 
 
-class TestDeckTransform:
-    def test_affine_order(self):
-        curve = octic_model()
-        pt = AffinePoint(2 + 0j, (12 + 0j) ** (1 / 8))
-        cur = pt
-        for k in range(1, 8):
-            cur = deck_transform(curve, cur)
-            assert abs(cur.y - pt.y) > 1e-6
-        cur = deck_transform(curve, cur)
-        assert abs(cur.y - pt.y) < 1e-9 and cur.x == pt.x
-
-    def test_fixed_points(self):
-        curve = octic_model()
-        assert deck_transform(curve, BranchPoint(1, 1)) == BranchPoint(1, 1)
-
-    def test_infinity_cycle(self):
-        curve = octic_model()
-        seen = []
-        pt = InfinityPoint(1)
-        for _ in range(4):
-            seen.append(pt.sheet)
-            pt = deck_transform(curve, pt)
-        assert seen == [1, 2, 3, 4] and pt == InfinityPoint(1)
-
-
 class TestLiftCheck:
     def test_negation_lifts(self):
         cert = moebius_lift_check(octic_model(), MoebiusMap.scaling(-1))
@@ -462,6 +437,9 @@ equation.rotation_of_class = lambda q, n, cls: equation.RotationNumber(1, next(k
 print(attempt(equation.build_equation, 8, 1))
 equation.rotation_of_class = lambda q, n, cls: equation.RotationNumber(7, 1)
 print(attempt(equation.build_equation, 8, 1))
+# 2 is not a unit mod 8, so the exponent 2 misses orbit length 1
+equation.solve_unit_congruence = lambda a, m: 2
+print(attempt(equation.exponent_from_rotation, 8, equation.RotationNumber(1, 1)))
 """
 
     def test_checks_raise_under_optimize(self):
@@ -469,4 +447,4 @@ print(attempt(equation.build_equation, 8, 1))
         proc = subprocess.run([sys.executable, "-O", "-c", self.OPTIMIZED],
                               capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONPATH": src})
-        assert proc.stdout.split() == ["RuntimeError"] * 3
+        assert proc.stdout.split() == ["RuntimeError"] * 4

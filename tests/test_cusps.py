@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from modcurve.arith import divisors, n2
-from modcurve.cusps import (class_to_cusp, cusp_canonical,
+from modcurve.arith import divisors
+from modcurve.cusps import (_complete_to_unimodular, class_to_cusp, cusp_canonical,
                             enumerate_cusps, find_equivalence_witness,
                             h_formula, h_n_formula, orbit_width_sum,
                             orbit_rep, tau_orbits,
@@ -24,6 +24,16 @@ def orbit_width_sum_check(q: int, n: int, orbit: tuple) -> bool:
 
 def width_sum_matches_index(q: int, n: int) -> bool:
     return orbit_width_sum(q, n) == r_n_formula(q, n)
+
+
+def n2(p_i: int, r_i: int, j: int) -> Fraction:
+    """Per-prime factor counting level-q classes of width n * p_i^j inside
+    the full cusp set (p = q/n = prod p_i^r_i)."""
+    if j == 0:
+        return Fraction(p_i, p_i + 1)
+    if j == r_i:
+        return Fraction(p_i ** (r_i + 1), p_i + 1)
+    return Fraction((p_i - 1) * p_i**j, p_i + 1)
 
 
 def _reference_classes(q: int) -> set:
@@ -95,6 +105,11 @@ class TestWitness:
 
     def test_inequivalent(self):
         assert find_equivalence_witness(8, (1, 4), (3, 4)) is None
+
+    def test_completion_rejects_unreduced(self):
+        # a RuntimeError, not an assert, so python -O keeps the check
+        with pytest.raises(RuntimeError):
+            _complete_to_unimodular(2, 4)
 
     @pytest.mark.parametrize("q", [5, 7, 8, 9])
     def test_witness_iff_same_class(self, q):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from modcurve import equation
 from modcurve.arith import divisors
 from modcurve.cusps import cusp_canonical, tau_orbits
 from modcurve.curve import SemiHyperellipticCurve, curve_genus
@@ -87,6 +88,12 @@ class TestExponents:
         with pytest.raises(ValueError):
             exponent_from_rotation(8, RotationNumber(8, 0))
 
+    def test_wrong_solution_raises(self, monkeypatch):
+        # a RuntimeError, not an assert, so python -O keeps the check
+        monkeypatch.setattr(equation, "solve_unit_congruence", lambda a, m: 2)
+        with pytest.raises(RuntimeError):
+            exponent_from_rotation(8, RotationNumber(1, 1))
+
 
 class TestBuildEquation:
     @pytest.mark.parametrize("q,multiset", [
@@ -130,8 +137,8 @@ class TestBuildEquation:
             build_equation(q, n)
 
     def test_table2(self):
-        assert rotation_table(8, 1) == [("1/0", 1, 1, 1), ("3/8", 1, 1, 1),
-                                        ("1/4", 2, 1, 2), ("1/2", 4, 1, 4)]
+        assert rotation_table(8, build_equation(8, 1)) == [
+            ("1/0", 1, 1, 1), ("3/8", 1, 1, 1), ("1/4", 2, 1, 2), ("1/2", 4, 1, 4)]
 
     @pytest.mark.parametrize("q", [6, 7, 8, 9, 10, 12])
     def test_curve_genus_matches(self, q):

@@ -7,7 +7,7 @@ from modcurve import psl
 from modcurve.cusps import cusp_canonical, enumerate_cusps
 from modcurve.genus import genus_q, hurwitz_deficiency
 from modcurve.psl import (center, cusp_action, cusp_class_action,
-                          element_order, enumerate_psl, enumerate_projective,
+                          element_order, enumerate_psl,
                           gamma_qn_member, maps_between_cusps,
                           max_element_order, max_order_formula,
                           projective_element_order, r_formula,
@@ -95,6 +95,11 @@ class TestCenter:
 
     def test_projective_size(self):
         assert len(enumerate_projective(8)) == 96
+
+
+def enumerate_projective(q):
+    """SL(2, Z/qZ) modulo all scalars, from the library's generator."""
+    return set(psl._reps(q, psl._scalars(q)))
 
 
 def enumerate_sl(q):
