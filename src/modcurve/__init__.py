@@ -15,8 +15,8 @@ from .curve import (INF, Monomial, MoebiusMap, SemiHyperellipticCurve,
                     verify_isomorphism_numeric)
 from .equation import (RotationNumber, SemiHyperellipticEquation,
                        build_equation, equation_string, exponent_from_rotation,
-                       normalize_equation, normalize_with_convention,
-                       rotation_from_exponent, rotation_number)
+                       normalize_with_convention, rotation_from_exponent,
+                       rotation_number)
 from .genus import (euler_genus, genus_prime_quotient, genus_q, genus_qn,
                     hurwitz_deficiency, is_semihyperelliptic_level)
 from .psl import (center, cusp_action, element_order, enumerate_psl,

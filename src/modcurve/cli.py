@@ -393,28 +393,13 @@ def cmd_equation(args) -> tuple[dict, list[str], int]:
 
 
 def _solve_constant(eq: SemiHyperellipticEquation) -> tuple[str, list]:
-    """The first undetermined label of eq and the values of it for which a
-    swap of two branch points lifts to the curve."""
+    """The first undetermined label of eq and the values of it for which the
+    swap of the two branch points of exponent 1, infinity included, lifts
+    to the curve.  _level8_swap states the same pair on the group side, as
+    the two exponent-1 orbits of the raw equation."""
     curve = SemiHyperellipticCurve.from_equation(eq)
-    label = undetermined_labels(eq)[0]
-    return label, solve_branch_constant(curve, _swap_demand(curve, label))
-
-
-def _swap_demand(curve: SemiHyperellipticCurve, label: str) -> tuple:
-    """Two branch points sharing an exponent, preferring a pair that contains
-    the symbolic one (the demanded automorphism swaps them).  The infinity
-    point takes part when it is branched."""
-    by_exp: dict[int, list] = {}
-    for v, m in curve.branch_map().items():
-        by_exp.setdefault(m, []).append(v)
-    sym_exp = next(m for v, m in curve.branches if v == label)
-    if len(by_exp.get(sym_exp, [])) == 2:
-        u, v = by_exp[sym_exp]
-        return (u, v)
-    pairs = [vals for vals in by_exp.values() if len(vals) == 2]
-    if not pairs:
-        raise UnsupportedError("no swappable pair of branch points")
-    return tuple(pairs[0])
+    demand = tuple(v for v, m in curve.branch_map().items() if m == 1)
+    return undetermined_labels(eq)[0], solve_branch_constant(curve, demand)
 
 
 def cmd_group(args) -> tuple[dict, list[str], int]:

@@ -12,9 +12,10 @@ level-q curve (p = q/n, q >= 5):
     the orbit length and k * (m / gcd(p, m)) = 1 mod (p / gcd(p, m)).
 
 Branched orbits are exactly those of size < p, and the exponent sum over
-them is divisible by p.  Normalization sends three chosen orbits to
-infinity, 0 and 1 (the only two, at level 5, to infinity and 0); leftover
-branch values stay symbolic.
+them is divisible by p.  One normalization path serves every level: it
+sorts the terms once and sends three of them to infinity, 0 and 1, and the
+leftover branch values stay symbolic.  At level 5 it runs out of terms after
+infinity and 0, so the two-orbit case needs no rule of its own.
 """
 
 from __future__ import annotations
@@ -143,13 +144,8 @@ def build_equation(q: int, n: int) -> SemiHyperellipticEquation:
         if rots or rot.orbit_len != len(orbit):
             raise RuntimeError("rotation number must be constant on an orbit")
         m = exponent_from_rotation(p, rot)
-        terms.append(BranchTerm(exponent=m, orbit=orbit, rotation=rot))
-    eq = SemiHyperellipticEquation(
-        p=p,
-        terms=tuple(BranchTerm(t.exponent, f"a{i + 1}", t.orbit, t.rotation)
-                    for i, t in enumerate(terms)),
-    )
-    return eq
+        terms.append(BranchTerm(m, f"a{len(terms) + 1}", orbit, rot))
+    return SemiHyperellipticEquation(p=p, terms=tuple(terms))
 
 
 def rotation_table(q: int, eq: SemiHyperellipticEquation) -> list[tuple[str, int, int, int]]:
@@ -162,67 +158,38 @@ def rotation_table(q: int, eq: SemiHyperellipticEquation) -> list[tuple[str, int
 CONVENTIONS = ("gcd", "ascending", "minimal")
 
 
-def normalize_equation(eq: SemiHyperellipticEquation, to_inf: int,
-                       to_zero: int, to_one: int) -> SemiHyperellipticEquation:
-    """Send the term with index to_inf to infinity, to_zero to x = 0 and
-    to_one to x = 1; leftover terms get symbolic labels.  The three indices
-    must be distinct positions in eq.terms."""
-    idxs = (to_inf, to_zero, to_one)
-    if len(set(idxs)) != 3 or not all(0 <= i < len(eq.terms) for i in idxs):
-        raise ValueError(f"need three distinct term indices out of {len(eq.terms)}")
-    rest = sorted((t for i, t in enumerate(eq.terms) if i not in idxs),
-                  key=lambda t: (t.exponent, t.orbit or ()))
-    new_terms = [replace(eq.terms[to_zero], label=Fraction(0)),
-                 replace(eq.terms[to_one], label=Fraction(1))]
-    letter = {9: "p", 10: "q", 12: "r"}.get(eq.p, "a")
-    for i, t in enumerate(rest):
-        label = "a" if (len(rest) == 1 and letter == "a") else f"{letter}{i + 1}"
-        new_terms.append(replace(t, label=label))
-    return SemiHyperellipticEquation(
-        p=eq.p, terms=tuple(new_terms),
-        inf_exponent=eq.terms[to_inf].exponent)
-
-
 def normalize_with_convention(eq: SemiHyperellipticEquation,
                               convention: str = "gcd") -> SemiHyperellipticEquation:
-    """Pick the normalization targets by a named convention.
+    """Send one branch orbit to infinity, one to x = 0 and one to x = 1 by a
+    named convention; leftover terms get symbolic labels.
 
-    "gcd":       largest exponent to infinity, then the largest
-                 gcd(p, m) to zero, the rest ascending;
-    "ascending": largest exponent to infinity, the rest ascending;
-    "minimal":   smallest exponent to infinity, the rest ascending.
-
-    No choice is canonical; different presentations in the literature use
-    different ones, so the convention stays caller-selectable.  With only
-    two branch orbits (level 5) infinity and zero use them up: under every
-    convention the larger exponent goes to infinity and the other to 0.
+    The terms are sorted once by (exponent, orbit).  Infinity takes the last
+    term, or under "minimal" with three or more terms the first.  Zero takes
+    the first remaining term, or under "gcd" the first with the largest
+    gcd(p, m).  x = 1 takes the next term, if one is left, and the rest keep
+    their order.  No choice is canonical; different presentations in the
+    literature use different ones, so the convention stays caller-selectable.
+    With only two branch orbits (level 5) infinity and zero use them up: the
+    larger exponent goes to infinity and the other to 0.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
-    if len(eq.terms) == 2:
-        high, low = sorted(eq.terms, key=lambda t: -t.exponent)
-        return SemiHyperellipticEquation(p=eq.p, terms=(replace(low, label=Fraction(0)),),
-                                         inf_exponent=high.exponent)
     if len(eq.terms) < 2:
         raise ValueError("normalization conventions need at least 2 branch orbits")
-    order = sorted(range(len(eq.terms)),
-                   key=lambda i: (eq.terms[i].exponent, eq.terms[i].orbit or ()))
-    if convention == "minimal":
-        to_inf = order[0]
-    else:
-        to_inf = order[-1]
-    remaining = [i for i in order if i != to_inf]
-    if convention == "gcd":
-        # largest gcd(p, m) wins; ties fall back to the smallest exponent
-        to_zero = sorted(remaining,
-                         key=lambda i: (-math.gcd(eq.p, eq.terms[i].exponent),
-                                        eq.terms[i].exponent,
-                                        eq.terms[i].orbit or ()))[0]
-        remaining = [i for i in remaining if i != to_zero]
-    else:
-        to_zero = remaining.pop(0)
-    to_one = remaining[0]
-    return normalize_equation(eq, to_inf, to_zero, to_one)
+    rest = sorted(eq.terms, key=lambda t: (t.exponent, t.orbit or ()))
+    inf = rest.pop(0 if convention == "minimal" and len(rest) > 2 else -1)
+    at = 0
+    if convention == "gcd":  # max keeps the first of equal gcds
+        at = max(range(len(rest)), key=lambda i: math.gcd(eq.p, rest[i].exponent))
+    terms = [replace(rest.pop(at), label=Fraction(0))]
+    if rest:
+        terms.append(replace(rest.pop(0), label=Fraction(1)))
+    letter = {9: "p", 10: "q", 12: "r"}.get(eq.p, "a")
+    for i, t in enumerate(rest):
+        label = "a" if (len(rest) == 1 and letter == "a") else f"{letter}{i + 1}"
+        terms.append(replace(t, label=label))
+    return SemiHyperellipticEquation(p=eq.p, terms=tuple(terms),
+                                     inf_exponent=inf.exponent)
 
 
 def substitute_label(eq: SemiHyperellipticEquation, label: str,

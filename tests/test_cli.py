@@ -9,10 +9,15 @@ from hypothesis import given, settings, strategies as st
 from modcurve.canonical import EliminationError
 from modcurve.cli import (_level8_swap, build_parser, cmd_cusps, main, parse_cusp,
                           run_suite)
+from modcurve.equation import CONVENTIONS
 from modcurve.golden import load_golden
 
 
 DATA = Path(__file__).parent / "data"
+# each "$ modcurve ARGS" line of equations.txt is followed by the text output
+# of those ARGS, captured before every level shared one normalization path
+EQUATION_RUNS = re.split(r"^\$ modcurve (.*)\n", (DATA / "equations.txt").read_text(),
+                         flags=re.M)[1:]
 
 
 def run(capsys, *argv):
@@ -221,8 +226,22 @@ class TestEquationCommand:
             return real(*args)
         for module in (cli, equation):
             monkeypatch.setattr(module, "build_equation", counted)
-        status, _, _ = run(capsys, "equation", "--q", "8", "--normalize")
-        assert status == 0 and calls == [(8, 1)]
+        runs = [["equation", "--q", "8", "--normalize"], ["lift-solve", "--q", "8"]]
+        runs += [["equation", "--q", "8", "--solve-constants", "--convention", c]
+                 for c in CONVENTIONS]
+        for argv in runs:
+            calls.clear()
+            status, _, _ = run(capsys, *argv)
+            assert status == 0 and calls == [(8, 1)], argv
+
+    def test_pinned_runs(self):
+        assert len(EQUATION_RUNS) == 2 * 25
+
+    @pytest.mark.parametrize("argv, expect", zip(EQUATION_RUNS[::2], EQUATION_RUNS[1::2]),
+                             ids=EQUATION_RUNS[::2])
+    def test_output_pinned(self, capsys, argv, expect):
+        status, out, _ = run(capsys, *argv.split())
+        assert status == 0 and out == expect
 
     def test_solving_rational_level(self, capsys):
         status, out, _ = run(capsys, "equation", "--q", "3", "--solve-constants")

@@ -375,9 +375,25 @@ class TestHomogeneousLine:
             assert outcome(solve_branch_constant, fam, demand) == \
                 outcome(reference_solve, fam, demand), demand
 
-    def test_minimal_demand_contains_infinity(self):
-        fam = LEVEL8_FAMILIES["minimal"]
-        demand = cli._swap_demand(fam, "a")
+    def test_minimal_demand_contains_infinity(self, monkeypatch):
+        # under each convention the solver demands, in the normalized
+        # equation, the two orbits that _level8_swap's group elements trade;
+        # under "minimal" one of them went to infinity
+        demands = {}
+
+        def recorded(c, demand):
+            demands[conv] = demand
+            return solve_branch_constant(c, demand)
+        monkeypatch.setattr(cli, "solve_branch_constant", recorded)
+        swapped = [o for o, image in cli._level8_swap()[1].items() if o != image]
+        assert len(swapped) == 2
+        for conv in CONVENTIONS:
+            eq = normalize_with_convention(build_equation(8, 1), conv)
+            cli._solve_constant(eq)
+            labels = {t.orbit: t.label for t in eq.terms}
+            assert len(demands[conv]) == 2
+            assert set(demands[conv]) == {labels.get(o, INF) for o in swapped}, conv
+        fam, demand = LEVEL8_FAMILIES["minimal"], demands["minimal"]
         assert INF in demand
         assert solve_branch_constant(fam, demand) == reference_solve(fam, demand) \
             == [Fraction(-1)]

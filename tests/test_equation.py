@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,13 +10,74 @@ from modcurve import equation
 from modcurve.arith import divisors
 from modcurve.cusps import cusp_canonical, tau_orbits
 from modcurve.curve import SemiHyperellipticCurve, curve_genus
-from modcurve.equation import (RotationNumber, build_equation, equation_string,
-                               exponent_from_rotation, normalize_equation,
+from modcurve.equation import (BranchTerm, RotationNumber, build_equation,
+                               equation_string, exponent_from_rotation,
                                normalize_with_convention, rotation_from_exponent,
                                rotation_number, rotation_of_class,
                                rotation_table, substitute_label, CONVENTIONS,
                                SemiHyperellipticEquation)
-from modcurve.genus import genus_q
+from modcurve.genus import genus_q, genus_qn
+
+
+def reference_normalize_equation(eq, to_inf, to_zero, to_one):
+    """The index-based normalizer the library kept before every level went
+    through normalize_with_convention's one path."""
+    idxs = (to_inf, to_zero, to_one)
+    if len(set(idxs)) != 3 or not all(0 <= i < len(eq.terms) for i in idxs):
+        raise ValueError(f"need three distinct term indices out of {len(eq.terms)}")
+    rest = sorted((t for i, t in enumerate(eq.terms) if i not in idxs),
+                  key=lambda t: (t.exponent, t.orbit or ()))
+    new_terms = [replace(eq.terms[to_zero], label=Fraction(0)),
+                 replace(eq.terms[to_one], label=Fraction(1))]
+    letter = {9: "p", 10: "q", 12: "r"}.get(eq.p, "a")
+    for i, t in enumerate(rest):
+        label = "a" if (len(rest) == 1 and letter == "a") else f"{letter}{i + 1}"
+        new_terms.append(replace(t, label=label))
+    return SemiHyperellipticEquation(
+        p=eq.p, terms=tuple(new_terms),
+        inf_exponent=eq.terms[to_inf].exponent)
+
+
+def reference_normalize(eq, convention="gcd"):
+    """normalize_with_convention as it was, with its own two-orbit branch:
+    target indices picked by convention, then reference_normalize_equation."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
+    if len(eq.terms) == 2:
+        high, low = sorted(eq.terms, key=lambda t: -t.exponent)
+        return SemiHyperellipticEquation(p=eq.p, terms=(replace(low, label=Fraction(0)),),
+                                         inf_exponent=high.exponent)
+    if len(eq.terms) < 2:
+        raise ValueError("normalization conventions need at least 2 branch orbits")
+    order = sorted(range(len(eq.terms)),
+                   key=lambda i: (eq.terms[i].exponent, eq.terms[i].orbit or ()))
+    if convention == "minimal":
+        to_inf = order[0]
+    else:
+        to_inf = order[-1]
+    remaining = [i for i in order if i != to_inf]
+    if convention == "gcd":
+        to_zero = sorted(remaining,
+                         key=lambda i: (-math.gcd(eq.p, eq.terms[i].exponent),
+                                        eq.terms[i].exponent,
+                                        eq.terms[i].orbit or ()))[0]
+        remaining = [i for i in remaining if i != to_zero]
+    else:
+        to_zero = remaining.pop(0)
+    to_one = remaining[0]
+    return reference_normalize_equation(eq, to_inf, to_zero, to_one)
+
+
+# every (q, n) with a genus-zero translation quotient and q <= 40
+GENUS_ZERO = [(q, n) for q in range(5, 41) for n in divisors(q)
+              if n < q and genus_qn(q, n) == 0]
+
+
+def tagged(p, exponents):
+    """A hand-built equation with no orbits; each term's rotation field is a
+    tag, so the test can tell which of two equal exponents went where."""
+    return SemiHyperellipticEquation(p=p, terms=tuple(
+        BranchTerm(m, rotation=RotationNumber(i, 0)) for i, m in enumerate(exponents)))
 
 
 class TestRotationNumber:
@@ -176,16 +239,48 @@ class TestNormalization:
             normalized = normalize_with_convention(raw, convention)
             assert normalized.exponent_multiset == raw.exponent_multiset
 
-    def test_explicit_indices(self):
-        raw = build_equation(8, 1)
-        by_m = {t.exponent: i for i, t in enumerate(raw.terms)}
-        eq = normalize_equation(raw, by_m[4], by_m[2], by_m[1])
-        assert equation_string(eq) == "y^8 = x^2*(x-1)*(x-a)"
+    def test_genus_zero_quotients(self):
+        assert GENUS_ZERO == [(5, 1), (6, 1), (6, 2), (6, 3), (7, 1), (8, 1),
+                              (8, 2), (9, 1), (10, 1), (12, 1)]
 
-    def test_rejects_duplicate_targets(self):
-        raw = build_equation(8, 1)
-        with pytest.raises(ValueError):
-            normalize_equation(raw, 0, 0, 1)
+    @pytest.mark.parametrize("q,n", GENUS_ZERO)
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_matches_reference(self, q, n, convention):
+        raw = build_equation(q, n)
+        eq = normalize_with_convention(raw, convention)
+        ref = reference_normalize(raw, convention)
+        assert eq == ref and equation_string(eq) == equation_string(ref)
+
+    # ties in exponent with no orbit to break them, in every input order
+    @pytest.mark.parametrize("p,exponents", [
+        (4, (1, 1, 1, 1)), (9, (3, 3, 3)), (6, (1, 1, 1, 1, 2)),
+        (12, (2, 2, 2, 3, 3)), (8, (2, 1, 1, 2, 1, 1)), (10, (5, 2, 2, 5, 2, 4)),
+    ])
+    def test_orbitless_ties_match_reference(self, p, exponents):
+        base = tagged(p, exponents).terms
+        for terms in itertools.permutations(base):
+            raw = SemiHyperellipticEquation(p=p, terms=terms)
+            for convention in CONVENTIONS:
+                assert normalize_with_convention(raw, convention) == \
+                    reference_normalize(raw, convention), (terms, convention)
+
+    def test_two_orbit_tie_breaks_by_orbit(self):
+        # the one change from the old level-5 branch, which kept the input
+        # order: two equal exponents now send the later (exponent, orbit) to
+        # infinity, as three or more terms always did
+        eq = tagged(4, (2, 2))
+        with_orbits = SemiHyperellipticEquation(p=4, terms=(
+            BranchTerm(2, orbit=((2, 0),)), BranchTerm(2, orbit=((1, 0),))))
+        for convention in CONVENTIONS:
+            assert normalize_with_convention(eq, convention) == SemiHyperellipticEquation(
+                p=4, terms=(BranchTerm(2, Fraction(0), rotation=RotationNumber(0, 0)),),
+                inf_exponent=2)
+            assert normalize_with_convention(with_orbits, convention).terms == \
+                (BranchTerm(2, Fraction(0), ((1, 0),)),)
+
+    def test_labels_follow_build_order(self):
+        eq = build_equation(12, 1)
+        assert [t.label for t in eq.terms] == [f"a{i}" for i in range(1, 9)]
 
     def test_substitution(self):
         eq = normalize_with_convention(build_equation(8, 1))
