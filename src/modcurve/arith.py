@@ -177,7 +177,8 @@ class Cyclotomic(ExactRing):
 
     A quotient ring, not a field: good enough for verifying identities
     among d-th roots of unity without minimal-polynomial machinery.
-    Immutable; scalars (int, Fraction) coerce to constants.
+    Immutable; scalars (int, Fraction) coerce to constants, scale the
+    coefficients directly in a product, and a product by 1 is the operand.
     """
 
     __slots__ = ("d", "coeffs")
@@ -230,6 +231,8 @@ class Cyclotomic(ExactRing):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if other == 1:  # immutable, so the operand itself is the product
+                return self
             return Cyclotomic(self.d, [a * other if a else 0 for a in self.coeffs])
         o = self._coerce(other)
         if o is None:

@@ -25,7 +25,11 @@ condition on the 15 quadratic-monomial coefficients with the three square
 terms forcing the multipliers.  The elimination pulls each quadric back
 once and substitutes each solved entry into the remainders, which commutes
 with pullback and reduction: both are polynomial and no form holds an entry.
-Zero and equality tests compare the canonical term dicts; ints stay int.
+Zero and equality tests compare the canonical term dicts; ints stay int,
+and an integral Fraction parameter enters the sigma test as an int.
+Scalar rules: a product by 1 is the (immutable) operand itself; MPoly and
+Cyclotomic scale each coefficient by any other int or Fraction directly,
+and Poly by a constant operand on either side.
 """
 
 from __future__ import annotations
@@ -179,7 +183,9 @@ def preserves_ideal(m, a) -> bool:
 
 def sigma_preserves_ideal(a, eta3: Cyclotomic) -> bool:
     """Exact ideal-preservation test for the candidate matrix over
-    Z[t]/(t^8 - 1)."""
+    Z[t]/(t^8 - 1).  An integral Fraction a enters as an int."""
+    if isinstance(a, Fraction) and a.denominator == 1:
+        a = int(a)
     return preserves_ideal(sigma_matrix(a, eta3), a)
 
 
@@ -256,6 +262,11 @@ class MPoly(ExactRing):
         return MPoly._canonical({k: -p for k, p in self.terms.items()})
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
+            return MPoly._canonical({k: p * other for k, p in self.terms.items()}
+                                    if other else {})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -331,12 +342,14 @@ def _expect(cond: bool, step: str):
 def _at_root(mp: MPoly, j: int, step: str) -> Cyclotomic:
     """The ring map c33 -> t^j into Z[t]/(t^8 - 1), on an MPoly in c33 alone
     with constant coefficients; any other term fails step.  At j = 1 its
-    kernel is (c33^8 - 1), so a zero image is vanishing modulo c33^8 = 1."""
-    out = Cyclotomic.scalar(8, 0)
+    kernel is (c33^8 - 1), so a zero image is vanishing modulo c33^8 = 1.
+    Each term c33^k adds its constant at index j*k mod 8 of one list."""
+    out = [0] * 8
     for key, poly in mp.terms.items():
         _expect(set(key) <= {"c33"} and poly.degree == 0, step)
-        out = out + poly(0) * Cyclotomic.root(8, j * len(key))
-    return out
+        k = j * len(key) % 8
+        out[k] = out[k] + poly.coeffs[0]
+    return Cyclotomic(8, out)
 
 
 def elimination_solve() -> EliminationResult:

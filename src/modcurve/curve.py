@@ -95,14 +95,6 @@ class SemiHyperellipticCurve:
             out[INF] = self.inf_exponent
         return out
 
-    def rhs_at(self, x: complex) -> complex:
-        out = complex(1)
-        for v, m in self.branches:
-            if isinstance(v, str):
-                raise TypeError(f"symbolic branch value {v!r} cannot be evaluated")
-            out *= (x - complex(v)) ** m
-        return out
-
 
 @dataclass(frozen=True)
 class BranchPoint:
@@ -402,6 +394,13 @@ def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _rhs(branches: list[tuple[complex, int]], x: complex) -> complex:
+    out = complex(1)
+    for v, m in branches:
+        out *= (x - v) ** m
+    return out
+
+
 def verify_isomorphism_numeric(c1: SemiHyperellipticCurve,
                                c2: SemiHyperellipticCurve,
                                forward: Callable,
@@ -412,9 +411,16 @@ def verify_isomorphism_numeric(c1: SemiHyperellipticCurve,
     """Push sampled points of c1 through the map and report the worst
     relative failure of c2's equation (and of the round trip, when an
     inverse is supplied).  Sampling avoids a 1e-3 neighborhood of the
-    branch values; the generator is seeded for reproducibility."""
+    branch values; the generator is seeded for reproducibility.  Branch
+    values and the p-th roots of unity are converted once per call."""
+    if samples < 1:
+        raise ValueError(f"samples = {samples} must be at least 1")
     rng = random.Random(seed)
-    branch_xs = [complex(v) for v, _ in c1.branches]
+    for v, _ in c1.branches + c2.branches:
+        if isinstance(v, str):
+            raise TypeError(f"symbolic branch value {v!r} cannot be evaluated")
+    b1, b2 = ([(complex(v), m) for v, m in c.branches] for c in (c1, c2))
+    turns = [cmath.exp(2j * cmath.pi * j / c1.p) for j in range(c1.p)]
     max_res = 0.0
     max_rt = 0.0 if inverse is not None else None
     count = 0
@@ -424,29 +430,28 @@ def verify_isomorphism_numeric(c1: SemiHyperellipticCurve,
         if attempts > 1000 * samples:
             raise RuntimeError("sampling keeps hitting excluded regions")
         x = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        if any(abs(x - b) < 1e-3 for b in branch_xs):
+        if any(abs(x - b) < 1e-3 for b, _ in b1):
             continue
-        y0 = c1.rhs_at(x) ** (1.0 / c1.p)
-        for j in range(c1.p):
+        y0 = _rhs(b1, x) ** (1.0 / c1.p)
+        for turn in turns:
             if count >= samples:
                 break
-            y = y0 * cmath.exp(2j * cmath.pi * j / c1.p)
+            y = y0 * turn
             big_x, big_y = forward(x, y)
-            res = _rel(big_y ** c2.p, c2.rhs_at(big_x))
+            res = _rel(big_y ** c2.p, _rhs(b2, big_x))
             max_res = max(max_res, res)
             if inverse is not None:
                 x_back, y_back = inverse(big_x, big_y)
                 rt = max(_rel(x_back, x), _rel(y_back, y))
                 max_rt = max(max_rt, rt)
             count += 1
-    report = {
+    return {
         "samples": count,
         "max_residual": max_res,
         "max_roundtrip": max_rt,
         "tol": tol,
         "pass": max_res < tol and (max_rt is None or max_rt < tol),
     }
-    return report
 
 
 def octic_model() -> SemiHyperellipticCurve:

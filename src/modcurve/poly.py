@@ -67,6 +67,15 @@ class Poly(ExactRing):
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return Poly([])
+        # a constant operand scales, and 1 returns the (immutable) other; the
+        # constructor strips the zeros that a ring with zero divisors
+        # (Cyclotomic) can leave at the top
+        if len(o.coeffs) == 1:
+            c = o.coeffs[0]
+            return self if c == 1 else Poly([a * c for a in self.coeffs])
+        if len(self.coeffs) == 1:
+            c = self.coeffs[0]
+            return o if c == 1 else Poly([c * b for b in o.coeffs])
         out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:

@@ -228,6 +228,12 @@ class TestCyclotomic:
         assert (x * s).coeffs == (x * Cyclotomic.scalar(8, s)).coeffs
         assert (s * x).coeffs == (Cyclotomic.scalar(8, s) * x).coeffs
 
+    @given(CYCLO8, st.sampled_from([1, Fraction(1)]))
+    def test_product_by_one_is_the_operand(self, x, one):
+        general = x * Cyclotomic.scalar(8, one)
+        assert x * one is x and one * x is x
+        assert (x * one).coeffs == general.coeffs
+
     def test_equality_across_moduli(self):
         assert len({Cyclotomic.scalar(8, 1), Cyclotomic.scalar(4, 1)}) == 1
         assert Cyclotomic.root(8, 1) != Cyclotomic.root(4, 1)

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from modcurve import canonical
 from modcurve.arith import Cyclotomic, GAUSS_I, GaussRational
-from modcurve.canonical import (EliminationError, MPoly, _at_root, deck_matrix,
-                                elimination_solve, embed_point,
+from modcurve.canonical import (EliminationError, MPoly, _at_root, _expect,
+                                deck_matrix, elimination_solve, embed_point,
                                 hyperellipticity_obstruction, image_of_a,
                                 image_of_one, images_of_infinity,
-                                images_of_zero, map_quadric,
+                                images_of_zero, map_quadric, preserves_ideal,
                                 quadric_forms, quadric_residuals,
                                 reduce_by_span, sigma_family, sigma_matrix,
                                 sigma_preserves_ideal, transform_quadric)
@@ -141,6 +141,25 @@ class TestSigma:
         assert eta2 * eta2 == eta1
         assert eta1 * eta1 == 1
 
+    # an integral Fraction enters as an int; the answer is the general
+    # path's, the matrix and the forms built from a as given
+    @given(st.one_of(st.integers(-3, 3).map(Fraction), SCALARS), st.integers(0, 7))
+    def test_fraction_parameter_is_the_general_path(self, a, j):
+        eta = Cyclotomic.root(8, j)
+        got = sigma_preserves_ideal(a, eta)
+        assert got == preserves_ideal(sigma_matrix(a, eta), a)
+        if a.denominator == 1:
+            assert got == sigma_preserves_ideal(int(a), eta)
+
+    def test_integral_fraction_enters_as_int(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(canonical, "preserves_ideal",
+                            lambda m, a: seen.append(a) or True)
+        sigma_preserves_ideal(Fraction(-1), Cyclotomic.root(8, 1))
+        sigma_preserves_ideal(Fraction(-3, 2), Cyclotomic.root(8, 1))
+        assert [type(a) for a in seen] == [int, Fraction]
+        assert seen == [-1, Fraction(-3, 2)]
+
     def test_family_closure(self):
         for j in range(8):
             for k in range(8):
@@ -238,6 +257,39 @@ class TestOcticCheck:
         assert capsys.readouterr().err.endswith(step + "\n")
 
 
+def at_root_reference(mp: MPoly, j: int, step: str) -> Cyclotomic:
+    """The ring map term by term: a scalar, a root, a product and a sum each."""
+    out = Cyclotomic.scalar(8, 0)
+    for key, poly in mp.terms.items():
+        _expect(set(key) <= {"c33"} and poly.degree == 0, step)
+        out = out + poly(0) * Cyclotomic.root(8, j * len(key))
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EliminationError as exc:
+        return str(exc)
+
+
+C33_MONOS = st.integers(0, 11).map(lambda k: ("c33",) * k)
+C33_ONLY = st.dictionaries(C33_MONOS, SCALARS, max_size=6).map(MPoly)
+FOREIGN = st.dictionaries(st.one_of(C33_MONOS, st.sampled_from([("c22",), ("c22", "c33")])),
+                          st.one_of(SCALARS, POLYS), max_size=4).map(MPoly)
+
+
+class TestAtRootReference:
+    @given(C33_ONLY, st.integers(0, 7))
+    def test_c33_polynomials_match(self, mp, j):
+        got, ref = _at_root(mp, j, "step"), at_root_reference(mp, j, "step")
+        assert got == ref and got.coeffs == ref.coeffs
+
+    @given(FOREIGN, st.integers(0, 7), st.sampled_from(["step", "Q3 remainder at (3, 4)"]))
+    def test_step_names_match(self, mp, j, step):
+        assert outcome(_at_root, mp, j, step) == outcome(at_root_reference, mp, j, step)
+
+
 class TestCrossChecks:
     def test_hyperellipticity_obstruction(self):
         report = hyperellipticity_obstruction()
@@ -287,6 +339,18 @@ class TestMPoly:
             assert all(list(k) == sorted(k) for k in r.terms)
             assert not any(p.is_zero() for p in r.terms.values())
             assert r.terms == MPoly(dict(r.terms)).terms
+
+    # the scalar path scales each Poly term; it must give the product by
+    # MPoly.const, stay canonical, and return the operand itself for 1
+    @given(MPOLYS, st.one_of(st.sampled_from([0, 1, Fraction(0), Fraction(1)]), SCALARS))
+    def test_scalar_product_is_the_const_product(self, x, s):
+        general = x * MPoly.const(s)
+        for got in (x * s, s * x):
+            assert got == general and got.terms == general.terms
+            assert all(list(k) == sorted(k) for k in got.terms)
+            assert not any(p.is_zero() for p in got.terms.values())
+        if s == 1:
+            assert x * s is x and s * x is x
 
     @given(MPOLYS, MPOLYS, st.sampled_from(["c11", "c22", "c33"]), MPOLYS)
     def test_subs_is_ring_map(self, x, y, name, value):

@@ -428,6 +428,40 @@ class TestNumericIsomorphism:
                                             lambda x, y: (x, y), samples=16)
         assert not report["pass"]
 
+    # float.hex of (max_residual, max_roundtrip) at 100 samples, from the
+    # evaluator that converted each branch value at every sample: converting
+    # once per call must not move a single bit
+    PINNED = {0: ("0x1.4b5eaf229077ep-48", "0x1.57acc7b5ad8f5p-49"),
+              1: ("0x1.9ca4ee1806a23p-48", "0x1.744a619c712efp-49"),
+              2: ("0x1.1bc9cdd4ca23ep-47", "0x1.09957850d7303p-48"),
+              3: ("0x1.5d2db3e956c3cp-47", "0x1.2b8574a58bba5p-48"),
+              4: ("0x1.eb065d439b19bp-48", "0x1.9d4d065f1837fp-49")}
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_reports_are_pinned_to_the_bit(self, seed):
+        forward, inverse = octic_to_quartic_maps()
+        report = verify_isomorphism_numeric(octic_model(), quartic_model(),
+                                            forward, inverse, samples=100,
+                                            tol=1e-9, seed=seed)
+        got = (report["max_residual"].hex(), report["max_roundtrip"].hex())
+        assert got == self.PINNED[seed]
+        assert report["samples"] == 100 and report["pass"]
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples_is_rejected_before_sampling(self, samples):
+        def never(x, y):
+            raise AssertionError("sampled")
+        with pytest.raises(ValueError, match="samples"):
+            verify_isomorphism_numeric(octic_model(), quartic_model(), never,
+                                       samples=samples)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_symbolic_branch_value_is_rejected(self, side):
+        curves = [octic_model(), quartic_model()]
+        curves[side] = octic_family()
+        with pytest.raises(TypeError, match="symbolic branch value 'a'"):
+            verify_isomorphism_numeric(*curves, lambda x, y: (x, y), samples=4)
+
 
 class TestChecksUnderOptimize:
     # python -O strips asserts; these checks raise, so they hold there too.

@@ -50,6 +50,44 @@ class TestEqualityFastPaths:
             assert hash(x) == hash(s)
 
 
+def product_by_definition(x: Poly, y: Poly) -> Poly:
+    """The schoolbook convolution, through the constructor."""
+    if x.is_zero() or y.is_zero():
+        return Poly([])
+    out = [0] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly(out)
+
+
+T = Cyclotomic.root(8)
+# 1 + t^4 and 1 - t^4 are zero divisors: their product is 0
+CYCLO = st.sampled_from([0, 1, -2, Fraction(1, 2), T, -T ** 3, 1 + T ** 4,
+                         1 - T ** 4, 2 - 2 * T ** 4, Cyclotomic.scalar(8, 0)])
+CONSTANTS = st.one_of(SCALARS, SCALARS.map(Poly.const), CYCLO.map(Poly.const))
+
+
+class TestConstantOperand:
+    # the constant-operand path scales the coefficients; it must give the
+    # schoolbook product, with the zeros left at the top stripped
+    @given(st.one_of(POLYS, st.lists(CYCLO, max_size=4).map(Poly)), CONSTANTS)
+    def test_constant_on_either_side_is_the_product(self, x, c):
+        poly_c = c if isinstance(c, Poly) else Poly.const(c)
+        expected = product_by_definition(x, poly_c)
+        for got in (x * c, c * x):
+            assert got == expected
+            assert not got.coeffs or not got.coeffs[-1] == 0
+            if poly_c == 1 and x.degree > 0:
+                assert got is x
+
+    def test_zero_divisors_strip_to_the_true_degree(self):
+        x = Poly([1, 1 + T ** 4])
+        got = x * Poly.const(1 - T ** 4)
+        assert got.degree == 0 and got == Poly.const(1 - T ** 4)
+        assert (Poly.const(1 + T ** 4) * Poly([0, 1 - T ** 4])).is_zero()
+
+
 class TestRationalRoots:
     def test_products_of_linear_factors(self):
         rng = random.Random(15)
