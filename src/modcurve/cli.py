@@ -406,12 +406,16 @@ def cmd_group(args) -> tuple[dict, list[str], int]:
     q = args.q
     result: dict = {"q": str(q)}
     lines = []
+    entries = cusps = None  # every argument is parsed before any group work
     if args.order is not None:
         try:
             a, b, c, d = (int(e) for e in args.order.split(","))
         except ValueError as exc:
             raise ValueError("--order wants four comma-separated integers") from exc
         entries = (a, b, c, d)
+    if args.cusp_maps is not None:
+        cusps = [cusp_canonical(q, parse_cusp(c)) for c in args.cusp_maps]
+    if entries is not None:
         order = element_order(q, entries)
         result["order"] = str(order)
         lines.append(f"order of {entries} mod {q}: {order}")
@@ -425,10 +429,8 @@ def cmd_group(args) -> tuple[dict, list[str], int]:
         cent = sorted(center(q))
         result["center"] = [",".join(map(str, m)) for m in cent]
         lines.append(f"center: {result['center']}")
-    if args.cusp_maps is not None:
-        c1 = cusp_canonical(q, parse_cusp(args.cusp_maps[0]))
-        c2 = cusp_canonical(q, parse_cusp(args.cusp_maps[1]))
-        movers = maps_between_cusps(q, c1, c2)
+    if cusps is not None:
+        movers = maps_between_cusps(q, *cusps)
         result["cusp_maps"] = [",".join(map(str, m)) for m in movers]
         lines.append(f"{len(movers)} elements map {args.cusp_maps[0]} "
                      f"to {args.cusp_maps[1]}")

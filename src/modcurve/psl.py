@@ -22,7 +22,10 @@ Enumeration is guarded at q <= 40 (|SL| grows like q^3).  Orders walk the
 powers of g = (a, b; c, d) by Cayley-Hamilton, g^2 = t*g - I with t = a + d:
 g^k = s_k*g - s_(k-1)*I for s_0 = 0, s_1 = 1, s_(k+1) = t*s_k - s_(k-1).  So
 g^k is scalar exactly when s_k*b, s_k*c and s_k*(a - d) vanish mod q, that is
-s_k = 0 mod m = q / gcd(q, b, c, a - d), with scalar s_k*a - s_(k-1).
+s_k = 0 mod m = q / gcd(q, b, c, a - d), with scalar s_k*a - s_(k-1).  The
+sequence s_k mod m is fixed by t mod m, so a class's projective order depends
+only on the pair (m, t mod m), and the max-order oracle walks each distinct
+pair once, after computing every class's pair from its own entries.
 """
 
 from __future__ import annotations
@@ -154,11 +157,15 @@ def max_element_order(q: int) -> int:
     Taken modulo all scalars: the sign quotient is bigger for some
     composite q and its longer elements (order 30 at level 15) are scalar
     multiples of shorter ones.  A scalar power has determinant lam^2 = 1,
-    so the order is the least k with s_k = 0 mod m, walked mod m."""
+    so the order is the least k with s_k = 0 mod m, walked mod m.  That walk
+    reads only m and t = a + d mod m, so every class gives its own pair and
+    each distinct pair is walked once (66 pairs for 5,760 classes at level
+    40, 30 for 12,180 at level 29)."""
+    pairs = {(m := q // math.gcd(q, b, c, a - d), (a + d) % m)
+             for a, b, c, d in _reps(q, _scalars(q))}
     best, steps = 0, range(1, 2 * q * q + 1)
-    for a, b, c, d in _reps(q, _scalars(q)):
-        m = q // math.gcd(q, b, c, a - d)
-        t, s0, s1 = (a + d) % m, 0, 1 % m
+    for m, t in pairs:
+        s0, s1 = 0, 1 % m
         for k in steps:
             if not s1:
                 break
@@ -171,7 +178,13 @@ def max_element_order(q: int) -> int:
 
 def _center_of(q: int, lams: tuple[int, ...]) -> set[Mat]:
     """The classes of SL modulo the scalars lams that commute with every
-    class, where g and h commute when gh = lam * hg for some lam."""
+    class, where g and h commute when gh = lam * hg for some lam.
+
+    A candidate g = (a, b; c, d) must first commute with T = (1, 1; 0, 1)
+    and S = (0, -1; 1, 0), which generate SL(2, Z) and so the group:
+    gT = lam * Tg reads a = lam(a + c), a + b = lam(b + d), c = lam c,
+    c + d = lam d, and gS = lam * Sg reads b = -lam c, a = lam d, d = lam a,
+    c = -lam b.  Each survivor is then checked against every class."""
     def commutes(g: Mat, hs) -> bool:
         a, b, c, d = g
         for e, f, x, y in hs:
@@ -186,8 +199,22 @@ def _center_of(q: int, lams: tuple[int, ...]) -> set[Mat]:
                 return False
         return True
 
-    group = _reps(q, lams)
-    cand = [g for g in group if commutes(g, [(1, 1, 0, 1), (0, q - 1, 1, 0)])]
+    group, cand = _reps(q, lams), []
+    for g in group:
+        a, b, c, d = g
+        for lam in lams:
+            if not ((lam * (a + c) - a) % q or (lam * (b + d) - a - b) % q
+                    or (lam * c - c) % q or (lam * d - c - d) % q):
+                break
+        else:
+            continue
+        for lam in lams:
+            if not ((b + lam * c) % q or (a - lam * d) % q
+                    or (d - lam * a) % q or (c + lam * b) % q):
+                break
+        else:
+            continue
+        cand.append(g)
     return {g for g in cand if commutes(g, group)}
 
 
@@ -245,6 +272,15 @@ def cusp_class_action(q: int, m: Mat, cls: tuple[int, int]) -> tuple[int, int]:
 
 
 def maps_between_cusps(q: int, c1: tuple[int, int], c2: tuple[int, int]) -> list[Mat]:
-    """All PSL(2, Z/qZ) elements whose cusp-class action sends c1 to c2."""
-    return sorted(g for g in _reps(q, _signs(q))
-                  if cusp_class_action(q, g, c1) == c2)
+    """All PSL(2, Z/qZ) elements whose cusp-class action sends c1 to c2.
+
+    Both must be canonical level-q classes: coprime to q and the lesser of
+    +-(x, z) mod q, so fixed by the identity's class action.  Then an image
+    lands in c2's class exactly when it is c2 or -c2 mod q."""
+    check_step(q, 1, 2)
+    for cls in (c1, c2):
+        if math.gcd(*cls, q) != 1 or cusp_class_action(q, (1, 0, 0, 1), cls) != cls:
+            raise ValueError(f"{cls} is not a canonical level-{q} cusp class")
+    (x, z), targets = c1, (c2, ((-c2[0]) % q, (-c2[1]) % q))
+    return [g for g in _reps(q, _signs(q))
+            if ((g[0] * x + g[1] * z) % q, (g[2] * x + g[3] * z) % q) in targets]

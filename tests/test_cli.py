@@ -18,6 +18,9 @@ DATA = Path(__file__).parent / "data"
 # of those ARGS, captured before every level shared one normalization path
 EQUATION_RUNS = re.split(r"^\$ modcurve (.*)\n", (DATA / "equations.txt").read_text(),
                          flags=re.M)[1:]
+# the same layout for group.txt, captured before the max-order walk, the
+# center filter and the transporter scan were inlined
+GROUP_RUNS = re.split(r"^\$ modcurve (.*)\n", (DATA / "group.txt").read_text(), flags=re.M)[1:]
 
 
 def run(capsys, *argv):
@@ -301,6 +304,26 @@ class TestGroupCommand:
     def test_order_rejects_non_sl_matrix(self, capsys):
         status, _, err = run(capsys, "group", "--q", "8", "--order", "2,0,0,2")
         assert status == 2 and "determinant" in err
+
+    @pytest.mark.parametrize("cusps", [["inf", "2/4"], ["3/0", "inf"], ["x", "inf"]])
+    def test_cusps_checked_before_group_work(self, capsys, monkeypatch, cusps):
+        from modcurve import cli
+        calls = []
+        for name in ("max_element_order", "center"):
+            monkeypatch.setattr(cli, name, lambda q, name=name: calls.append(name))
+        status, out, err = run(capsys, "group", "--q", "40", "--max-order", "--center",
+                               "--cusp-maps", *cusps)
+        assert status == 2 and out == "" and err.startswith("error: ")
+        assert calls == []
+
+    def test_pinned_runs(self):
+        assert len(GROUP_RUNS) == 2 * 5
+
+    @pytest.mark.parametrize("argv, expect", zip(GROUP_RUNS[::2], GROUP_RUNS[1::2]),
+                             ids=GROUP_RUNS[::2])
+    def test_output_pinned(self, capsys, argv, expect):
+        status, out, _ = run(capsys, *argv.split())
+        assert status == 0 and out == expect
 
 
 class TestLiftSolveCommand:

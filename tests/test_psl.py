@@ -141,6 +141,11 @@ def projective_canon(q, m):
     return min(tuple((lam * x) % q for x in m) for lam in scalar_units(q))
 
 
+def _commute(q, canon, g, h):
+    """Whether gh and hg fall in one class of the quotient canon names."""
+    return canon(q, mat_mul(q, g, h)) == canon(q, mat_mul(q, h, g))
+
+
 def _st_word(q, ks):
     """The product of T^k S = (k, -1; 1, 0) over ks, reduced mod q.  S and T
     generate SL(2, Z), which maps onto SL(2, Z/qZ), so these words reach the
@@ -197,14 +202,22 @@ class TestAgainstDefinitions:
 
     @pytest.mark.parametrize("q", range(2, 17))
     def test_center_by_direct_scan(self, q):
+        sl = enumerate_sl(q)
+        for found, canon in ((center(q), projective_canon), (sign_center(q), psl_canon)):
+            group = {canon(q, m) for m in sl}
+            assert found == {g for g in group
+                             if all(_commute(q, canon, g, h) for h in group)}
+
+    @pytest.mark.parametrize("q,central", [(32, {(1, 0, 0, 1), (7, 16, 16, 23)}),
+                                           (40, {(1, 0, 0, 1)})])
+    def test_center_at_large_levels(self, q, central):
+        # T and S generate the group, so the classes commuting with both are
+        # the center; each is then checked against every class as well
         group = {projective_canon(q, m) for m in enumerate_sl(q)}
-
-        def commute(g, h):
-            return (projective_canon(q, mat_mul(q, g, h))
-                    == projective_canon(q, mat_mul(q, h, g)))
-
-        assert center(q) == {g for g in group
-                             if all(commute(g, h) for h in group)}
+        found = {g for g in group if all(_commute(q, projective_canon, g, h)
+                                         for h in ((1, 1, 0, 1), (0, q - 1, 1, 0)))}
+        assert all(_commute(q, projective_canon, g, h) for g in found for h in group)
+        assert center(q) == found == central
 
     @pytest.mark.parametrize("q", range(2, 25))
     def test_max_order_by_reference_walk(self, q):
@@ -224,6 +237,15 @@ class TestAgainstDefinitions:
         for g, order in zip(group, walked):
             one[:] = [g]
             assert max_element_order(q) == order
+
+    @pytest.mark.parametrize("order", [[(1, 0, 0, 1), (1, 1, 0, 1)],
+                                       [(1, 1, 0, 1), (1, 0, 0, 1)]])
+    def test_max_order_tells_classes_of_one_trace_apart(self, monkeypatch, order):
+        # I and T share the trace 2 at level 8 but have m = 1 and m = 8, so
+        # a walk keyed by trace alone gets one of the two orders wrong
+        monkeypatch.setattr(psl, "_reps", lambda q, lams: order)
+        assert sorted(_matrix_walk_order(8, g, scalar_units(8)) for g in order) == [1, 8]
+        assert max_element_order(8) == 8
 
     @pytest.mark.parametrize("q", [8, 12, 15, 16])
     def test_orders_by_reference_walk(self, q):
@@ -356,6 +378,22 @@ class TestTransporters:
         inf_cls = cusp_canonical(8, (1, 0))
         stab = maps_between_cusps(8, inf_cls, inf_cls)
         assert len(stab) == 192 // 24  # |G| / number of cusp classes
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_against_filter_of_sl(self, data):
+        q = data.draw(st.integers(3, 24))
+        c1, c2 = (data.draw(st.sampled_from(enumerate_cusps(q))) for _ in range(2))
+        assert maps_between_cusps(q, c1, c2) == sorted(
+            {psl_canon(q, g) for g in enumerate_sl(q) if cusp_class_action(q, g, c1) == c2})
+
+    @pytest.mark.parametrize("cls", [(5, 0), (2, 4), (8, 1), (-1, 1)])
+    def test_rejects_non_canonical_classes(self, cls):
+        # (5, 0) is -(3, 0) mod 8, (2, 4) is not coprime to 8, and (8, 1)
+        # and (-1, 1) are not reduced mod 8
+        for c1, c2 in ((cls, (1, 0)), ((1, 0), cls)):
+            with pytest.raises(ValueError, match="not a canonical level-8 cusp class"):
+                maps_between_cusps(8, c1, c2)
 
 
 class TestHurwitzConsistency:
