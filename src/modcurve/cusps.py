@@ -7,6 +7,9 @@ residue pairs agree mod q up to a global sign; a class is named by the
 lexicographic minimum of the two sign choices.  That rule is validated
 constructively here (witness search) and numerically (class counts).
 
+Each level's classes are generated once, directly, under an eight-entry
+cache, and every translation orbit is still walked class by class.
+
 The width of x/z for the intermediate group of level q and step n is
 q / gcd(q/n, z) once q >= 5; below that only the brute-force congruence
 scan is trustworthy, so width() delegates to it there.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .arith import check_step, euler_product, exact_int, ext_gcd, factorize, mult_n, n3
@@ -104,14 +108,24 @@ def h_formula(q: int) -> int:
     return exact_int(Fraction(q * q, 2) * euler_product(q), f"cusp count for q = {q}")
 
 
-def enumerate_cusps(q: int) -> list[ClassPair]:
-    """The level-q cusp classes in ascending order, by scanning every residue
-    pair (x, z) and keeping the coprime ones that are the lesser of +-(x, z):
-    x <= -x mod q, and z <= -z mod q when x = -x."""
+@lru_cache(maxsize=8)
+def _classes(q: int) -> tuple[ClassPair, ...]:
+    """The level-q cusp classes in ascending order: the pairs (x, z) with
+    gcd(x, z, q) = 1 that are the lesser of +-(x, z), so x <= -x mod q,
+    and z <= -z mod q where x = -x (x = 0 or q/2)."""
     if not 3 <= q <= 60:
         raise ValueError("cusp enumeration supports 3 <= q <= 60")
-    return [(x, z) for x in range(q) for z in range(q)
-            if (x < -x % q or x == -x % q and z <= -z % q) and math.gcd(x, z, q) == 1]
+    out = []
+    for x in range(q // 2 + 1):
+        g = math.gcd(x, q)
+        zs = range(q // 2 + 1 if 2 * x % q == 0 else q)
+        out += [(x, z) for z in zs if g == 1 or math.gcd(g, z) == 1]
+    return tuple(out)
+
+
+def enumerate_cusps(q: int) -> list[ClassPair]:
+    """The level-q cusp classes in ascending order, as a fresh list."""
+    return list(_classes(q))
 
 
 def h_n_formula(q: int, n: int) -> int:
@@ -131,7 +145,7 @@ def tau_orbits(q: int, n: int) -> list[tuple[ClassPair, ...]]:
     size (q/n) / gcd(q/n, z).  Orbits are sorted by (size, representative).
     """
     check_step(q, n)
-    classes = enumerate_cusps(q)  # holds the level guard, so it runs before the allocation
+    classes = _classes(q)  # holds the level guard, so it runs before the allocation
     seen = bytearray(q * q)
     orbits = []
     for x, z in classes:
@@ -171,15 +185,17 @@ def width(q: int, n: int, c: Cusp) -> int:
 
 def width_bruteforce(q: int, n: int, c: Cusp) -> int:
     """Least R >= 1 whose conjugated translation lands in the group (or its
-    negative): R*x*z = 0, R*z^2 = 0 (mod q) and R*x^2 = 0 (mod n), with the
-    negative-sign branch (x*z*R = +-2 mod q) only possible when q | 4."""
+    negative): R*z^2 = 0 (mod q), R*x^2 = 0 (mod n) and R*x*z = 0 (mod q),
+    or for the negative R*x*z = 2 and R*x*z = -2 (mod q).  Those two
+    together force 4 = 0 (mod q), so that branch is tested only for q <= 4.
+    Each R is tried in turn; the products are reduced once, before the scan."""
     check_step(q, n)
     x, z = check_cusp(c)
+    xz, zz, xx = x * z % q, z * z % q, x * x % n
     for r in range(1, q * n + 1):
-        if (r * x * z) % q == 0 and (r * z * z) % q == 0 and (r * x * x) % n == 0:
-            return r
-        if ((r * x * z - 2) % q == 0 and (r * x * z + 2) % q == 0
-                and (r * z * z) % q == 0 and (r * x * x) % n == 0):
+        if r * zz % q == 0 and r * xx % n == 0 and (
+                r * xz % q == 0
+                or q <= 4 and (r * xz - 2) % q == 0 and (r * xz + 2) % q == 0):
             return r
     raise RuntimeError("width scan exhausted")  # unreachable: R = q*n always works
 

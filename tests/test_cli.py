@@ -21,6 +21,8 @@ EQUATION_RUNS = re.split(r"^\$ modcurve (.*)\n", (DATA / "equations.txt").read_t
 # the same layout for group.txt, captured before the max-order walk, the
 # center filter and the transporter scan were inlined
 GROUP_RUNS = re.split(r"^\$ modcurve (.*)\n", (DATA / "group.txt").read_text(), flags=re.M)[1:]
+# and for cusps.txt, captured before each level's classes were generated directly
+CUSP_RUNS = re.split(r"^\$ modcurve (.*)\n", (DATA / "cusps.txt").read_text(), flags=re.M)[1:]
 
 
 def run(capsys, *argv):
@@ -95,6 +97,15 @@ class TestCuspsCommand:
     def test_level_beyond_guard(self, capsys, q):
         status, out, err = run(capsys, "cusps", "--q", q, "--n", "1")
         assert status == 2 and out == "" and "3 <= q <= 60" in err
+
+    def test_pinned_runs(self):
+        assert len(CUSP_RUNS) == 2 * 4
+
+    @pytest.mark.parametrize("argv, expect", zip(CUSP_RUNS[::2], CUSP_RUNS[1::2]),
+                             ids=CUSP_RUNS[::2])
+    def test_output_pinned(self, capsys, argv, expect):
+        status, out, _ = run(capsys, *argv.split())
+        assert status == 0 and out == expect
 
     # SHA-256 and length of each rendering; the text lines are built apart
     # from the JSON document, and neither may change these bytes

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from modcurve import cusps
 from modcurve.arith import divisors
 from modcurve.cusps import (_complete_to_unimodular, class_to_cusp, cusp_canonical,
                             enumerate_cusps, find_equivalence_witness,
@@ -64,6 +65,19 @@ def _reference_orbits(q: int, n: int) -> list:
         orbits.append(tuple(sorted(orbit)))
     orbits.sort(key=lambda o: (len(o), o[0]))
     return orbits
+
+
+def _reference_width(q: int, n: int, c: tuple) -> int:
+    """The two-branch width scan with every product taken afresh at each R:
+    the plain congruences, then the negative-sign ones at any level."""
+    x, z = c
+    for r in range(1, q * n + 1):
+        if (r * x * z) % q == 0 and (r * z * z) % q == 0 and (r * x * x) % n == 0:
+            return r
+        if ((r * x * z - 2) % q == 0 and (r * x * z + 2) % q == 0
+                and (r * z * z) % q == 0 and (r * x * x) % n == 0):
+            return r
+    raise RuntimeError("width scan exhausted")
 
 
 class TestCanonical:
@@ -172,6 +186,17 @@ class TestOrbits:
         for n in divisors(q):
             assert tau_orbits(q, n) == _reference_orbits(q, n)
 
+    @pytest.mark.parametrize("q", [3, 8, 24, 60])
+    def test_cached_classes_survive_caller_edits(self, q):
+        classes = enumerate_cusps(q)
+        orbits = {n: tau_orbits(q, n) for n in divisors(q)}
+        for edit in (list.clear, lambda c: c.append((q, q)), lambda c: c.sort(reverse=True)):
+            got = enumerate_cusps(q)
+            edit(got)
+            assert enumerate_cusps(q) == classes
+            assert {n: tau_orbits(q, n) for n in divisors(q)} == orbits
+        assert cusps._classes.cache_info().maxsize == 8
+
     # 10**6 and 10**10 would ask tau_orbits for a q*q seen mark of 1 TB and up
     @pytest.mark.parametrize("q", [-1, 0, 2, 61, 10**6, 10**10])
     def test_enumeration_guard(self, q):
@@ -212,6 +237,22 @@ class TestWidths:
         q, n = qn
         assume(math.gcd(x, z) == 1 and (z > 0 or x == 1))
         assert width(q, n, (x, z)) == width_bruteforce(q, n, (x, z))
+
+    @given(st.integers(1, 60).flatmap(
+               lambda q: st.tuples(st.just(q), st.sampled_from(divisors(q)))),
+           st.integers(-200, 200), st.integers(0, 200))
+    def test_scan_matches_reference_scan(self, qn, x, z):
+        q, n = qn
+        assume(math.gcd(x, z) == 1 and (z > 0 or x == 1))
+        assert width_bruteforce(q, n, (x, z)) == _reference_width(q, n, (x, z))
+
+    # the levels dividing 4 (and 3) where the negative-sign branch is tested
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_scan_matches_reference_scan_at_small_levels(self, q):
+        for n in divisors(q):
+            for cls in sorted(_reference_classes(q)):
+                cusp = class_to_cusp(q, cls)
+                assert width_bruteforce(q, n, cusp) == _reference_width(q, n, cusp)
 
 
 class TestWidthDistribution:

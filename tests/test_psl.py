@@ -89,6 +89,15 @@ class TestCenter:
     def test_level16_central_class(self):
         assert center(16) == {(1, 0, 0, 1), (3, 8, 8, 11)}
 
+    def test_full_scan_rejects_a_candidate(self, monkeypatch):
+        # (3, 8; 8, 11) passes the T and S filter but does not commute with
+        # (1, 0; 0, 0), a matrix outside the group; in the real group every
+        # candidate is central, so only a class like this lets the scan over
+        # every class reject one
+        monkeypatch.setattr(psl, "_reps", lambda q, lams: ((1, 0, 0, 1), (3, 8, 8, 11),
+                                                           (1, 0, 0, 0)))
+        assert center(16) == {(1, 0, 0, 1)}
+
     def test_sign_center_level8(self):
         assert sign_center(8) == {psl_canon(8, (1, 0, 0, 1)),
                                   psl_canon(8, (3, 0, 0, 3))}
