@@ -1,14 +1,16 @@
 """Command-line front end and verification harness.
 
-Subcommands: genus, cusps, rotation, equation, group, verify, lift-solve,
-canonical.  Exit status: 0 success, 1 verification mismatch, 2 argument
-error, 3 unsupported-mathematics request, 4 internal error (an exception
-such as a failed elimination step, reported on stderr).
+Subcommands: genus, cusps, rotation, equation, group, verify, canonical.
+Exit status: 0 success, 1 verification mismatch, 2 argument error,
+3 unsupported-mathematics request, 4 internal error (an exception such as
+a failed elimination step, reported on stderr).
 
 Argument rules are stated once, in the library: each raises ValueError,
-which main maps to exit 2, and no handler restates them.  The one explicit
-check is arith.check_step in `rotation`, so that a step not dividing q
-exits 2 while the level limit of rotation numbers exits 3.
+which main maps to exit 2, and no handler restates them.  The explicit
+checks are arith.check_step in `rotation`, so that a step not dividing q
+exits 2 while the level limit of rotation numbers exits 3, and the --q-max
+floor and limit that each SUITES entry states beside its suite's source and
+runner; `verify` derives its flags and --q-max checks from those entries.
 
 Output is text by default or a JSON document with --format json.  Exact
 numbers are serialized as strings "p" or "p/q".  The only non-exact values
@@ -246,32 +248,30 @@ def _iso(_q_max: int, seed: int) -> list[dict]:
     report = verify_isomorphism_numeric(octic_model(), quartic_model(),
                                         forward, inverse, samples=100,
                                         tol=1e-9, seed=seed)
-    return [
-        bool_check("iso residual < 1e-9", report["max_residual"] < 1e-9,
-                   f"max residual {report['max_residual']:.3e}"),
-        bool_check("iso roundtrip < 1e-9", report["max_roundtrip"] < 1e-9,
-                   f"max roundtrip {report['max_roundtrip']:.3e}"),
-    ]
+    return [bool_check(f"iso {key} < 1e-9", report[f"max_{key}"] < 1e-9,
+                       f"max {key} {report[f'max_{key}']:.3e}")
+            for key in ("residual", "roundtrip")]
 
 
-# suite name -> (source, runner), in the order a full `verify` runs them.
-# The source says what each check compares against: golden tables, a
-# brute-force oracle, the level-8 closed-form determination, or the seeded
-# numeric isomorphism.
+# name -> (source, runner, --q-max floor, --q-max limit), None for no bound, in
+# the order a full `verify` runs them.  Sources: golden tables, brute-force
+# oracles, the level-8 closed form, the seeded numeric isomorphism.  Below
+# level 5 some oracle kind has no check, so a run could pass on none.
 SUITES = {
-    "table1": ("golden", _table1),
-    "table2": ("golden", _table2),
-    "table6": ("golden", _table6),
-    "table7": ("golden", _table7),
-    "oracles": ("oracle", _oracles),
-    "canonical": ("formula", _canonical),
-    "iso": ("numeric", _iso),
+    "table1": ("golden", _table1, 5, None),
+    "table2": ("golden", _table2, None, None),
+    "table6": ("golden", _table6, None, None),
+    "table7": ("golden", _table7, None, None),
+    "oracles": ("oracle", _oracles, 5, ENUM_GUARD),
+    "canonical": ("formula", _canonical, None, None),
+    "iso": ("numeric", _iso, None, None),
 }
+FLAGGED = [name for name in SUITES if not name.startswith("table")]  # --tables N: tableN
 
 
 def run_suite(name: str, q_max: int, seed: int) -> list[dict]:
     """The checks of one registry suite, each tagged with the suite's source."""
-    source, runner = SUITES[name]
+    source, runner, _, _ = SUITES[name]
     return [dict(check, source=source) for check in runner(q_max, seed)]
 
 
@@ -440,18 +440,6 @@ def cmd_group(args) -> tuple[dict, list[str], int]:
     return _document("group", {"q": q}, result), lines, 0
 
 
-def cmd_lift_solve(args) -> tuple[dict, list[str], int]:
-    if args.q != 8:
-        raise UnsupportedError("the branch-constant solver is established for level 8")
-    eq = normalize_with_convention(build_equation(8, 1), "gcd")
-    label, sols = _solve_constant(eq)
-    result = {"family": equation_string(eq),
-              "solutions": {label: [str(s) for s in sols]}}
-    lines = [f"family: {result['family']}",
-             f"{label} in {{{', '.join(map(str, sols))}}}"]
-    return _document("lift-solve", {"q": args.q}, result), lines, 0
-
-
 def cmd_canonical(args) -> tuple[dict, list[str], int]:
     res = canon.elimination_solve()
     obstruction = canon.hyperellipticity_obstruction()
@@ -479,12 +467,13 @@ def cmd_canonical(args) -> tuple[dict, list[str], int]:
 
 def cmd_verify(args) -> tuple[dict, list[str], int]:
     names = [f"table{t}" for t in args.tables or ()]
-    names += [name for name in ("oracles", "canonical", "iso") if getattr(args, name)]
+    names += [name for name in FLAGGED if getattr(args, name)]
     names = list(dict.fromkeys(names)) or list(SUITES)
-    if "oracles" in names and args.q_max > ENUM_GUARD:
-        raise ValueError(f"--q-max {args.q_max} is above the oracle limit {ENUM_GUARD}")
-    if {"oracles", "table1"} & set(names) and args.q_max < 5:
-        raise ValueError(f"--q-max {args.q_max} is below the oracle floor 5")
+    for _, _, floor, limit in (SUITES[name] for name in names if name in SUITES):
+        if limit is not None and args.q_max > limit:
+            raise ValueError(f"--q-max {args.q_max} is above the oracle limit {limit}")
+        if floor is not None and args.q_max < floor:
+            raise ValueError(f"--q-max {args.q_max} is below the oracle floor {floor}")
     for t in args.tables or ():
         if f"table{t}" not in SUITES:
             raise ValueError(f"no golden data for table {t}")
@@ -551,13 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="golden tables and oracle cross-checks")
     p.add_argument("--tables", type=int, nargs="+")
-    p.add_argument("--oracles", action="store_true")
-    p.add_argument("--canonical", action="store_true")
-    p.add_argument("--iso", action="store_true")
+    for name in FLAGGED:
+        p.add_argument(f"--{name}", action="store_true")
     p.add_argument("--q-max", type=int, default=12)
-
-    p = sub.add_parser("lift-solve", help="pin the symbolic branch constant")
-    p.add_argument("--q", type=int, required=True)
 
     sub.add_parser("canonical", help="the level-8 canonical model in P^4")
 

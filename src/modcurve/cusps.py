@@ -46,8 +46,11 @@ def cusp_canonical(q: int, c: Cusp) -> ClassPair:
 
 
 def class_to_cusp(q: int, cls: ClassPair) -> Cusp:
-    """A coprime representative cusp of a class pair (deterministic lift)."""
+    """A coprime representative cusp of a class pair (deterministic lift);
+    one exists exactly when gcd(x, z, q) = 1, so any other pair is refused."""
     xq, zq = cls
+    if math.gcd(xq, zq, q) != 1:
+        raise ValueError(f"{cls} is not a level-{q} cusp class")
     if zq == 0:
         if xq == 1:
             return (1, 0)

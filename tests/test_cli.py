@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcurve.canonical import EliminationError
-from modcurve.cli import (_level8_swap, build_parser, cmd_cusps, main, parse_cusp,
-                          run_suite)
+from modcurve.cli import (SUITES, _level8_swap, build_parser, cmd_cusps, main,
+                          parse_cusp, run_suite)
 from modcurve.equation import CONVENTIONS
 from modcurve.golden import load_golden
 
@@ -29,6 +29,20 @@ def run(capsys, *argv):
     status = main(list(argv))
     out = capsys.readouterr()
     return status, out.out, out.err
+
+
+def select(name):
+    """The verify flags that pick one registry suite: --tables N for tableN."""
+    return ["--tables", name[len("table"):]] if name.startswith("table") else [f"--{name}"]
+
+
+def past_bounds():
+    """(suite, a --q-max one past a bound it declares, the error's wording)."""
+    for name, (_, _, floor, limit) in SUITES.items():
+        if floor is not None:
+            yield name, floor - 1, f"below the oracle floor {floor}"
+        if limit is not None:
+            yield name, limit + 1, f"above the oracle limit {limit}"
 
 
 class TestParseCusp:
@@ -218,7 +232,7 @@ class TestEquationCommand:
         status, _, err = run(capsys, "equation", "--q", "11")
         assert status == 3 and "genus" in err
 
-    @pytest.mark.parametrize("q", ["7", "10"])
+    @pytest.mark.parametrize("q", ["7", "9", "10"])
     def test_solving_refused_before_building(self, capsys, monkeypatch, q):
         from modcurve import cli
 
@@ -240,7 +254,7 @@ class TestEquationCommand:
             return real(*args)
         for module in (cli, equation):
             monkeypatch.setattr(module, "build_equation", counted)
-        runs = [["equation", "--q", "8", "--normalize"], ["lift-solve", "--q", "8"]]
+        runs = [["equation", "--q", "8", "--normalize"]]
         runs += [["equation", "--q", "8", "--solve-constants", "--convention", c]
                  for c in CONVENTIONS]
         for argv in runs:
@@ -249,7 +263,7 @@ class TestEquationCommand:
             assert status == 0 and calls == [(8, 1)], argv
 
     def test_pinned_runs(self):
-        assert len(EQUATION_RUNS) == 2 * 25
+        assert len(EQUATION_RUNS) == 2 * 24
 
     @pytest.mark.parametrize("argv, expect", zip(EQUATION_RUNS[::2], EQUATION_RUNS[1::2]),
                              ids=EQUATION_RUNS[::2])
@@ -335,16 +349,6 @@ class TestGroupCommand:
     def test_output_pinned(self, capsys, argv, expect):
         status, out, _ = run(capsys, *argv.split())
         assert status == 0 and out == expect
-
-
-class TestLiftSolveCommand:
-    def test_level8(self, capsys):
-        status, out, _ = run(capsys, "lift-solve", "--q", "8")
-        assert status == 0 and "a in {-1}" in out
-
-    def test_other_levels(self, capsys):
-        status, _, err = run(capsys, "lift-solve", "--q", "9")
-        assert status == 3
 
 
 class TestCanonicalCommand:
@@ -467,6 +471,23 @@ class TestVerifyCommand:
         assert status == 2 and f"--q-max {q_max}" in err
         assert ran == [] and out == ""
 
+    @pytest.mark.parametrize("name", [n for n in SUITES if not n.startswith("table")])
+    def test_flag_runs_its_suite(self, capsys, name):
+        status, out, _ = run(capsys, "verify", *select(name), "--q-max", "12")
+        names = [line.split("  ")[1] for line in out.splitlines()[:-1]]
+        assert status == 0 and names == [c["name"] for c in run_suite(name, 12, 0)]
+
+    @pytest.mark.parametrize("name, q_max, why", list(past_bounds()))
+    def test_q_max_past_declared_bound_fails_before_any_check(self, capsys, monkeypatch,
+                                                              name, q_max, why):
+        from modcurve import cli
+        ran = []
+        monkeypatch.setattr(cli, "make_check", lambda *a: ran.append(a))
+        monkeypatch.setattr(cli, "bool_check", lambda *a: ran.append(a))
+        status, out, err = run(capsys, "verify", *select(name), "--q-max", str(q_max))
+        assert status == 2 and err == f"error: --q-max {q_max} is {why}\n"
+        assert ran == [] and out == ""
+
     def test_q_max_at_floor(self, capsys):
         status, out, _ = run(capsys, "verify", "--oracles", "--q-max", "5")
         assert status == 0 and "FAIL" not in out
@@ -548,7 +569,6 @@ def argvs(draw):
         ["group", "--q", q, "--max-order"],
         ["group", "--q", q, "--center"],
         ["group", "--q", q, "--cusp-maps", cusp, other],
-        ["lift-solve", "--q", q],
         ["verify", "--oracles", "--q-max", small_q],
     ]))
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, strategies as st
 from modcurve import cusps
 from modcurve.arith import divisors
 from modcurve.cusps import (_complete_to_unimodular, class_to_cusp, cusp_canonical,
-                            enumerate_cusps, find_equivalence_witness,
+                            cusp_str, enumerate_cusps, find_equivalence_witness,
                             h_formula, h_n_formula, orbit_width_sum,
                             orbit_rep, tau_orbits,
                             width, width_bruteforce, width_distribution,
@@ -106,6 +106,14 @@ class TestCanonical:
         # (3, 6) mod 8 has no coprime representative with x < 8
         assert cusp_canonical(8, (11, 6)) == (3, 6)
         assert class_to_cusp(8, (3, 6)) == (11, 6)
+
+    @pytest.mark.parametrize("cls", [(2, 4), (2, 0)])
+    def test_lift_rejects_non_coprime_class(self, cls):
+        # gcd(x, z, q) = 2: no coprime lift of (2, 4) exists, and (2, 8) is no cusp
+        with pytest.raises(ValueError):
+            class_to_cusp(8, cls)
+        with pytest.raises(ValueError):
+            cusp_str(8, cls)
 
 
 class TestWitness:
