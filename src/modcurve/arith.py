@@ -7,8 +7,8 @@ functions
     N(p)  = prod_i (1 + r_i * (p_i - 1)/(p_i + 1))      for p = prod p_i^r_i
     N3(j) = p/(p+1) for j in {0, r},  (p-1)/(p+1) else
 
-which control cusp counts and width distributions, and the quotient ring
-Z[t]/(t^d - 1) used for exact root-of-unity calculations.
+which control cusp counts and width distributions, and the quotient rings
+Z[t]/(t^d - c) used for exact calculations with roots of unity and of -1.
 """
 
 from __future__ import annotations
@@ -130,9 +130,9 @@ def n3(p_i: int, r_i: int, j: int) -> Fraction:
 
 
 class ExactRing:
-    """Ring rules shared by the exact commutative rings (Cyclotomic,
-    GaussRational, poly.Poly, canonical.MPoly): immutability, subtraction,
-    reflected operators and powers.
+    """Ring rules shared by the exact commutative rings (Cyclotomic and its
+    subclasses such as GaussRational, poly.Poly, canonical.MPoly):
+    immutability, subtraction, reflected operators and powers.
 
     A subclass supplies _coerce (its own elements and the scalars it
     accepts, else None), +, unary -, *, == and __hash__.  Its + and * serve
@@ -173,53 +173,59 @@ class ExactRing:
 
 
 class Cyclotomic(ExactRing):
-    """Element of Z[t]/(t^d - 1), stored as a dense coefficient tuple.
+    """Element of Z[t]/(t^d - c), stored as a dense coefficient tuple.
 
-    A quotient ring, not a field: good enough for verifying identities
-    among d-th roots of unity without minimal-polynomial machinery.
-    Immutable; scalars (int, Fraction) coerce to constants, scale the
-    coefficients directly in a product, and a product by 1 is the operand.
+    c is a class attribute: 1 here, so t is a d-th root of unity; a subclass
+    sets another integer (GaussRational: c = -1 on d = 2, so t = i).  One
+    product rule serves every c: t^(d+k) = c*t^k.  Not a field when t^d - c
+    factors, but enough to verify identities among such roots.  Immutable;
+    scalars (int, Fraction) coerce to constants and scale the coefficients
+    directly in a product, and a product by 1 is the operand.  Values of two
+    rings (class or d) are equal only as the same constant; arithmetic
+    mixing them raises ValueError.
     """
 
     __slots__ = ("d", "coeffs")
+    c = 1
 
     def __init__(self, d: int, coeffs):
-        if d < 1:
-            raise ValueError("modulus d must be >= 1")
         coeffs = tuple(coeffs)
-        if len(coeffs) != d:
-            raise ValueError(f"need exactly {d} coefficients, got {len(coeffs)}")
+        if d < 1 or len(coeffs) != d:
+            raise ValueError(f"need d >= 1 and d coefficients, got d = {d} and {len(coeffs)}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def scalar(cls, d: int, c) -> "Cyclotomic":
-        return cls(d, (c,) + (0,) * (d - 1))
+        if d < 1:
+            raise ValueError(f"need d >= 1, got d = {d}")
+        return _of(cls, d, (c,) + (0,) * (d - 1))
 
     @classmethod
     def root(cls, d: int, k: int = 1) -> "Cyclotomic":
-        """t^k in Z[t]/(t^d - 1)."""
-        coeffs = [0] * d
+        """The basis element t^(k mod d): t^k itself when c = 1."""
+        coeffs = list(cls.scalar(d, 0).coeffs)
         coeffs[k % d] = 1
-        return cls(d, coeffs)
+        return _of(cls, d, tuple(coeffs))
 
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
-            if other.d != self.d:
-                raise ValueError(f"modulus mismatch: {self.d} vs {other.d}")
+            if other.d != self.d or type(other) is not type(self):
+                raise ValueError("ring mismatch: " + " vs ".join(
+                    f"{type(r).__name__} mod t^{r.d} - ({r.c})" for r in (self, other)))
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic.scalar(self.d, other)
+            return self.scalar(self.d, other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.d, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return _of(type(self), self.d, tuple([a + b for a, b in zip(self.coeffs, o.coeffs)]))
 
     def __neg__(self):
-        return Cyclotomic(self.d, [-a for a in self.coeffs])
+        return _of(type(self), self.d, tuple([-a for a in self.coeffs]))
 
     # kept off ExactRing: reduce_by_span subtracts in the sigma tests' inner
     # loop, where the inherited self + (-o) made cover-geometry about 3% slower
@@ -227,33 +233,38 @@ class Cyclotomic(ExactRing):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.d, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return _of(type(self), self.d, tuple([a - b for a, b in zip(self.coeffs, o.coeffs)]))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 1:  # immutable, so the operand itself is the product
                 return self
-            return Cyclotomic(self.d, [a * other if a else 0 for a in self.coeffs])
+            return _of(type(self), self.d, tuple([a * other if a else 0 for a in self.coeffs]))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.d
+        # a*t^i times x*t^j lands at t^(i+j) while i + j < d; past the top,
+        # the wrap t^(d+k) = c*t^k puts c*a*x at t^k
+        d, c, b = self.d, self.c, o.coeffs
         out = [0] * d
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b == 0:
-                    continue
-                out[(i + j) % d] += a * b
-        return Cyclotomic(d, out)
+            if a:
+                for k, x in enumerate(b[:d - i], i):
+                    if x:
+                        out[k] += a * x
+                ca = c * a
+                for k, x in enumerate(b[d - i:]):
+                    if x:
+                        out[k] += ca * x
+        return _of(type(self), d, tuple(out))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.coeffs[0] == other and not any(self.coeffs[1:])
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        if other.d != self.d:  # only constants are equal across moduli
+        if other.d != self.d or type(other) is not type(self):
+            # only constants are equal across rings
             return not any(other.coeffs[1:]) and self == other.coeffs[0]
         return self.coeffs == other.coeffs
 
@@ -264,64 +275,32 @@ class Cyclotomic(ExactRing):
         return hash((self.d, self.coeffs))
 
     def __repr__(self):
-        terms = []
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            if i == 0:
-                terms.append(str(a))
-            elif a == 1:
-                terms.append(f"t^{i}" if i > 1 else "t")
-            else:
-                terms.append(f"{a}*t^{i}" if i > 1 else f"{a}*t")
-        return " + ".join(terms) if terms else "0"
+        terms = [str(a) if i == 0 else ("" if a == 1 else f"{a}*") + ("t" if i == 1 else f"t^{i}")
+                 for i, a in enumerate(self.coeffs) if a]
+        return " + ".join(terms) or "0"
 
 
-class GaussRational(ExactRing):
-    """Exact a + b*i with rational a, b; the honest ring for identities that
-    need an actual square root of -1 (Z[t]/(t^d - 1) has none: t^(d/2) and
-    -1 stay distinct there)."""
+_set_d, _set_coeffs = Cyclotomic.d.__set__, Cyclotomic.coeffs.__set__
 
-    __slots__ = ("re", "im")
+
+def _of(cls, d: int, coeffs: tuple) -> Cyclotomic:
+    """Wrap a tuple of exactly d coefficients as an element of cls, without
+    re-validation."""
+    out = object.__new__(cls)
+    _set_d(out, d)
+    _set_coeffs(out, coeffs)
+    return out
+
+
+class GaussRational(Cyclotomic):
+    """Exact re + im*i with rational re, im: Z[t]/(t^2 + 1) with t = i, the
+    ring for identities that need an actual square root of -1 (at c = 1,
+    t^(d/2) and -1 stay distinct).  All arithmetic is Cyclotomic's."""
+
+    c = -1
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def _coerce(self, other):
-        if isinstance(other, GaussRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re + o.re, self.im + o.im)
-
-    def __neg__(self):
-        return GaussRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re * o.re - self.im * o.im,
-                             self.re * o.im + self.im * o.re)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"GaussRational({self.re}, {self.im})"
+        super().__init__(2, (Fraction(re), Fraction(im)))
 
 
 GAUSS_I = GaussRational(0, 1)

@@ -28,8 +28,8 @@ with pullback and reduction: both are polynomial and no form holds an entry.
 Zero and equality tests compare the canonical term dicts; ints stay int,
 and an integral Fraction parameter enters the sigma test as an int.
 Scalar rules: a product by 1 is the (immutable) operand itself; MPoly and
-Cyclotomic scale each coefficient by any other int or Fraction directly,
-and Poly by a constant operand on either side.
+Cyclotomic (at every c, so GaussRational too) scale each coefficient by any
+other int or Fraction directly, and Poly by a constant operand on either side.
 """
 
 from __future__ import annotations

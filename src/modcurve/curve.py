@@ -128,6 +128,8 @@ def _chart(c: SemiHyperellipticCurve, i: int) -> tuple[int, int, int, int]:
 def _fiber(c: SemiHyperellipticCurve, pt) -> int:
     """Index of the special fiber holding an added point."""
     if isinstance(pt, BranchPoint):
+        if not 0 <= pt.index < len(c.branches):
+            raise ValueError(f"branch index {pt.index} out of range")
         return pt.index
     if isinstance(pt, InfinityPoint):
         return len(c.branches)
@@ -218,9 +220,7 @@ def holomorphic_basis(c: SemiHyperellipticCurve) -> list[Monomial]:
 
 def rotation_at_branch(c: SemiHyperellipticCurve, i: int) -> RotationNumber:
     """Rotation number of the deck transformation at the i-th branch fiber."""
-    if not 0 <= i < len(c.branches):
-        raise ValueError(f"branch index {i} out of range")
-    return rotation_from_exponent(c.p, c.branches[i][1])
+    return rotation_from_exponent(c.p, c.branches[_fiber(c, BranchPoint(i, 1))][1])
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,8 @@ def rotation_at_branch(c: SemiHyperellipticCurve, i: int) -> RotationNumber:
 
 @dataclass(frozen=True)
 class MoebiusMap:
-    """x -> (a x + b) / (c x + d) with exact rational entries."""
+    """x -> (a x + b) / (c x + d) with exact rational (int or Fraction)
+    entries; images are exact too."""
 
     a: Fraction
     b: Fraction
@@ -243,7 +244,7 @@ class MoebiusMap:
     def apply(self, v):
         x, w = (1, 0) if v is INF else (Fraction(v), 1)
         x, w = self.a * x + self.b * w, self.c * x + self.d * w
-        return INF if w == 0 else x / w
+        return INF if w == 0 else Fraction(x, w)
 
 
 @dataclass(frozen=True)

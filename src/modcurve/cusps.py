@@ -75,6 +75,7 @@ def find_equivalence_witness(q: int, c1: Cusp, c2: Cusp):
     and membership mod q only depends on j mod q, so scanning j in [0, q)
     over both signs is exhaustive.
     """
+    check_step(q, 1)
     x1, z1 = check_cusp(c1)
     x2, z2 = check_cusp(c2)
     a_mat = _complete_to_unimodular(x1, z1)

@@ -1,9 +1,10 @@
 """Dense univariate polynomials over an exact coefficient ring.
 
 Coefficients are anything with exact +, -, * and == 0 (Fraction, int,
-Cyclotomic).  Only what the equation solvers need: ring operations,
-evaluation and rational root extraction.  Subtraction, the reflected
-operators, powers and immutability come from arith.ExactRing.
+Cyclotomic and its subclasses such as GaussRational).  Only what the
+equation solvers need: ring operations, evaluation and rational root
+extraction.  Subtraction, the reflected operators, powers and
+immutability come from arith.ExactRing.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class Poly(ExactRing):
             return Poly([])
         # a constant operand scales, and 1 returns the (immutable) other; the
         # constructor strips the zeros that a ring with zero divisors
-        # (Cyclotomic) can leave at the top
+        # (Cyclotomic wherever t^d - c factors, as at c = 1) can leave at the top
         if len(o.coeffs) == 1:
             c = o.coeffs[0]
             return self if c == 1 else Poly([a * c for a in self.coeffs])

@@ -1,5 +1,7 @@
 import math
+import operator
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,12 +17,36 @@ from modcurve.canonical import MPoly
 from modcurve.poly import Poly
 
 
+class SqrtMinus3(Cyclotomic):
+    """Q(sqrt -3) as Z[t]/(t^2 + 3), built the way Q(sqrt D) would be."""
+
+    c = -3
+
+
+class CubeRoot2(Cyclotomic):
+    """Z[t]/(t^3 - 2): d = 3, c = 2."""
+
+    c = 2
+
+
 SCALARS = st.one_of(st.integers(-3, 3),
                     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
-CYCLO8 = st.lists(SCALARS, min_size=8, max_size=8).map(lambda v: Cyclotomic(8, v))
+
+
+def elements(ring, d):
+    return st.lists(SCALARS, min_size=d, max_size=d).map(lambda v: ring(d, v))
+
+
+CYCLO8 = elements(Cyclotomic, 8)
+# one strategy per Z[t]/(t^d - c) ring, keyed by class
+QUOTIENTS = {
+    Cyclotomic: CYCLO8,
+    GaussRational: st.builds(GaussRational, SCALARS, SCALARS),
+    SqrtMinus3: elements(SqrtMinus3, 2),
+    CubeRoot2: elements(CubeRoot2, 3),
+}
 RINGS = {
-    "Cyclotomic": CYCLO8,
-    "GaussRational": st.builds(GaussRational, SCALARS, SCALARS),
+    **{ring.__name__: strategy for ring, strategy in QUOTIENTS.items()},
     "Poly": st.lists(SCALARS, max_size=4).map(Poly),
     "MPoly": st.dictionaries(st.sampled_from([(), ("c11",), ("c11", "c22")]),
                              SCALARS, max_size=3).map(MPoly),
@@ -274,6 +300,73 @@ class TestGaussRational:
     def test_exactness(self):
         z = GaussRational(Fraction(1, 3), Fraction(1, 2))
         assert z * 6 == GaussRational(2, 3)
+
+
+def reduced_product(x, y):
+    """Reference product in Z[t]/(t^d - c): the polynomial product of the
+    coefficient lists, then t^k -> c * t^(k - d) from the top down."""
+    full = list((Poly(x.coeffs) * Poly(y.coeffs)).coeffs)
+    for k in range(len(full) - 1, x.d - 1, -1):
+        full[k - x.d] += x.c * full.pop()
+    return full + [0] * (x.d - len(full))
+
+
+class TestRingRule:
+    def test_roots_of_c(self):
+        s = SqrtMinus3.root(2)
+        zeta6 = (1 + s) * Fraction(1, 2)
+        assert s * s == -3
+        assert zeta6 ** 3 == -1
+        assert zeta6 ** 2 == zeta6 - 1  # the minimal polynomial x^2 - x + 1
+        assert CubeRoot2.root(3) ** 3 == 2
+        assert GaussRational.root(2) == GAUSS_I
+
+    @pytest.mark.parametrize("ring", QUOTIENTS, ids=lambda ring: ring.__name__)
+    @given(data=st.data())
+    def test_product_is_reduced_polynomial_product(self, ring, data):
+        x, y = data.draw(QUOTIENTS[ring]), data.draw(QUOTIENTS[ring])
+        product = x * y
+        assert type(product) is ring
+        assert list(product.coeffs) == reduced_product(x, y)
+
+    def test_constants_are_equal_across_rings(self):
+        fives = [GaussRational(5), SqrtMinus3.scalar(2, 5), CubeRoot2.scalar(3, 5),
+                 Cyclotomic.scalar(8, 5), Fraction(5), 5]
+        assert all(a == b for a in fives for b in fives)
+        assert len(set(fives)) == 1
+
+    def test_same_coefficients_in_two_rings_differ(self):
+        roots = [GAUSS_I, Cyclotomic.root(2), SqrtMinus3.root(2)]
+        assert [a == b for a in roots for b in roots] == [
+            True, False, False, False, True, False, False, False, True]
+        assert len(set(roots)) == 3
+
+    @given(data=st.data())
+    def test_eq_across_rings_agrees_with_hash(self, data):
+        r1, r2 = data.draw(st.permutations(list(QUOTIENTS)))[:2]
+        x, y = data.draw(QUOTIENTS[r1]), data.draw(QUOTIENTS[r2])
+        if data.draw(st.booleans()):
+            x, y = r1.scalar(x.d, x.coeffs[0]), r2.scalar(y.d, x.coeffs[0])
+        both_constant = not any(x.coeffs[1:]) and not any(y.coeffs[1:])
+        assert (x == y) == (y == x) == (both_constant and x.coeffs[0] == y.coeffs[0])
+        if x == y:
+            assert hash(x) == hash(y)
+
+    @pytest.mark.parametrize("x,y,message", [
+        (GAUSS_I, Cyclotomic.root(2),
+         "GaussRational mod t^2 - (-1) vs Cyclotomic mod t^2 - (1)"),
+        (SqrtMinus3.root(2), GAUSS_I,
+         "SqrtMinus3 mod t^2 - (-3) vs GaussRational mod t^2 - (-1)"),
+        (CubeRoot2.root(3), Cyclotomic.root(3),
+         "CubeRoot2 mod t^3 - (2) vs Cyclotomic mod t^3 - (1)"),
+        (Cyclotomic.root(8), Cyclotomic.root(4),
+         "Cyclotomic mod t^8 - (1) vs Cyclotomic mod t^4 - (1)"),
+    ])
+    def test_mixing_rings_raises(self, x, y, message):
+        pattern = "ring mismatch: " + re.escape(message)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match=pattern):
+                op(x, y)
 
 
 # the rules arith.ExactRing states once, checked on every ring that uses them

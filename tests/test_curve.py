@@ -201,6 +201,16 @@ class TestDifferentialOrders:
         assert differential_order(octic_family(), mono,
                                   AffinePoint(2 + 0j, 1 + 0j)) == 0
 
+    # index -1 used to read the last branch and 7 raised IndexError
+    @pytest.mark.parametrize("index", [7, 3, -1])
+    def test_branch_index_out_of_range_raises(self, index):
+        mono = Monomial((1, 0, 0), 3)
+        match = f"branch index {index} out of range"
+        with pytest.raises(ValueError, match=match):
+            differential_order(octic_family(), mono, BranchPoint(index, 1))
+        with pytest.raises(ValueError, match=match):
+            rotation_at_branch(octic_family(), index)
+
     @pytest.mark.parametrize("name", GRID_CURVES)
     def test_matches_reference_on_grid(self, name):
         # every monomial with exponents 0..2 and -1 <= gamma <= p, with and
@@ -287,6 +297,19 @@ class TestLiftCheck:
         c2 = moebius_lift_check(curve, t2)
         c12 = moebius_lift_check(curve, t1.compose(t2))
         assert (c1.twist * c2.twist) % curve.p in c12.twists
+
+    def test_int_entries_map_exactly(self):
+        # x -> x / (3x - 1) swaps oo and 1/3 and fixes 0 and 2/3; with int
+        # entries the image of oo was the float 0.333..., so no lift was found
+        c = SemiHyperellipticCurve(2, ((0, 1), (Fraction(1, 3), 1), (Fraction(2, 3), 1)))
+        t = MoebiusMap(1, 0, 3, -1)
+        assert type(t.apply(INF)) is Fraction and t.apply(INF) == Fraction(1, 3)
+        cert = moebius_lift_check(c, t)
+        assert cert is not None
+        assert cert == moebius_lift_check(c, MoebiusMap(*map(Fraction, (1, 0, 3, -1))))
+        perm = dict(cert.permutation)
+        assert perm[INF] == Fraction(1, 3) and perm[Fraction(1, 3)] is INF
+        assert perm[0] == 0 and perm[Fraction(2, 3)] == Fraction(2, 3)
 
     def test_symbolic_values_rejected(self):
         with pytest.raises(TypeError):

@@ -128,6 +128,12 @@ class TestWitness:
     def test_inequivalent(self):
         assert find_equivalence_witness(8, (1, 4), (3, 4)) is None
 
+    # both used to return None, as if the classes differed
+    @pytest.mark.parametrize("q", [0, -5])
+    def test_rejects_level_below_one(self, q):
+        with pytest.raises(ValueError, match=f"level q = {q} must be at least 1"):
+            find_equivalence_witness(q, (1, 0), (1, 0))
+
     def test_completion_rejects_unreduced(self):
         # a RuntimeError, not an assert, so python -O keeps the check
         with pytest.raises(RuntimeError):
