@@ -34,8 +34,8 @@ other int or Fraction directly, and Poly by a constant operand on either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import Cyclotomic, ExactRing
 from .cusps import enumerate_cusps
@@ -318,8 +318,7 @@ class MPoly(ExactRing):
         return "MPoly(" + " + ".join(parts) + ")"
 
 
-@dataclass
-class EliminationResult:
+class EliminationResult(NamedTuple):
     """Outcome of replaying the projective-automorphism constraint chain."""
 
     a: Fraction
@@ -490,10 +489,13 @@ def elimination_solve() -> EliminationResult:
                for i in range(1, 6) for j in range(1, 6)}
     relations = ["c22 = c33^2", "c11 = -c33^4", "c44 = -1", "c45 = a - 1",
                  "c55 = 1", "c33^8 = 1"]
-    family = [tuple(tuple(_at_root(entries[f"c{i}{k}"], j,
-                                   "family entries depend on c33 only")
-                          for k in range(1, 6)) for i in range(1, 6))
-              for j in range(8)]
+    step = "family entries depend on c33 only"
+    # a constant entry has one image at every root, read once and shared
+    images = {name: [_at_root(e, 0, step)] * 8 if e.terms.keys() <= {()}
+              else [_at_root(e, j, step) for j in range(8)]
+              for name, e in entries.items()}
+    family = [tuple(tuple(images[f"c{i}{k}"][j] for k in range(1, 6))
+                    for i in range(1, 6)) for j in range(8)]
 
     return EliminationResult(a=a_value, assumptions=assumptions,
                              relations=relations, steps=steps,

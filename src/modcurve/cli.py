@@ -560,7 +560,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ArithmeticError, AssertionError) as exc:
+    except Exception as exc:  # any crash is an internal error, never a mismatch
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     if args.format == "json":

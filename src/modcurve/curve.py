@@ -26,10 +26,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .cusps import _mat_mul2
 from .equation import RotationNumber, SemiHyperellipticEquation, rotation_from_exponent
@@ -55,26 +54,30 @@ INF = _Infinity()
 BranchValue = Union[Fraction, str, complex]
 
 
-@dataclass(frozen=True)
-class SemiHyperellipticCurve:
+class _CurveFields(NamedTuple):
+    p: int
+    branches: tuple[tuple[BranchValue, int], ...]
+
+
+class SemiHyperellipticCurve(_CurveFields):
     """Degree p with finite branch data ((value, exponent), ...).
 
     Values are exact rationals, symbolic labels (str), or, for curves that
     only ever get evaluated numerically, complex numbers.
     """
 
-    p: int
-    branches: tuple[tuple[BranchValue, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 2:
+    def __new__(cls, p: int, branches: tuple[tuple[BranchValue, int], ...]):
+        if p < 2:
             raise ValueError("degree p must be >= 2")
-        values = [v for v, _ in self.branches]
+        values = [v for v, _ in branches]
         if len(set(values)) != len(values):
             raise ValueError("branch values must be pairwise distinct")
-        for _, m in self.branches:
-            if not 1 <= m < self.p:
+        for _, m in branches:
+            if not 1 <= m < p:
                 raise ValueError(f"branch exponents must lie in [1, p), got {m}")
+        return super().__new__(cls, p, branches)
 
     @classmethod
     def from_equation(cls, eq: SemiHyperellipticEquation) -> "SemiHyperellipticCurve":
@@ -96,19 +99,16 @@ class SemiHyperellipticCurve:
         return out
 
 
-@dataclass(frozen=True)
-class BranchPoint:
+class BranchPoint(NamedTuple):
     index: int
     sheet: int  # 1-based, up to gcd(p, m_i)
 
 
-@dataclass(frozen=True)
-class InfinityPoint:
+class InfinityPoint(NamedTuple):
     sheet: int  # 1-based, up to gcd(p, m)
 
 
-@dataclass(frozen=True)
-class AffinePoint:
+class AffinePoint(NamedTuple):
     x: complex
     y: complex
 
@@ -153,8 +153,7 @@ def curve_genus(c: SemiHyperellipticCurve) -> int:
     return total // 2 + 1
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """f = prod (x - a_i)^alpha_i * y^(-gamma), optionally times dx."""
 
     alphas: tuple[int, ...]
@@ -227,19 +226,23 @@ def rotation_at_branch(c: SemiHyperellipticCurve, i: int) -> RotationNumber:
 # fractional-linear maps of the x-line and lifts to the cover
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MoebiusMap:
-    """x -> (a x + b) / (c x + d) with exact rational (int or Fraction)
-    entries; images are exact too."""
-
+class _MoebiusFields(NamedTuple):
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c == 0:
+
+class MoebiusMap(_MoebiusFields):
+    """x -> (a x + b) / (c x + d) with exact rational (int or Fraction)
+    entries; images are exact too."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: Fraction, b: Fraction, c: Fraction, d: Fraction):
+        if a * d - b * c == 0:
             raise ValueError("Moebius map needs nonzero determinant")
+        return super().__new__(cls, a, b, c, d)
 
     def apply(self, v):
         x, w = (1, 0) if v is INF else (Fraction(v), 1)
@@ -247,8 +250,7 @@ class MoebiusMap:
         return INF if w == 0 else Fraction(x, w)
 
 
-@dataclass(frozen=True)
-class LiftCertificate:
+class LiftCertificate(NamedTuple):
     """Witness that a base map lifts to the cover: twist unit s with
     m(T(b)) = s * m(b) mod p over every branch point, plus the induced
     branch permutation."""

@@ -21,7 +21,6 @@ infinity and 0, so the two-orbit case needs no rule of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -89,8 +88,7 @@ def rotation_from_exponent(p: int, m: int) -> RotationNumber:
 Label = Union[None, str, Fraction]
 
 
-@dataclass(frozen=True)
-class BranchTerm:
+class BranchTerm(NamedTuple):
     """One branch orbit of the quotient map with its equation exponent."""
 
     exponent: int
@@ -99,21 +97,24 @@ class BranchTerm:
     rotation: Optional[RotationNumber] = None
 
 
-@dataclass(frozen=True)
-class SemiHyperellipticEquation:
+class _EquationFields(NamedTuple):
+    p: int
+    terms: tuple[BranchTerm, ...]
+    inf_exponent: int
+
+
+class SemiHyperellipticEquation(_EquationFields):
     """y^p = prod over terms of (x - label)^exponent, possibly with one
     orbit sent to infinity (inf_exponent > 0)."""
 
-    p: int
-    terms: tuple[BranchTerm, ...]
-    inf_exponent: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        total = sum(t.exponent for t in self.terms) + self.inf_exponent
-        if total % self.p:
+    def __new__(cls, p: int, terms: tuple[BranchTerm, ...], inf_exponent: int = 0):
+        if (sum(t.exponent for t in terms) + inf_exponent) % p:
             raise ValueError("exponent sum must vanish mod p")
-        if not all(1 <= t.exponent < self.p for t in self.terms):
+        if not all(1 <= t.exponent < p for t in terms):
             raise ValueError("finite exponents must lie in [1, p)")
+        return super().__new__(cls, p, terms, inf_exponent)
 
     @property
     def exponent_multiset(self) -> tuple[int, ...]:
@@ -181,13 +182,13 @@ def normalize_with_convention(eq: SemiHyperellipticEquation,
     at = 0
     if convention == "gcd":  # max keeps the first of equal gcds
         at = max(range(len(rest)), key=lambda i: math.gcd(eq.p, rest[i].exponent))
-    terms = [replace(rest.pop(at), label=Fraction(0))]
+    terms = [rest.pop(at)._replace(label=Fraction(0))]
     if rest:
-        terms.append(replace(rest.pop(0), label=Fraction(1)))
+        terms.append(rest.pop(0)._replace(label=Fraction(1)))
     letter = {9: "p", 10: "q", 12: "r"}.get(eq.p, "a")
     for i, t in enumerate(rest):
         label = "a" if (len(rest) == 1 and letter == "a") else f"{letter}{i + 1}"
-        terms.append(replace(t, label=label))
+        terms.append(t._replace(label=label))
     return SemiHyperellipticEquation(p=eq.p, terms=tuple(terms),
                                      inf_exponent=inf.exponent)
 
@@ -197,8 +198,9 @@ def substitute_label(eq: SemiHyperellipticEquation, label: str,
     """Replace a symbolic branch label by an exact value."""
     if not any(t.label == label for t in eq.terms):
         raise ValueError(f"no term labeled {label!r}")
-    return replace(eq, terms=tuple(
-        replace(t, label=value) if t.label == label else t for t in eq.terms))
+    return SemiHyperellipticEquation(eq.p, tuple(
+        t._replace(label=value) if t.label == label else t for t in eq.terms),
+        eq.inf_exponent)
 
 
 def _factor_str(label: Label, m: int) -> str:

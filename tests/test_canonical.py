@@ -209,6 +209,15 @@ class TestElimination:
         with pytest.raises(EliminationError, match="Q2 pullback at a = 2$"):
             elimination_solve()
 
+    def test_constant_entry_in_a_fails_the_family_step(self, monkeypatch):
+        # c45 = a - 1 comes out of subs_a as the constant a: the entry is read
+        # once for all eight roots, and still through the shape check
+        subs_a = MPoly.subs_a
+        monkeypatch.setattr(MPoly, "subs_a", lambda mp, a: MPoly.const(Poly.x())
+                            if mp == MPoly.const(Poly.x() - 1) else subs_a(mp, a))
+        with pytest.raises(EliminationError, match="family entries depend on c33 only$"):
+            elimination_solve()
+
     def test_entries_vanishing_pattern(self):
         res = elimination_solve()
         nonzero = {name for name, e in res.entries.items() if not e.is_zero()}

@@ -535,7 +535,9 @@ class TestParserReuse:
 class TestInternalError:
     @pytest.mark.parametrize("exc", [RuntimeError("degree guard"),
                                      ZeroDivisionError("division by zero"),
-                                     EliminationError("elimination step failed: Q3")])
+                                     EliminationError("elimination step failed: Q3"),
+                                     TypeError("missing 1 required positional argument"),
+                                     KeyError("c33")])
     def test_exits_4_not_mismatch(self, capsys, monkeypatch, exc):
         from modcurve import cli
 

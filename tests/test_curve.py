@@ -172,6 +172,36 @@ class TestGenus:
             SemiHyperellipticCurve(8, ((Fraction(0), 2), (Fraction(0), 1)))
 
 
+class TestRecords:
+    @pytest.mark.parametrize("p, branches, match", [
+        (1, (), "degree p must be >= 2"),
+        (-3, ((Fraction(0), 1),), "degree p must be >= 2"),
+        (8, (("a", 1), ("a", 2)), "pairwise distinct"),
+        (8, ((Fraction(0), 0),), r"\[1, p\), got 0"),
+        (8, ((Fraction(0), 1), (Fraction(1), 8)), r"\[1, p\), got 8"),
+        (8, ((Fraction(0), -1),), r"\[1, p\), got -1"),
+    ])
+    def test_curve_rejects(self, p, branches, match):
+        with pytest.raises(ValueError, match=match):
+            SemiHyperellipticCurve(p, branches)
+        with pytest.raises(ValueError, match=match):
+            SemiHyperellipticCurve(p=p, branches=branches)
+
+    @pytest.mark.parametrize("entries", [(0, 0, 0, 0), (1, 2, 2, 4), (Fraction(1, 2), 1, 1, 2)])
+    def test_moebius_rejects_zero_determinant(self, entries):
+        with pytest.raises(ValueError, match="nonzero determinant"):
+            MoebiusMap(*entries)
+        with pytest.raises(ValueError, match="nonzero determinant"):
+            curve.MoebiusMap(*entries)
+
+    @pytest.mark.parametrize("record, field", [
+        (octic_model(), "p"), (curve.MoebiusMap(1, 0, 0, 1), "a"),
+        (BranchPoint(0, 1), "index"), (Monomial((1, 0, 0), 5), "gamma")])
+    def test_records_are_immutable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 3)
+
+
 TABLE6 = {
     # column -> (order at 0_l, at (1,0), at (a,0), at infinity)
     Monomial((1, 0, 0), 0, dx=False): (4, 0, 0, -2),

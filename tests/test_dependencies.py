@@ -1,5 +1,6 @@
 """The library keeps zero runtime dependencies: it loads only the standard
-library, and pyproject.toml declares no dependency."""
+library, and pyproject.toml declares no dependency.  Its start-up stays
+light: importing the CLI does not load dataclasses."""
 
 import os
 import re
@@ -27,6 +28,16 @@ def test_every_module_loads_only_the_standard_library():
     assert "modcurve" in loaded
     assert [name for name in loaded if name not in sys.stdlib_module_names
             and name not in ("modcurve", "__main__")] == []
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # dataclasses pulls in inspect, which 3.10 and 3.11 load for nothing else;
+    # 3.12 and 3.13 load inspect themselves, so only dataclasses is guarded
+    proc = subprocess.run([sys.executable, "-S", "-c",
+                           "import sys, modcurve.cli; print('dataclasses' in sys.modules)"],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.stdout == "False\n"
 
 
 def test_pyproject_declares_no_dependencies():

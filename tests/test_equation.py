@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,12 +26,12 @@ def reference_normalize_equation(eq, to_inf, to_zero, to_one):
         raise ValueError(f"need three distinct term indices out of {len(eq.terms)}")
     rest = sorted((t for i, t in enumerate(eq.terms) if i not in idxs),
                   key=lambda t: (t.exponent, t.orbit or ()))
-    new_terms = [replace(eq.terms[to_zero], label=Fraction(0)),
-                 replace(eq.terms[to_one], label=Fraction(1))]
+    new_terms = [eq.terms[to_zero]._replace(label=Fraction(0)),
+                 eq.terms[to_one]._replace(label=Fraction(1))]
     letter = {9: "p", 10: "q", 12: "r"}.get(eq.p, "a")
     for i, t in enumerate(rest):
         label = "a" if (len(rest) == 1 and letter == "a") else f"{letter}{i + 1}"
-        new_terms.append(replace(t, label=label))
+        new_terms.append(t._replace(label=label))
     return SemiHyperellipticEquation(
         p=eq.p, terms=tuple(new_terms),
         inf_exponent=eq.terms[to_inf].exponent)
@@ -45,7 +44,7 @@ def reference_normalize(eq, convention="gcd"):
         raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
     if len(eq.terms) == 2:
         high, low = sorted(eq.terms, key=lambda t: -t.exponent)
-        return SemiHyperellipticEquation(p=eq.p, terms=(replace(low, label=Fraction(0)),),
+        return SemiHyperellipticEquation(p=eq.p, terms=(low._replace(label=Fraction(0)),),
                                          inf_exponent=high.exponent)
     if len(eq.terms) < 2:
         raise ValueError("normalization conventions need at least 2 branch orbits")
@@ -301,3 +300,44 @@ class TestNormalization:
     def test_fewer_than_two_orbits_rejected(self):
         with pytest.raises(ValueError):
             normalize_with_convention(SemiHyperellipticEquation(p=2, terms=()))
+
+
+class TestRecords:
+    @pytest.mark.parametrize("p, exponents, inf, match", [
+        (8, (1, 2), 0, "exponent sum must vanish mod p"),
+        (8, (1,), 6, "exponent sum must vanish mod p"),
+        (5, (), 1, "exponent sum must vanish mod p"),
+        (8, (8,), 0, r"finite exponents must lie in \[1, p\)"),
+        (8, (0,), 0, r"finite exponents must lie in \[1, p\)"),
+        (8, (9, 7), 0, r"finite exponents must lie in \[1, p\)"),
+    ])
+    def test_equation_rejects(self, p, exponents, inf, match):
+        terms = tuple(BranchTerm(m) for m in exponents)
+        with pytest.raises(ValueError, match=match):
+            SemiHyperellipticEquation(p, terms, inf)
+        with pytest.raises(ValueError, match=match):
+            SemiHyperellipticEquation(p=p, terms=terms, inf_exponent=inf)
+
+    def test_default_inf_exponent(self):
+        eq = SemiHyperellipticEquation(8, (BranchTerm(1), BranchTerm(7)))
+        assert eq.inf_exponent == 0 and eq == SemiHyperellipticEquation(8, eq.terms, 0)
+
+    def test_results_are_revalidated(self):
+        # _replace skips the constructor's checks; both rewrites must run them
+        raw = build_equation(8, 1)
+        eq = normalize_with_convention(raw)
+        for good in (eq, substitute_label(eq, "a", Fraction(-1))):
+            assert type(good) is SemiHyperellipticEquation
+        with pytest.raises(ValueError, match="exponent sum must vanish mod p"):
+            normalize_with_convention(raw._replace(terms=raw.terms[1:]))
+        with pytest.raises(ValueError, match="exponent sum must vanish mod p"):
+            substitute_label(eq._replace(inf_exponent=eq.inf_exponent + 1), "a", Fraction(-1))
+
+    def test_branch_term_repr(self):
+        eq = build_equation(8, 1)
+        assert repr(eq.terms[0]) == ("BranchTerm(exponent=1, label='a1', orbit=((1, 0),), "
+                                     "rotation=RotationNumber(orbit_len=1, k=1))")
+        assert repr(normalize_with_convention(eq).terms[0]) == (
+            "BranchTerm(exponent=2, label=Fraction(0, 1), orbit=((1, 4), (3, 4)), "
+            "rotation=RotationNumber(orbit_len=2, k=1))")
+        assert repr(BranchTerm(3)) == "BranchTerm(exponent=3, label=None, orbit=None, rotation=None)"
