@@ -5,8 +5,9 @@ canonical model in P^4."""
 
 from .arith import (Cyclotomic, GaussRational, divisors, ext_gcd, factorize,
                     is_prime, mult_n, n3, solve_unit_congruence)
-from .cusps import (cusp_canonical, enumerate_cusps, find_equivalence_witness,
-                    h_formula, h_n_formula, tau_orbits, width, width_bruteforce,
+from .cusps import (cusp_action, cusp_canonical, enumerate_cusps,
+                    find_equivalence_witness, gamma_qn_member, h_formula,
+                    h_n_formula, tau_orbits, width, width_bruteforce,
                     width_distribution)
 from .curve import (INF, Monomial, MoebiusMap, SemiHyperellipticCurve,
                     curve_genus, differential_order, holomorphic_basis,
@@ -19,9 +20,8 @@ from .equation import (RotationNumber, SemiHyperellipticEquation,
                        rotation_number)
 from .genus import (euler_genus, genus_prime_quotient, genus_q, genus_qn,
                     hurwitz_deficiency, is_semihyperelliptic_level)
-from .psl import (center, cusp_action, element_order, enumerate_psl,
-                  gamma_qn_member, maps_between_cusps, max_element_order,
-                  r_formula, r_n_formula, type_classify)
+from .psl import (center, element_order, enumerate_psl, maps_between_cusps,
+                  max_element_order, r_formula, r_n_formula, type_classify)
 from .canonical import (elimination_solve, embed_point, preserves_ideal,
                         quadric_residuals, sigma_matrix, sigma_preserves_ideal)
 

@@ -7,14 +7,16 @@ functions
     N(p)  = prod_i (1 + r_i * (p_i - 1)/(p_i + 1))      for p = prod p_i^r_i
     N3(j) = p/(p+1) for j in {0, r},  (p-1)/(p+1) else
 
-which control cusp counts and width distributions, and the quotient rings
-Z[t]/(t^d - c) used for exact calculations with roots of unity and of -1.
+which control cusp counts and width distributions, 2x2 matrix products and
+adjugates, and the rings Z[t]/(t^d - c) for exact roots of unity and of -1.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+Mat = tuple[int, int, int, int]  # (a, b; c, d) as the flat tuple (a, b, c, d)
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -82,6 +84,19 @@ def check_step(q: int, n: int, least: int = 1) -> None:
         raise ValueError(f"level q = {q} must be at least {least}")
     if n < 1 or q % n:
         raise ValueError(f"n = {n} must divide q = {q}")
+
+
+def mat_mul2(m1: tuple, m2: tuple) -> tuple:
+    """2x2 product over any commutative ring (int, Fraction, Poly)."""
+    a, b, c, d = m1
+    e, f, g, h = m2
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def adj2(m: tuple) -> tuple:
+    """Adjugate (d, -b; -c, a): the inverse when the determinant is 1."""
+    a, b, c, d = m
+    return (d, -b, -c, a)
 
 
 def exact_int(x: Fraction, what: str) -> int:

@@ -38,10 +38,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import Cyclotomic, ExactRing
-from .cusps import enumerate_cusps
+from .cusps import cusp_class_action, enumerate_cusps
 from .genus import euler_genus
 from .poly import Poly, rational_roots
-from .psl import center, cusp_class_action, r_formula, sign_center
+from .psl import center, r_formula, sign_center
 
 QuadMono = tuple[int, int]  # (i, j) with i <= j, 0-indexed coordinates
 Quadric = dict[QuadMono, object]

@@ -3,7 +3,7 @@
 Subcommands: genus, cusps, rotation, equation, group, verify, canonical.
 Exit status: 0 success, 1 verification mismatch, 2 argument error,
 3 unsupported-mathematics request, 4 internal error (an exception such as
-a failed elimination step, reported on stderr).
+a failed elimination step or a closed output pipe, reported on stderr).
 
 Argument rules are stated once, in the library: each raises ValueError,
 which main maps to exit 2, and no handler restates them.  The explicit
@@ -25,16 +25,18 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 
 from .arith import GAUSS_I, Cyclotomic, check_step, divisors
 from . import canonical as canon
-from .cusps import (check_cusp, class_to_cusp, cusp_canonical, cusp_str, enumerate_cusps,
-                    find_equivalence_witness, h_formula, h_n_formula, orbit_rep,
-                    tau_orbits, width, width_bruteforce, width_distribution,
-                    width_tally)
+from .cusps import (check_cusp, class_to_cusp, cusp_action, cusp_canonical,
+                    cusp_class_action, cusp_str, enumerate_cusps,
+                    find_equivalence_witness, gamma_qn_member, h_formula,
+                    h_n_formula, orbit_rep, tau_orbits, width, width_bruteforce,
+                    width_distribution, width_tally)
 from .curve import (BranchPoint, InfinityPoint, Monomial, SemiHyperellipticCurve,
                     differential_order, octic_family, octic_model,
                     octic_to_quartic_maps, quartic_model, solve_branch_constant,
@@ -47,10 +49,9 @@ from .genus import (genus_prime_quotient, genus_q, genus_qn, hurwitz_deficiency,
                     is_semihyperelliptic_level)
 from .golden import golden
 from .poly import Poly
-from .psl import (ENUM_GUARD, center, cusp_action, cusp_class_action, element_order,
-                  enumerate_psl, gamma_qn_member, maps_between_cusps,
-                  max_element_order, max_order_formula, r_formula, r_n_formula,
-                  type_classify)
+from .psl import (ENUM_GUARD, center, element_order, enumerate_psl,
+                  maps_between_cusps, max_element_order, max_order_formula,
+                  r_formula, r_n_formula, type_classify)
 
 
 class UnsupportedError(Exception):
@@ -552,22 +553,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # looked up per call, so a rebound cmd_* takes effect without a new parser
-        doc, lines, status = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
-    except UnsupportedError as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # any crash is an internal error, never a mismatch
+        try:
+            # looked up per call, so a rebound cmd_* takes effect without a new parser
+            doc, lines, status = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
+        except UnsupportedError as exc:
+            print(f"unsupported: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if args.format == "json":
+            print(json.dumps(doc, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except Exception as exc:  # a crash or an output error is internal, never a mismatch
+        if isinstance(exc, BrokenPipeError):  # the reader left: shutdown flushes to nowhere
+            sys.stdout = open(os.devnull, "w")
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in lines:
-            print(line)
     return status
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, NamedTuple, Optional, Union
 
-from .cusps import _mat_mul2
+from .arith import adj2, mat_mul2
 from .equation import RotationNumber, SemiHyperellipticEquation, rotation_from_exponent
 from .poly import Poly, rational_roots
 
@@ -309,11 +309,6 @@ def _to_zero_one_inf(z1, z2, z3) -> tuple:
     return (d23 * z1[1], -d23 * z1[0], d21 * z3[1], -d21 * z3[0])
 
 
-def _adj2(m):
-    a, b, c, d = m
-    return (d, -b, -c, a)
-
-
 def _pair_condition(t_mat, u, v) -> Poly:
     """Polynomial condition (in the symbolic constant) for T(u) = v."""
     t00, t01, t10, t11 = t_mat
@@ -360,7 +355,7 @@ def solve_branch_constant(c: SemiHyperellipticCurve,
         dst = [_value_poly(points[perm[i]], sym) for i in range(len(points))]
         m_src = _to_zero_one_inf(*src[:3])
         m_dst = _to_zero_one_inf(*dst[:3])
-        t_mat = _mat_mul2(_adj2(m_dst), m_src)
+        t_mat = mat_mul2(adj2(m_dst), m_src)
         conditions = []
         for i in range(3, len(points)):
             cond = _pair_condition(t_mat, src[i], dst[i])

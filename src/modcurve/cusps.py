@@ -1,5 +1,5 @@
-"""Cusps of the level-q principal congruence subgroup, their translation
-orbits, widths and width distributions.
+"""Cusps of the level-q principal congruence subgroup and the SL(2, Z) action
+on them and on their classes; translation orbits, widths and distributions.
 
 A cusp is a coprime pair (x, z) with z >= 0, infinity stored as (1, 0) and
 gcd(x, 0) read as |x|.  Two cusps are level-q equivalent exactly when their
@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .arith import check_step, euler_product, exact_int, ext_gcd, factorize, mult_n, n3
-from .psl import Mat
+from .arith import (Mat, adj2, check_step, euler_product, exact_int, ext_gcd, factorize,
+                    mat_mul2, mult_n, n3)
 
 Cusp = tuple[int, int]
 ClassPair = tuple[int, int]
@@ -37,12 +37,48 @@ def check_cusp(c: Cusp) -> Cusp:
     return c
 
 
+def gamma_qn_member(m: Mat, q: int, n: int) -> bool:
+    """Membership of an integer matrix in the group with a = d = 1, c = 0
+    (mod q) and b = 0 (mod n).  The case n = q is the principal congruence
+    subgroup of level q."""
+    a, b, c, d = m
+    if a * d - b * c != 1:
+        raise ValueError("matrix must have determinant 1")
+    check_step(q, n)
+    return a % q == 1 and d % q == 1 and c % q == 0 and b % n == 0
+
+
+def cusp_action(m: Mat, cusp: Cusp) -> Cusp:
+    """Fractional-linear action of an integer matrix on x/z in Q u {oo}.
+
+    Input and output are coprime pairs, with oo stored as (1, 0) and the
+    denominator normalized nonnegative.
+    """
+    a, b, c, d = m
+    x, z = cusp
+    if math.gcd(x, z) != 1:
+        raise ValueError(f"cusp {x}/{z} is not a coprime pair")
+    nx, nz = a * x + b * z, c * x + d * z
+    g = math.gcd(nx, nz)
+    if g:
+        nx, nz = nx // g, nz // g
+    if nz < 0 or (nz == 0 and nx < 0):
+        nx, nz = -nx, -nz
+    return (nx, nz)
+
+
+def cusp_class_action(q: int, m: Mat, cls: ClassPair) -> ClassPair:
+    """Induced action on level-q cusp classes +-(x, z) mod q."""
+    a, b, c, d = m
+    x, z = cls
+    nx, nz = (a * x + b * z) % q, (c * x + d * z) % q
+    return min((nx, nz), ((-nx) % q, (-nz) % q))
+
+
 def cusp_canonical(q: int, c: Cusp) -> ClassPair:
-    """Canonical class pair of a cusp: min of +-(x, z) mod q."""
+    """Canonical class pair of a cusp: the identity's class action, min of +-(x, z) mod q."""
     check_step(q, 1, 3)
-    x, z = check_cusp(c)
-    xq, zq = x % q, z % q
-    return min((xq, zq), ((-xq) % q, (-zq) % q))
+    return cusp_class_action(q, (1, 0, 0, 1), check_cusp(c))
 
 
 def class_to_cusp(q: int, cls: ClassPair) -> Cusp:
@@ -78,32 +114,24 @@ def find_equivalence_witness(q: int, c1: Cusp, c2: Cusp):
     check_step(q, 1)
     x1, z1 = check_cusp(c1)
     x2, z2 = check_cusp(c2)
-    a_mat = _complete_to_unimodular(x1, z1)
-    a2_mat = _complete_to_unimodular(x2, z2)
-    a_inv = (a_mat[3], -a_mat[1], -a_mat[2], a_mat[0])
+    a_inv = adj2(complete_to_unimodular(x1, z1))
+    a2_mat = complete_to_unimodular(x2, z2)
     for j in range(q):
         t_j = (1, j, 0, 1)
-        g = _mat_mul2(a2_mat, _mat_mul2(t_j, a_inv))
+        g = mat_mul2(a2_mat, mat_mul2(t_j, a_inv))
         for s in (1, -1):
             gs = tuple(s * e for e in g)
-            if ((gs[0] - 1) % q == 0 and (gs[3] - 1) % q == 0
-                    and gs[1] % q == 0 and gs[2] % q == 0):
+            if gamma_qn_member(gs, q, q):
                 return gs
     return None
 
 
-def _complete_to_unimodular(x: int, z: int) -> Mat:
+def complete_to_unimodular(x: int, z: int) -> Mat:
+    """(x, -v; z, u) with x*u + z*v = 1: determinant 1, sending oo to x/z."""
     g, u, v = ext_gcd(x, z)
     if g != 1:
         raise RuntimeError(f"{x}/{z} is not reduced")
-    return (x, -v, z, u)  # det = x*u + v*z = 1
-
-
-def _mat_mul2(m1: tuple, m2: tuple) -> tuple:
-    """2x2 product over any commutative ring, entries as (a, b, c, d)."""
-    a, b, c, d = m1
-    e, f, g, h = m2
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    return (x, -v, z, u)
 
 
 def h_formula(q: int) -> int:

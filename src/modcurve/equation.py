@@ -24,8 +24,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .arith import check_step, ext_gcd, solve_unit_congruence
-from .cusps import ClassPair, Cusp, check_cusp, class_to_cusp, cusp_str, tau_orbits
+from .arith import check_step, solve_unit_congruence
+from .cusps import (ClassPair, Cusp, check_cusp, class_to_cusp, complete_to_unimodular,
+                    cusp_str, tau_orbits)
 from .genus import genus_qn
 
 
@@ -50,7 +51,7 @@ def rotation_number(q: int, n: int, c: Cusp) -> RotationNumber:
     g = math.gcd(p, z)  # gcd(p, 0) = p
     if g == 1:
         return RotationNumber(p, 0)
-    _, w, _ = ext_gcd(x, z)  # x*w + z*v = 1, so w is a Bezout cofactor
+    w = complete_to_unimodular(x, z)[3]  # gamma = (x, y; z, w) in SL(2, Z)
     return RotationNumber(p // g, (w * w) % g)
 
 
@@ -114,6 +115,9 @@ class SemiHyperellipticEquation(_EquationFields):
             raise ValueError("exponent sum must vanish mod p")
         if not all(1 <= t.exponent < p for t in terms):
             raise ValueError("finite exponents must lie in [1, p)")
+        labels = [t.label for t in terms if t.label is not None]  # None: not yet placed
+        if len(set(labels)) != len(labels):
+            raise ValueError("branch values must be pairwise distinct")
         return super().__new__(cls, p, terms, inf_exponent)
 
     @property
@@ -171,8 +175,11 @@ def normalize_with_convention(eq: SemiHyperellipticEquation,
     their order.  No choice is canonical; different presentations in the
     literature use different ones, so the convention stays caller-selectable.
     With only two branch orbits (level 5) infinity and zero use them up: the
-    larger exponent goes to infinity and the other to 0.
+    larger exponent goes to infinity and the other to 0.  The input must be
+    raw: an orbit already at infinity would be lost.
     """
+    if eq.inf_exponent:
+        raise ValueError("equation already sends an orbit to infinity; normalize the raw equation")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
     if len(eq.terms) < 2:

@@ -1,5 +1,5 @@
 """SL(2, Z/qZ) and its projective quotients: enumeration, orders, center,
-cusp action.
+and the transporters between cusp classes (the action itself is in cusps).
 
 Matrices are flat tuples (a, b, c, d) of residues with ad - bc = 1 (mod q).
 Two quotients matter and they differ for composite q:
@@ -34,9 +34,8 @@ import math
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .arith import check_step, euler_product, exact_int
-
-Mat = tuple[int, int, int, int]
+from .arith import Mat, check_step, euler_product, exact_int
+from .cusps import cusp_class_action
 
 ENUM_GUARD = 40
 
@@ -231,44 +230,6 @@ def sign_center(q: int) -> set[Mat]:
     """Center of the sign quotient SL/{+-I}; the scalar classes show up
     here (for level 8: the identity and the class of 3I)."""
     return _center_of(q, _signs(q))
-
-
-def gamma_qn_member(m: Mat, q: int, n: int) -> bool:
-    """Membership of an integer matrix in the group with a = d = 1, c = 0
-    (mod q) and b = 0 (mod n).  The case n = q is the principal congruence
-    subgroup of level q."""
-    a, b, c, d = m
-    if a * d - b * c != 1:
-        raise ValueError("matrix must have determinant 1")
-    check_step(q, n)
-    return a % q == 1 and d % q == 1 and c % q == 0 and b % n == 0
-
-
-def cusp_action(m: Mat, cusp: tuple[int, int]) -> tuple[int, int]:
-    """Fractional-linear action of an integer matrix on x/z in Q u {oo}.
-
-    Input and output are coprime pairs, with oo stored as (1, 0) and the
-    denominator normalized nonnegative.
-    """
-    a, b, c, d = m
-    x, z = cusp
-    if math.gcd(x, z) != 1:
-        raise ValueError(f"cusp {x}/{z} is not a coprime pair")
-    nx, nz = a * x + b * z, c * x + d * z
-    g = math.gcd(nx, nz)
-    if g:
-        nx, nz = nx // g, nz // g
-    if nz < 0 or (nz == 0 and nx < 0):
-        nx, nz = -nx, -nz
-    return (nx, nz)
-
-
-def cusp_class_action(q: int, m: Mat, cls: tuple[int, int]) -> tuple[int, int]:
-    """Induced action on level-q cusp classes +-(x, z) mod q."""
-    a, b, c, d = m
-    x, z = cls
-    nx, nz = (a * x + b * z) % q, (c * x + d * z) % q
-    return min((nx, nz), ((-nx) % q, (-nz) % q))
 
 
 def maps_between_cusps(q: int, c1: tuple[int, int], c2: tuple[int, int]) -> list[Mat]:

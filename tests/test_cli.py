@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -547,6 +549,20 @@ class TestInternalError:
         status, out, err = run(capsys, "canonical")
         assert status == 4 and out == ""
         assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_output_error_exits_4(self, capsys, monkeypatch, fmt):
+        # a reader that closed the pipe, as `modcurve verify | head -c 1` does
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        status, _, err = run(capsys, "--format", fmt, "canonical")
+        assert status == 4
+        assert err == "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
+        assert sys.stdout.name == os.devnull  # nothing more reaches the closed pipe
+        sys.stdout.close()
 
 
 LEVELS = [str(v) for v in range(-3, 13)] + ["41", "61"]

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from modcurve import cusps
-from modcurve.arith import divisors
-from modcurve.cusps import (_complete_to_unimodular, class_to_cusp, cusp_canonical,
-                            cusp_str, enumerate_cusps, find_equivalence_witness,
-                            h_formula, h_n_formula, orbit_width_sum,
-                            orbit_rep, tau_orbits,
+from modcurve.arith import divisors, mat_mul2
+from modcurve.cusps import (class_to_cusp, complete_to_unimodular, cusp_action,
+                            cusp_canonical, cusp_class_action, cusp_str,
+                            enumerate_cusps, find_equivalence_witness,
+                            gamma_qn_member, h_formula, h_n_formula,
+                            orbit_width_sum, orbit_rep, tau_orbits,
                             width, width_bruteforce, width_distribution,
                             width_tally)
-from modcurve.psl import gamma_qn_member, r_n_formula
+from modcurve.psl import r_n_formula
 
 
 def orbit_width_sum_check(q: int, n: int, orbit: tuple) -> bool:
@@ -137,7 +138,13 @@ class TestWitness:
     def test_completion_rejects_unreduced(self):
         # a RuntimeError, not an assert, so python -O keeps the check
         with pytest.raises(RuntimeError):
-            _complete_to_unimodular(2, 4)
+            complete_to_unimodular(2, 4)
+
+    @given(st.integers(-100, 100), st.integers(-100, 100))
+    def test_completion_is_unimodular(self, x, z):
+        assume(math.gcd(x, z) == 1)
+        a, b, c, d = complete_to_unimodular(x, z)
+        assert (a, c) == (x, z) and a * d - b * c == 1
 
     @pytest.mark.parametrize("q", [5, 7, 8, 9])
     def test_witness_iff_same_class(self, q):
@@ -339,8 +346,19 @@ class TestOrbitWidthSums:
 class TestClassActionCompat:
     @pytest.mark.parametrize("q", [7, 8])
     def test_group_permutes_classes(self, q):
-        from modcurve.psl import cusp_class_action, enumerate_psl
+        from modcurve.psl import enumerate_psl
         classes = enumerate_cusps(q)
         for g in sorted(enumerate_psl(q))[:40]:
             image = {cusp_class_action(q, g, cls) for cls in classes}
             assert image == set(classes)
+
+    @given(st.sampled_from([3, 4, 7, 8, 12, 25, 60]), st.lists(st.integers(-5, 5), max_size=6),
+           st.integers(-50, 50), st.integers(0, 50))
+    def test_class_action_follows_cusp_action(self, q, ks, x, z):
+        assume(math.gcd(x, z) == 1 and (z or x == 1))
+        g = (1, 0, 0, 1)
+        for k in ks:
+            g = mat_mul2(g, (k, -1, 1, 0))  # T^k S over Z; S and T generate SL(2, Z)
+        c = (x, z)
+        assert cusp_class_action(q, tuple(e % q for e in g), cusp_canonical(q, c)) == \
+            cusp_canonical(q, cusp_action(g, c))

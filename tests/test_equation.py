@@ -232,6 +232,13 @@ class TestNormalization:
         assert equation_string(eq) == \
             "y^12 = x*(x-1)^2*(x-r1)^3*(x-r2)^3*(x-r3)^4*(x-r4)^4*(x-r5)^6"
 
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_rejects_normalized_input(self, convention):
+        eq = normalize_with_convention(build_equation(8, 1), convention)
+        with pytest.raises(ValueError, match="equation already sends an orbit to infinity; "
+                                             "normalize the raw equation"):
+            normalize_with_convention(eq, convention)
+
     def test_multiset_preserved(self):
         raw = build_equation(10, 1)
         for convention in ("gcd", "ascending", "minimal"):
@@ -317,6 +324,14 @@ class TestRecords:
             SemiHyperellipticEquation(p, terms, inf)
         with pytest.raises(ValueError, match=match):
             SemiHyperellipticEquation(p=p, terms=terms, inf_exponent=inf)
+
+    def test_equation_rejects_shared_label(self):
+        # 1 is already the label of the x = 1 term, as in the curve record
+        eq = normalize_with_convention(build_equation(8, 1))
+        with pytest.raises(ValueError, match="branch values must be pairwise distinct"):
+            substitute_label(eq, "a", Fraction(1))
+        with pytest.raises(ValueError, match="branch values must be pairwise distinct"):
+            SemiHyperellipticEquation(8, (BranchTerm(1, "a"), BranchTerm(7, "a")))
 
     def test_default_inf_exponent(self):
         eq = SemiHyperellipticEquation(8, (BranchTerm(1), BranchTerm(7)))

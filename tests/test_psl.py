@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcurve import psl
-from modcurve.cusps import cusp_canonical, enumerate_cusps
+from modcurve.cusps import (cusp_action, cusp_canonical, cusp_class_action,
+                            enumerate_cusps, gamma_qn_member)
 from modcurve.genus import genus_q, hurwitz_deficiency
-from modcurve.psl import (center, cusp_action, cusp_class_action,
-                          element_order, enumerate_psl,
-                          gamma_qn_member, maps_between_cusps,
+from modcurve.psl import (center, element_order, enumerate_psl,
+                          maps_between_cusps,
                           max_element_order, max_order_formula,
                           projective_element_order, r_formula,
                           r_n_formula, scalar_units, sign_center,
