@@ -8,7 +8,8 @@ has n = gcd(p, m) points of ramification index e = p/n, and in a local
 parameter t the coordinate x - a_i (1/x over infinity) vanishes to order
 e, y to order s * m/n and dx to order s * e - 1, where the sign s is +1
 over a branch value and -1 over infinity.  Branch values may stay symbolic
-(strings); only multiplicities enter the order bookkeeping.
+(strings); only multiplicities enter the order bookkeeping.  The record
+keeps the branch data rules of equation.check_branch_data.
 
 The x-line is handled homogeneously: a value x is the pair (x : 1) and
 infinity is (1 : 0), so fractional-linear maps and the branch-constant
@@ -28,10 +29,11 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .arith import adj2, mat_mul2
-from .equation import RotationNumber, SemiHyperellipticEquation, rotation_from_exponent
+from .equation import (RotationNumber, SemiHyperellipticEquation, check_branch_data,
+                       rotation_from_exponent)
 from .poly import Poly, rational_roots
 
 
@@ -69,14 +71,7 @@ class SemiHyperellipticCurve(_CurveFields):
     __slots__ = ()
 
     def __new__(cls, p: int, branches: tuple[tuple[BranchValue, int], ...]):
-        if p < 2:
-            raise ValueError("degree p must be >= 2")
-        values = [v for v, _ in branches]
-        if len(set(values)) != len(values):
-            raise ValueError("branch values must be pairwise distinct")
-        for _, m in branches:
-            if not 1 <= m < p:
-                raise ValueError(f"branch exponents must lie in [1, p), got {m}")
+        check_branch_data(p, branches)
         return super().__new__(cls, p, branches)
 
     @classmethod
@@ -260,6 +255,13 @@ class LiftCertificate(NamedTuple):
     permutation: tuple[tuple[object, object], ...]
 
 
+def _twists(p: int, pairs: list[tuple[int, int]]) -> Iterator[int]:
+    """The units s mod p, ascending, with m' = s * m mod p for every exponent
+    pair (m, m') = (m(b), m(T(b))): the lift condition of the module docstring."""
+    return (s for s in range(1, p)
+            if math.gcd(s, p) == 1 and all(m2 % p == s * m1 % p for m1, m2 in pairs))
+
+
 def moebius_lift_check(c: SemiHyperellipticCurve,
                        t: MoebiusMap) -> Optional[LiftCertificate]:
     """Certificate that t lifts to an automorphism of the cover commuting
@@ -277,13 +279,11 @@ def moebius_lift_check(c: SemiHyperellipticCurve,
         images[v] = w
     if set(images.values()) != set(bmap):
         return None
-    twists = [s for s in range(1, c.p)
-              if math.gcd(s, c.p) == 1
-              and all(bmap[images[v]] % c.p == (s * bmap[v]) % c.p for v in bmap)]
+    twists = tuple(_twists(c.p, [(bmap[v], bmap[w]) for v, w in images.items()]))
     if not twists:
         return None
     return LiftCertificate(
-        twist=twists[0], twists=tuple(twists),
+        twist=twists[0], twists=twists,
         permutation=tuple(sorted(images.items(), key=repr)))
 
 
@@ -339,13 +339,9 @@ def solve_branch_constant(c: SemiHyperellipticCurve,
     if u not in bmap or v not in bmap or u == v:
         raise ValueError("demand must name two distinct branch points")
     iu, iv = points.index(u), points.index(v)
-    exact_values = [Fraction(w) for w, _ in c.branches if not isinstance(w, str)]
-
-    units = [s for s in range(1, c.p) if math.gcd(s, c.p) == 1]
     candidates = [perm for perm in permutations(range(len(points)))
                   if perm[iu] == iv and perm[iv] == iu
-                  and any(all(exps[j] % c.p == s * exps[i] % c.p
-                              for i, j in enumerate(perm)) for s in units)]
+                  and any(_twists(c.p, [(exps[i], exps[j]) for i, j in enumerate(perm)]))]
     if not candidates:
         raise ValueError("no branch permutation matches the demanded swap")
 
@@ -370,15 +366,14 @@ def solve_branch_constant(c: SemiHyperellipticCurve,
             rr = set(rational_roots(cond))
             roots = rr if roots is None else roots & rr
         for root in roots or ():
-            if root in exact_values:
-                continue  # degenerate: branch values must stay distinct
-            solved = SemiHyperellipticCurve(
-                c.p, tuple((root if isinstance(w, str) else w, m)
-                           for w, m in c.branches))
-            entries = [e(root) for e in t_mat]
-            if entries[0] * entries[3] - entries[1] * entries[2] == 0:
+            try:  # the record rejects a root on another branch value
+                solved = SemiHyperellipticCurve(
+                    c.p, tuple((root if isinstance(w, str) else w, m)
+                               for w, m in c.branches))
+            except ValueError:
                 continue
-            t_exact = MoebiusMap(*entries)
+            # invertible: det T is a product of determinants of distinct points
+            t_exact = MoebiusMap(*(e(root) for e in t_mat))
             if moebius_lift_check(solved, t_exact) is not None:
                 solutions.add(root)
     return sorted(solutions)

@@ -12,17 +12,19 @@ level-q curve (p = q/n, q >= 5):
     the orbit length and k * (m / gcd(p, m)) = 1 mod (p / gcd(p, m)).
 
 Branched orbits are exactly those of size < p, and the exponent sum over
-them is divisible by p.  One normalization path serves every level: it
-sorts the terms once and sends three of them to infinity, 0 and 1, and the
-leftover branch values stay symbolic.  At level 5 it runs out of terms after
-infinity and 0, so the two-orbit case needs no rule of its own.
+them is divisible by p; build_equation checks this.  One normalization path
+serves every level: it sorts the terms once and sends three of them to
+infinity, 0 and 1, and the leftover branch values stay symbolic.  At level 5
+it runs out of terms after infinity and 0, so the two-orbit case needs no
+rule of its own.  check_branch_data states the branch data rules once, for
+the equation and curve.SemiHyperellipticCurve both.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .arith import check_step, solve_unit_congruence
 from .cusps import (ClassPair, Cusp, check_cusp, class_to_cusp, complete_to_unimodular,
@@ -80,8 +82,7 @@ def rotation_from_exponent(p: int, m: int) -> RotationNumber:
     """Rotation number of the deck transformation at a branch point of
     exponent m on y^p = ...: orbit length gcd(p, m), exponent the inverse
     of m/gcd(p, m) modulo p/gcd(p, m)."""
-    if not 1 <= m < p:
-        raise ValueError(f"exponent must satisfy 1 <= m < p, got {m}")
+    check_branch_data(p, [(None, m)])
     g = math.gcd(p, m)
     return RotationNumber(g, solve_unit_congruence(m // g, p // g))
 
@@ -98,27 +99,38 @@ class BranchTerm(NamedTuple):
     rotation: Optional[RotationNumber] = None
 
 
+def check_branch_data(p: int, branches: Sequence[tuple[object, int]]) -> None:
+    """Raise ValueError unless p >= 2, every exponent lies in [1, p) and the
+    values are pairwise distinct; a value of None is not yet placed."""
+    if p < 2:
+        raise ValueError("degree p must be >= 2")
+    for _, m in branches:
+        if not 1 <= m < p:
+            raise ValueError(f"finite exponents must lie in [1, p), got {m}")
+    values = [v for v, _ in branches if v is not None]
+    if len(set(values)) != len(values):
+        raise ValueError("branch values must be pairwise distinct")
+
+
 class _EquationFields(NamedTuple):
     p: int
     terms: tuple[BranchTerm, ...]
-    inf_exponent: int
 
 
 class SemiHyperellipticEquation(_EquationFields):
-    """y^p = prod over terms of (x - label)^exponent, possibly with one
-    orbit sent to infinity (inf_exponent > 0)."""
+    """y^p = prod over terms of (x - label)^exponent.  The exponent over
+    infinity is derived, as for the curve: it closes the sum to 0 mod p, and
+    it is positive when an orbit has been sent to infinity."""
 
     __slots__ = ()
 
-    def __new__(cls, p: int, terms: tuple[BranchTerm, ...], inf_exponent: int = 0):
-        if (sum(t.exponent for t in terms) + inf_exponent) % p:
-            raise ValueError("exponent sum must vanish mod p")
-        if not all(1 <= t.exponent < p for t in terms):
-            raise ValueError("finite exponents must lie in [1, p)")
-        labels = [t.label for t in terms if t.label is not None]  # None: not yet placed
-        if len(set(labels)) != len(labels):
-            raise ValueError("branch values must be pairwise distinct")
-        return super().__new__(cls, p, terms, inf_exponent)
+    def __new__(cls, p: int, terms: tuple[BranchTerm, ...]):
+        check_branch_data(p, [(t.label, t.exponent) for t in terms])
+        return super().__new__(cls, p, terms)
+
+    @property
+    def inf_exponent(self) -> int:
+        return -sum(t.exponent for t in self.terms) % self.p
 
     @property
     def exponent_multiset(self) -> tuple[int, ...]:
@@ -150,7 +162,10 @@ def build_equation(q: int, n: int) -> SemiHyperellipticEquation:
             raise RuntimeError("rotation number must be constant on an orbit")
         m = exponent_from_rotation(p, rot)
         terms.append(BranchTerm(m, f"a{len(terms) + 1}", orbit, rot))
-    return SemiHyperellipticEquation(p=p, terms=tuple(terms))
+    eq = SemiHyperellipticEquation(p, tuple(terms))
+    if eq.inf_exponent:
+        raise RuntimeError(f"branched exponents sum to {-eq.inf_exponent % p} mod {p}, not 0")
+    return eq
 
 
 def rotation_table(q: int, eq: SemiHyperellipticEquation) -> list[tuple[str, int, int, int]]:
@@ -185,7 +200,7 @@ def normalize_with_convention(eq: SemiHyperellipticEquation,
     if len(eq.terms) < 2:
         raise ValueError("normalization conventions need at least 2 branch orbits")
     rest = sorted(eq.terms, key=lambda t: (t.exponent, t.orbit or ()))
-    inf = rest.pop(0 if convention == "minimal" and len(rest) > 2 else -1)
+    rest.pop(0 if convention == "minimal" and len(rest) > 2 else -1)  # to infinity
     at = 0
     if convention == "gcd":  # max keeps the first of equal gcds
         at = max(range(len(rest)), key=lambda i: math.gcd(eq.p, rest[i].exponent))
@@ -196,8 +211,7 @@ def normalize_with_convention(eq: SemiHyperellipticEquation,
     for i, t in enumerate(rest):
         label = "a" if (len(rest) == 1 and letter == "a") else f"{letter}{i + 1}"
         terms.append(t._replace(label=label))
-    return SemiHyperellipticEquation(p=eq.p, terms=tuple(terms),
-                                     inf_exponent=inf.exponent)
+    return SemiHyperellipticEquation(eq.p, tuple(terms))
 
 
 def substitute_label(eq: SemiHyperellipticEquation, label: str,
@@ -206,8 +220,7 @@ def substitute_label(eq: SemiHyperellipticEquation, label: str,
     if not any(t.label == label for t in eq.terms):
         raise ValueError(f"no term labeled {label!r}")
     return SemiHyperellipticEquation(eq.p, tuple(
-        t._replace(label=value) if t.label == label else t for t in eq.terms),
-        eq.inf_exponent)
+        t._replace(label=value) if t.label == label else t for t in eq.terms))
 
 
 def _factor_str(label: Label, m: int) -> str:

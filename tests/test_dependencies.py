@@ -1,7 +1,9 @@
 """The library keeps zero runtime dependencies: it loads only the standard
 library, and pyproject.toml declares no dependency.  Its start-up stays
-light: importing the CLI does not load dataclasses."""
+light: importing the CLI does not load dataclasses.  Its checks survive
+python -O: no assert statement is left in src/."""
 
+import ast
 import os
 import re
 import subprocess
@@ -44,3 +46,12 @@ def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     project = re.search(r"^\[project\]\n(.*?)(?=^\[)", text, re.M | re.S).group(1)
     assert re.findall(r"^dependencies\s*=.*$", project, re.M) == ["dependencies = []"]
+
+
+def test_no_assert_in_the_library():
+    sources = sorted((ROOT / "src" / "modcurve").glob("*.py"))
+    assert sources
+    asserts = [f"{path.name}:{node.lineno}" for path in sources
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []

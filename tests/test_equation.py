@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from modcurve import equation
+from modcurve import cli, equation
 from modcurve.arith import divisors
 from modcurve.cusps import cusp_canonical, tau_orbits
 from modcurve.curve import SemiHyperellipticCurve, curve_genus
@@ -32,9 +32,9 @@ def reference_normalize_equation(eq, to_inf, to_zero, to_one):
     for i, t in enumerate(rest):
         label = "a" if (len(rest) == 1 and letter == "a") else f"{letter}{i + 1}"
         new_terms.append(t._replace(label=label))
-    return SemiHyperellipticEquation(
-        p=eq.p, terms=tuple(new_terms),
-        inf_exponent=eq.terms[to_inf].exponent)
+    ref = SemiHyperellipticEquation(p=eq.p, terms=tuple(new_terms))
+    assert ref.inf_exponent == eq.terms[to_inf].exponent
+    return ref
 
 
 def reference_normalize(eq, convention="gcd"):
@@ -44,8 +44,9 @@ def reference_normalize(eq, convention="gcd"):
         raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
     if len(eq.terms) == 2:
         high, low = sorted(eq.terms, key=lambda t: -t.exponent)
-        return SemiHyperellipticEquation(p=eq.p, terms=(low._replace(label=Fraction(0)),),
-                                         inf_exponent=high.exponent)
+        ref = SemiHyperellipticEquation(p=eq.p, terms=(low._replace(label=Fraction(0)),))
+        assert ref.inf_exponent == high.exponent
+        return ref
     if len(eq.terms) < 2:
         raise ValueError("normalization conventions need at least 2 branch orbits")
     order = sorted(range(len(eq.terms)),
@@ -181,6 +182,18 @@ class TestBuildEquation:
             _, z = term.orbit[0]
             assert math.gcd(8, z) > 1
 
+    def test_exponent_sum_is_checked(self, monkeypatch, capsys):
+        # the module docstring's theorem: with one branched orbit dropped the
+        # exponents no longer sum to 0 mod p, an internal error (exit 4)
+        orbits = tau_orbits(8, 1)
+        dropped = [o for o in orbits if len(o) < 8][-1]
+        monkeypatch.setattr(equation, "tau_orbits",
+                            lambda q, n: [o for o in orbits if o != dropped])
+        with pytest.raises(RuntimeError, match="branched exponents sum to 4 mod 8, not 0"):
+            build_equation(8, 1)
+        assert cli.main(["equation", "--q", "8"]) == 4
+        assert "internal error: RuntimeError" in capsys.readouterr().err
+
     def test_rejects_positive_genus(self):
         with pytest.raises(ValueError):
             build_equation(11, 1)
@@ -278,9 +291,10 @@ class TestNormalization:
         with_orbits = SemiHyperellipticEquation(p=4, terms=(
             BranchTerm(2, orbit=((2, 0),)), BranchTerm(2, orbit=((1, 0),))))
         for convention in CONVENTIONS:
-            assert normalize_with_convention(eq, convention) == SemiHyperellipticEquation(
-                p=4, terms=(BranchTerm(2, Fraction(0), rotation=RotationNumber(0, 0)),),
-                inf_exponent=2)
+            normalized = normalize_with_convention(eq, convention)
+            assert normalized == SemiHyperellipticEquation(
+                p=4, terms=(BranchTerm(2, Fraction(0), rotation=RotationNumber(0, 0)),))
+            assert normalized.inf_exponent == 2
             assert normalize_with_convention(with_orbits, convention).terms == \
                 (BranchTerm(2, Fraction(0), ((1, 0),)),)
 
@@ -310,20 +324,24 @@ class TestNormalization:
 
 
 class TestRecords:
-    @pytest.mark.parametrize("p, exponents, inf, match", [
-        (8, (1, 2), 0, "exponent sum must vanish mod p"),
-        (8, (1,), 6, "exponent sum must vanish mod p"),
-        (5, (), 1, "exponent sum must vanish mod p"),
-        (8, (8,), 0, r"finite exponents must lie in \[1, p\)"),
-        (8, (0,), 0, r"finite exponents must lie in \[1, p\)"),
-        (8, (9, 7), 0, r"finite exponents must lie in \[1, p\)"),
+    @pytest.mark.parametrize("p, exponents, match", [
+        (8, (8,), r"finite exponents must lie in \[1, p\), got 8"),
+        (8, (0,), r"finite exponents must lie in \[1, p\), got 0"),
+        (8, (9, 7), r"finite exponents must lie in \[1, p\), got 9"),
     ])
-    def test_equation_rejects(self, p, exponents, inf, match):
+    def test_equation_rejects(self, p, exponents, match):
         terms = tuple(BranchTerm(m) for m in exponents)
         with pytest.raises(ValueError, match=match):
-            SemiHyperellipticEquation(p, terms, inf)
+            SemiHyperellipticEquation(p, terms)
         with pytest.raises(ValueError, match=match):
-            SemiHyperellipticEquation(p=p, terms=terms, inf_exponent=inf)
+            SemiHyperellipticEquation(p=p, terms=terms)
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_both_records_reject_low_degree(self, p):
+        with pytest.raises(ValueError, match="degree p must be >= 2"):
+            SemiHyperellipticEquation(p, ())
+        with pytest.raises(ValueError, match="degree p must be >= 2"):
+            SemiHyperellipticCurve(p, ())
 
     def test_equation_rejects_shared_label(self):
         # 1 is already the label of the x = 1 term, as in the curve record
@@ -334,8 +352,23 @@ class TestRecords:
             SemiHyperellipticEquation(8, (BranchTerm(1, "a"), BranchTerm(7, "a")))
 
     def test_default_inf_exponent(self):
+        # the exponent at infinity is derived, not a field
         eq = SemiHyperellipticEquation(8, (BranchTerm(1), BranchTerm(7)))
-        assert eq.inf_exponent == 0 and eq == SemiHyperellipticEquation(8, eq.terms, 0)
+        assert eq.inf_exponent == 0 and eq == (8, eq.terms)
+        assert SemiHyperellipticEquation._fields == ("p", "terms")
+        with pytest.raises(TypeError):
+            SemiHyperellipticEquation(8, eq.terms, 0)
+
+    def test_inf_exponent_closes_the_sum(self):
+        eq = SemiHyperellipticEquation(8, (BranchTerm(1),))
+        assert eq.inf_exponent == 7 and eq.exponent_multiset == (1, 7)
+        assert SemiHyperellipticCurve.from_equation(eq).inf_exponent == 7
+
+    @pytest.mark.parametrize("q,n", GENUS_ZERO)
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_curve_and_equation_agree_at_infinity(self, q, n, convention):
+        eq = normalize_with_convention(build_equation(q, n), convention)
+        assert SemiHyperellipticCurve.from_equation(eq).inf_exponent == eq.inf_exponent > 0
 
     def test_results_are_revalidated(self):
         # _replace skips the constructor's checks; both rewrites must run them
@@ -343,10 +376,15 @@ class TestRecords:
         eq = normalize_with_convention(raw)
         for good in (eq, substitute_label(eq, "a", Fraction(-1))):
             assert type(good) is SemiHyperellipticEquation
-        with pytest.raises(ValueError, match="exponent sum must vanish mod p"):
-            normalize_with_convention(raw._replace(terms=raw.terms[1:]))
-        with pytest.raises(ValueError, match="exponent sum must vanish mod p"):
-            substitute_label(eq._replace(inf_exponent=eq.inf_exponent + 1), "a", Fraction(-1))
+        # exponent 1 + p keeps the sum at 0 mod p; "minimal" sends the other
+        # exponent-1 orbit to infinity, so the bad term stays finite
+        bad_raw = raw._replace(terms=(raw.terms[0]._replace(exponent=9),) + raw.terms[1:])
+        with pytest.raises(ValueError, match=r"\[1, p\), got 9"):
+            normalize_with_convention(bad_raw, "minimal")
+        bad_eq = eq._replace(terms=tuple(t._replace(exponent=t.exponent + 8) if t.label == "a"
+                                         else t for t in eq.terms))
+        with pytest.raises(ValueError, match=r"\[1, p\), got 9"):
+            substitute_label(bad_eq, "a", Fraction(-1))
 
     def test_branch_term_repr(self):
         eq = build_equation(8, 1)
