@@ -23,8 +23,10 @@ Ideal membership never needs Groebner machinery: the ideal is generated in
 degree 2 and pullbacks of quadrics are quadrics, so membership is a linear
 condition on the 15 quadratic-monomial coefficients with the three square
 terms forcing the multipliers.  The elimination pulls each quadric back
-once and substitutes each solved entry into the remainders, which commutes
-with pullback and reduction: both are polynomial and no form holds an entry.
+once, when its stage starts, from the entries solved by then, and
+substitutes each later entry into the remainders taken so far, which
+commutes with pullback and reduction: both are polynomial and no form holds
+an entry.
 Zero and equality tests compare the canonical term dicts; ints stay int,
 and an integral Fraction parameter enters the sigma test as an int.
 Scalar rules: a product by 1 is the (immutable) operand itself; MPoly and
@@ -176,6 +178,8 @@ def deck_matrix(zeta: Cyclotomic):
 
 def preserves_ideal(m, a) -> bool:
     """Exact test that z -> M z maps the quadric ideal at parameter a to itself."""
+    if tuple(map(len, m)) != (5, 5, 5, 5, 5):
+        raise ValueError("maps of P^4 are 5x5 matrices")
     forms = quadric_forms(a)
     return all(not reduce_by_span(transform_quadric(q, m), forms)
                for q in forms)
@@ -220,6 +224,8 @@ class MPoly(ExactRing):
     def __init__(self, terms: dict):
         clean = {}
         for key, poly in terms.items():
+            if not (isinstance(key, tuple) and all(isinstance(v, str) for v in key)):
+                raise TypeError(f"a monomial is a tuple of names, got {key!r}")
             if not isinstance(poly, Poly):
                 poly = Poly.const(poly if isinstance(poly, int) else Fraction(poly))
             key = tuple(sorted(key))
@@ -361,9 +367,11 @@ def elimination_solve() -> EliminationResult:
     c41 = c42 = c43 = 0, c11 = -c22^2 and finally a = -1, with c11^2 = 1
     closing the family to the eighth roots of unity.
 
-    The three pullbacks are taken once, after the linear stage; each later
-    entry is substituted into the remainders.  a is the one rational root of
-    the z1*z5 coefficient, and subs_a then substitutes it.
+    Each quadric is pulled back once, when its stage starts, from the
+    entries known then: Q1 after the linear stage, Q2 after c23, c53 and
+    c22, Q3 after c11 and the root a, still symbolic in a.  Each later entry
+    is substituted into the remainders taken so far.  a is the one rational
+    root of the z1*z5 coefficient, and subs_a then substitutes it.
     The reduction's multipliers are the z3^2, z2^2, z1^2 coefficients and no
     form holds an entry or another form's square, so both ring maps commute
     with pullback and reduction.  Every step asserts the shape of the
@@ -374,11 +382,16 @@ def elimination_solve() -> EliminationResult:
     steps: list[str] = []
     assumptions = ["a != 0", "a != 1", "matrix invertible"]
     known: dict[str, MPoly] = {}
-    rems: list[Quadric] = []  # the three pulled-back remainders, once taken
+    rems: list[Quadric] = []  # Q1, Q2, Q3 pulled back, each from its stage on
 
     def entry(i: int, j: int) -> MPoly:  # 1-indexed
         name = f"c{i}{j}"
-        return known.get(name, MPoly.var(name))
+        return known[name] if name in known else MPoly.var(name)
+
+    def pull_back():
+        """Pull the next quadric back from the entries known now."""
+        m = tuple(tuple(entry(i, j) for j in range(1, 6)) for i in range(1, 6))
+        rems.append(reduce_by_span(transform_quadric(forms[len(rems)], m), forms))
 
     def setk(name: str, value, why: str):
         known[name] = mp = value if isinstance(value, MPoly) else MPoly.const(value)
@@ -386,6 +399,7 @@ def elimination_solve() -> EliminationResult:
         steps.append(f"{name} = {value!r}  [{why}]")
 
     a_sym = MPoly.const(_A)
+    forms = quadric_forms(a_sym)
 
     # image of [0,0,0,0,1] is [0,0,0,a-1,1], scaled to lambda = 1
     for row, val in zip((1, 2, 3, 4, 5), (0, 0, 0, _A - 1, 1)):
@@ -423,12 +437,8 @@ def elimination_solve() -> EliminationResult:
     _expect(expr.terms == {("c21",): 1}, "zero images")
     setk("c21", 0, "zero images, a != 0")
 
-    # pull each quadric back once; setk substitutes into the remainders from now on
-    forms = quadric_forms(a_sym)
-    m = tuple(tuple(entry(i, j) for j in range(1, 6)) for i in range(1, 6))
-    rems[:] = [reduce_by_span(transform_quadric(q, m), forms) for q in forms]
-
-    # first quadric pullback
+    # first quadric pullback; setk substitutes into it from now on
+    pull_back()
     eq = rems[0].get((2, 4), MPoly({}))   # z3*z5
     _expect(eq.terms == {("c23",): -1}, "Q1: z3*z5")
     setk("c23", 0, "Q1 pullback, z3*z5 coefficient")
@@ -443,6 +453,7 @@ def elimination_solve() -> EliminationResult:
     steps.append("Q1 pullback lies in the span")
 
     # second quadric pullback
+    pull_back()
     eq = rems[1].get((2, 4), MPoly({}))   # z3*z5
     _expect(eq.terms == {("c13",): -_A}, "Q2: z3*z5")
     setk("c13", 0, "Q2 pullback, z3*z5 coefficient, a != 0")
@@ -470,6 +481,7 @@ def elimination_solve() -> EliminationResult:
     (a_value,) = rational_roots(coeff)
     _expect(a_value not in (0, 1), "a != 0, a != 1")
     steps.append(f"a = {a_value}  [Q2 pullback, z1*z5 coefficient, c33 != 0]")
+    pull_back()  # Q3, still symbolic in a
 
     # both pullbacks at the root must sit in the span
     at_a = [map_quadric(r, lambda c: c.subs_a(a_value)) for r in rems]

@@ -160,6 +160,17 @@ class TestSigma:
         assert [type(a) for a in seen] == [int, Fraction]
         assert seen == [-1, Fraction(-3, 2)]
 
+    # a map of P^4 is 5x5; the pullback would read the top-left 5x5 of a larger one
+    @pytest.mark.parametrize("m", [
+        tuple(tuple(int(i == j) for j in range(6)) for i in range(6)),
+        tuple(tuple(int(i == j) for j in range(5)) + ("junk",) for i in range(5)),
+        tuple(tuple(int(i == j) for j in range(4)) for i in range(4)),
+        tuple(tuple(int(i == j) for j in range(5 - (i == 4))) for i in range(5)),
+    ], ids=["6x6", "5x6", "4x4", "short row"])
+    def test_preserves_ideal_checks_the_shape(self, m):
+        with pytest.raises(ValueError, match="5x5"):
+            preserves_ideal(m, -1)
+
     def test_family_closure(self):
         for j in range(8):
             for k in range(8):
@@ -317,6 +328,12 @@ class TestMPoly:
         assert MPoly.const(x) == x and hash(MPoly.const(x)) == hash(x)
         assert len({MPoly.const(3), Poly.const(3), 3, MPoly({(): Fraction(3)})}) == 1
 
+    # sorted as a sequence, the string "c11" would become the monomial ('1', '1', 'c')
+    @pytest.mark.parametrize("key", ["c11", ("c11", 1), 5])
+    def test_key_is_a_tuple_of_names(self, key):
+        with pytest.raises(TypeError, match="tuple of names"):
+            MPoly({key: 1})
+
     def test_keys_equal_up_to_order_add_up(self):
         m = MPoly({("c11", "c22"): 1, ("c22", "c11"): Fraction(1, 2)})
         assert m.terms == {("c11", "c22"): Poly.const(Fraction(3, 2))}
@@ -394,6 +411,8 @@ LINEAR = [("c15", 0), ("c25", 0), ("c35", 0), ("c45", A - 1), ("c55", 1),
           ("c32", 0), ("c52", 0), ("c51", 0), ("c54", 0), ("c21", 0)]
 SOLVED = [("c23", 0), ("c53", 0), ("c22", C33 ** 2), ("c13", 0), ("c12", 0),
           ("c42", 0), ("c43", 0), ("c41", 0), ("c11", -C33 ** 4)]
+# the SOLVED entries known when Q1, Q2 and Q3 are pulled back
+STAGES = (0, 3, 9)
 # the 14 remainder reads: (SOLVED entries assigned before it, quadric, a)
 READS = ([(k, 0, None) for k in (0, 1, 2, 3)]
          + [(k, 1, None) for k in (3, 4, 5, 6, 7, 8, 9)]
@@ -451,21 +470,40 @@ class TestPullBackOnce:
         elimination_solve()  # nothing is kept from one solve to the next
         assert len(calls) == 6
 
+    def test_pullback_k_reads_the_entries_of_its_stage(self, monkeypatch):
+        calls = []
+        transform = canonical.transform_quadric
+        monkeypatch.setattr(canonical, "transform_quadric",
+                            lambda q, m: calls.append((q, m)) or transform(q, m))
+        elimination_solve()
+        assert [q for q, _ in calls] == quadric_forms(A)
+        for (_, m), s in zip(calls, STAGES, strict=True):
+            known = {name: as_mpoly(v) for name, v in LINEAR + SOLVED[:s]}
+            assert m == matrix_of(known), s
+
     def test_substituted_remainders_equal_the_rebuild(self, monkeypatch):
-        # record the elimination's own remainders: three from the pullback,
-        # three per SOLVED substitution, three at a = -1
-        pulled, mapped = [], []
+        # record the elimination's own remainders: each pullback, followed
+        # through the map_quadric calls whose input is its latest state
+        pulled, maps = [], []
         monkeypatch.setattr(canonical, "reduce_by_span",
                             recorder(pulled, canonical.reduce_by_span))
-        monkeypatch.setattr(canonical, "map_quadric",
-                            recorder(mapped, canonical.map_quadric))
+        map_quadric = canonical.map_quadric
+        monkeypatch.setattr(canonical, "map_quadric", lambda q, f:
+                            maps.append((q, map_quadric(q, f))) or maps[-1][1])
         elimination_solve()
-        assert len(pulled) == 3 and len(mapped) == 3 * len(SOLVED) + 3
-        states = [pulled] + [mapped[3 * k:3 * k + 3] for k in range(len(SOLVED) + 1)]
+        chains = []
+        for state in pulled:
+            chains.append([state])
+            for q, out in maps:
+                if q is chains[-1][-1]:
+                    chains[-1].append(out)
+        # every remainder takes each substitution after its pullback, then a = -1
+        assert len(maps) == sum(len(c) - 1 for c in chains)
+        assert [len(c) for c in chains] == [len(SOLVED) - s + 2 for s in STAGES]
         known = {name: as_mpoly(v) for name, v in LINEAR}
         for solved, index, a in READS:
             known.update((name, as_mpoly(v)) for name, v in SOLVED[:solved])
-            got = states[solved + (a is not None)][index]
+            got = chains[index][-1 if a is not None else solved - STAGES[index]]
             assert got == rebuilt_remainder(known, index, a), (solved, index, a)
 
     @settings(max_examples=40, deadline=None)
