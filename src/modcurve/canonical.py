@@ -383,6 +383,7 @@ def elimination_solve() -> EliminationResult:
     assumptions = ["a != 0", "a != 1", "matrix invertible"]
     known: dict[str, MPoly] = {}
     rems: list[Quadric] = []  # Q1, Q2, Q3 pulled back, each from its stage on
+    zero = MPoly({})  # the coefficient of a monomial a remainder lacks
 
     def entry(i: int, j: int) -> MPoly:  # 1-indexed
         name = f"c{i}{j}"
@@ -439,14 +440,14 @@ def elimination_solve() -> EliminationResult:
 
     # first quadric pullback; setk substitutes into it from now on
     pull_back()
-    eq = rems[0].get((2, 4), MPoly({}))   # z3*z5
+    eq = rems[0].get((2, 4), zero)   # z3*z5
     _expect(eq.terms == {("c23",): -1}, "Q1: z3*z5")
     setk("c23", 0, "Q1 pullback, z3*z5 coefficient")
-    eq = rems[0].get((1, 2), MPoly({}))   # z2*z3
+    eq = rems[0].get((1, 2), zero)   # z2*z3
     _expect(eq.terms == {("c22", "c53"): -1}, "Q1: z2*z3")
     assumptions.append("c22 != 0 (row 2 would vanish)")
     setk("c53", 0, "Q1 pullback, z2*z3 coefficient, c22 != 0")
-    eq = rems[0].get((1, 4), MPoly({}))   # z2*z5
+    eq = rems[0].get((1, 4), zero)   # z2*z5
     _expect(eq.terms == {("c33", "c33"): 1, ("c22",): -1}, "Q1: z2*z5")
     setk("c22", MPoly.var("c33") ** 2, "Q1 pullback, z2*z5 coefficient")
     _expect(not rems[0], "Q1 pullback must now lie in the span")
@@ -454,26 +455,26 @@ def elimination_solve() -> EliminationResult:
 
     # second quadric pullback
     pull_back()
-    eq = rems[1].get((2, 4), MPoly({}))   # z3*z5
+    eq = rems[1].get((2, 4), zero)   # z3*z5
     _expect(eq.terms == {("c13",): -_A}, "Q2: z3*z5")
     setk("c13", 0, "Q2 pullback, z3*z5 coefficient, a != 0")
-    eq = rems[1].get((1, 4), MPoly({}))   # z2*z5
+    eq = rems[1].get((1, 4), zero)   # z2*z5
     _expect(eq.terms == {("c12",): -_A}, "Q2: z2*z5")
     setk("c12", 0, "Q2 pullback, z2*z5 coefficient, a != 0")
     assumptions.append("c11 != 0 (row 1 would vanish)")
-    eq = rems[1].get((0, 1), MPoly({}))   # z1*z2
+    eq = rems[1].get((0, 1), zero)   # z1*z2
     _expect(eq.terms == {("c11", "c42"): -1}, "Q2: z1*z2")
     setk("c42", 0, "Q2 pullback, z1*z2 coefficient, c11 != 0")
-    eq = rems[1].get((0, 2), MPoly({}))   # z1*z3
+    eq = rems[1].get((0, 2), zero)   # z1*z3
     _expect(eq.terms == {("c11", "c43"): -1}, "Q2: z1*z3")
     setk("c43", 0, "Q2 pullback, z1*z3 coefficient, c11 != 0")
-    eq = rems[1].get((3, 3), MPoly({}))   # z4^2
+    eq = rems[1].get((3, 3), zero)   # z4^2
     _expect(set(eq.terms) == {("c11", "c41")}, "Q2: z4^2")
     setk("c41", 0, "Q2 pullback, z4^2 coefficient, c11 != 0")
-    eq = rems[1].get((0, 3), MPoly({}))   # z1*z4
+    eq = rems[1].get((0, 3), zero)   # z1*z4
     _expect(eq.terms == {("c11",): 1, ("c33",) * 4: 1}, "Q2: z1*z4")
     setk("c11", -(MPoly.var("c33") ** 4), "Q2 pullback, z1*z4 coefficient")
-    eq = rems[1].get((0, 4), MPoly({}))   # z1*z5
+    eq = rems[1].get((0, 4), zero)   # z1*z5
     _expect(set(eq.terms) == {("c33",) * 4}, "Q2: z1*z5")
     coeff = eq.terms[("c33",) * 4]
     # c33 != 0, so the coefficient must vanish; linear in a, it has one root
@@ -490,7 +491,7 @@ def elimination_solve() -> EliminationResult:
 
     # third quadric pullback: remainder must vanish modulo c33^8 = 1
     r = at_a[2]
-    eq = r.get((3, 3), MPoly({}))
+    eq = r.get((3, 3), zero)
     _expect(eq.terms == {(): -1, ("c33",) * 8: 1}, "Q3: z4^2")
     steps.append("c33^8 = 1  [Q3 pullback, z4^2 coefficient]")
     for key, val in r.items():

@@ -12,12 +12,13 @@ exits 2 while the level limit of rotation numbers exits 3, and the --q-max
 floor and limit that each SUITES entry states beside its suite's source and
 runner; `verify` derives its flags and --q-max checks from those entries.
 
-Output is text by default or a JSON document with --format json.  Exact
-numbers are serialized as strings "p" or "p/q".  The only non-exact values
-are the residuals of the numeric isomorphism check and, in verify's JSON,
-each suite's wall-clock "seconds" (a decimal string that differs from run
-to run).  main may be called many times in one process; it builds the
-parser once and reuses it.
+Output is text by default or a JSON document with --format json, whose
+bytes are exactly those of json.dumps(doc, indent=2).  Exact numbers are
+serialized as strings "p" or "p/q".  The only non-exact values are the
+residuals of the numeric isomorphism check and, in verify's JSON, each
+suite's wall-clock "seconds" (a decimal string that differs from run to
+run).  main may be called many times in one process; it builds the parser
+once and reuses it.
 """
 
 from __future__ import annotations
@@ -550,6 +551,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _render_json(v, nl: str = "\n") -> str:
+    """The text of json.dumps(v, indent=2), built by joins so that every
+    leaf takes json's C path (indent makes json.dumps run pure Python).
+    A tuple renders as a list; a key that is not a str raises TypeError."""
+    if isinstance(v, str):
+        return _quote(v)
+    if not isinstance(v, (dict, list, tuple)):
+        return json.dumps(v)
+    if not v:
+        return "{}" if isinstance(v, dict) else "[]"
+    inner = nl + "  "
+    if isinstance(v, dict):
+        items = [_quote(k) + ": " + _render_json(x, inner) for k, x in v.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    items = [_render_json(x, inner) for x in v]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -563,7 +585,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if args.format == "json":
-            print(json.dumps(doc, indent=2))
+            print(_render_json(doc))
         else:
             for line in lines:
                 print(line)

@@ -1,5 +1,7 @@
+import collections
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -9,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcurve.canonical import EliminationError
-from modcurve.cli import (SUITES, _level8_swap, build_parser, cmd_cusps, main,
-                          parse_cusp, run_suite)
+from modcurve.cli import (SUITES, _level8_swap, _render_json, build_parser, cmd_cusps,
+                          main, parse_cusp, run_suite)
 from modcurve.equation import CONVENTIONS
 from modcurve.golden import load_golden
 
@@ -405,7 +407,7 @@ class TestVerifyCommand:
                              "--tables", "2")
         doc = json.loads(out)
         assert status == 0
-        assert json.loads(json.dumps(doc)) == doc
+        assert out == json.dumps(doc, indent=2) + "\n"
         assert all(c["pass"] and c["source"] == "golden" for c in doc["checks"])
 
     def test_json_suites(self, capsys):
@@ -563,6 +565,67 @@ class TestInternalError:
         assert err == "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
         assert sys.stdout.name == os.devnull  # nothing more reaches the closed pipe
         sys.stdout.close()
+
+
+# every subcommand in JSON: the largest document, each kind of leaf (bool,
+# null) and the empty {} and [] of the inputs and checks
+JSON_ARGVS = [
+    ["genus", "--q", "2"],
+    ["genus", "--q", "12", "--n", "2"],
+    ["cusps", "--q", "60", "--n", "60", "--widths", "--distribution"],
+    ["cusps", "--q", "4", "--n", "2", "--widths", "--distribution"],
+    ["rotation", "--q", "8", "--cusp", "1/4"],
+    ["rotation", "--q", "8", "--cusp", "1/3"],
+    ["equation", "--q", "3"],
+    ["equation", "--q", "10", "--normalize"],
+    ["equation", "--q", "8", "--solve-constants"],
+    ["group", "--q", "8", "--order", "6,1,5,1", "--max-order", "--center",
+     "--cusp-maps", "inf", "3/8"],
+    ["verify", "--oracles", "--q-max", "12"],
+    ["verify", "--tables", "2", "6", "--canonical", "--iso"],
+    ["canonical"],
+]
+
+Pair = collections.namedtuple("Pair", "first second")
+STRINGS = st.sampled_from(["", '"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028",
+                           "\U0001f600", 'a"b\\c\n']) | st.text()
+LEAVES = (st.none() | st.booleans() | st.integers() | STRINGS
+          | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+TREES = st.recursive(LEAVES, lambda kids: st.lists(kids) | st.lists(kids).map(tuple)
+                     | st.builds(Pair, kids, kids) | st.dictionaries(STRINGS, kids),
+                     max_leaves=40)
+
+
+class TestJsonRendering:
+    """--format json prints exactly the bytes of json.dumps(doc, indent=2)."""
+
+    @pytest.mark.parametrize("argv", JSON_ARGVS, ids=" ".join)
+    def test_bytes_are_indent_2(self, capsys, argv):
+        status, out, err = run(capsys, "--format", "json", *argv)
+        assert (status, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(TREES)
+    def test_renderer_is_indent_2(self, tree):
+        assert _render_json(tree) == json.dumps(tree, indent=2)
+
+    def test_skips_the_python_encoder(self, capsys, monkeypatch):
+        argv = ["--format", "json", "cusps", "--q", "60", "--n", "60", "--widths",
+                "--distribution"]
+        _, expected, _ = run(capsys, *argv)
+
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder ran")
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        status, out, err = run(capsys, *argv)
+        assert (status, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize("doc", [{1: "x"}, {"a": [{None: 1}]}, {True: False},
+                                     {("c11",): "1"}])
+    def test_non_str_key_raises(self, doc):
+        with pytest.raises(TypeError):
+            _render_json(doc)
 
 
 LEVELS = [str(v) for v in range(-3, 13)] + ["41", "61"]
