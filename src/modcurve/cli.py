@@ -577,7 +577,7 @@ def main(argv=None) -> int:
     try:
         try:
             # looked up per call, so a rebound cmd_* takes effect without a new parser
-            doc, lines, status = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
+            doc, lines, status = globals()["cmd_" + args.subcommand](args)
         except UnsupportedError as exc:
             print(f"unsupported: {exc}", file=sys.stderr)
             return 3

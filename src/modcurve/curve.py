@@ -103,12 +103,7 @@ class InfinityPoint(NamedTuple):
     sheet: int  # 1-based, up to gcd(p, m)
 
 
-class AffinePoint(NamedTuple):
-    x: complex
-    y: complex
-
-
-CurvePoint = Union[BranchPoint, InfinityPoint, AffinePoint]
+CurvePoint = Union[BranchPoint, InfinityPoint]
 
 
 def _chart(c: SemiHyperellipticCurve, i: int) -> tuple[int, int, int, int]:
@@ -161,8 +156,6 @@ def differential_order(c: SemiHyperellipticCurve, mono: Monomial,
     """Vanishing order of the monomial at a point, from the chart data."""
     if len(mono.alphas) != len(c.branches):
         raise ValueError("one exponent per branch value is required")
-    if isinstance(pt, AffinePoint):
-        return 0  # monomials have no zeros or poles off the special fibers
     i = _fiber(c, pt)
     _, e, v, s = _chart(c, i)
     # the x-factors have exponent alpha_i at a branch fiber, their sum at infinity

@@ -8,7 +8,8 @@ lexicographic minimum of the two sign choices.  That rule is validated
 constructively here (witness search) and numerically (class counts).
 
 Each level's classes are generated once, directly, under an eight-entry
-cache, and every translation orbit is still walked class by class.
+cache.  enumerate_cusps hands out the cached tuple itself, and tau_orbits
+reads the classes through it and walks every orbit class by class.
 
 The width of x/z for the intermediate group of level q and step n is
 q / gcd(q/n, z) once q >= 5; below that only the brute-force congruence
@@ -141,10 +142,11 @@ def h_formula(q: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _classes(q: int) -> tuple[ClassPair, ...]:
+def enumerate_cusps(q: int) -> tuple[ClassPair, ...]:
     """The level-q cusp classes in ascending order: the pairs (x, z) with
     gcd(x, z, q) = 1 that are the lesser of +-(x, z), so x <= -x mod q,
-    and z <= -z mod q where x = -x (x = 0 or q/2)."""
+    and z <= -z mod q where x = -x (x = 0 or q/2).  The cached tuple
+    itself, so repeated calls share one object."""
     if not 3 <= q <= 60:
         raise ValueError("cusp enumeration supports 3 <= q <= 60")
     out = []
@@ -153,11 +155,6 @@ def _classes(q: int) -> tuple[ClassPair, ...]:
         zs = range(q // 2 + 1 if 2 * x % q == 0 else q)
         out += [(x, z) for z in zs if g == 1 or math.gcd(g, z) == 1]
     return tuple(out)
-
-
-def enumerate_cusps(q: int) -> list[ClassPair]:
-    """The level-q cusp classes in ascending order, as a fresh list."""
-    return list(_classes(q))
 
 
 def h_n_formula(q: int, n: int) -> int:
@@ -177,7 +174,7 @@ def tau_orbits(q: int, n: int) -> list[tuple[ClassPair, ...]]:
     size (q/n) / gcd(q/n, z).  Orbits are sorted by (size, representative).
     """
     check_step(q, n)
-    classes = _classes(q)  # holds the level guard, so it runs before the allocation
+    classes = enumerate_cusps(q)  # holds the level guard, so it runs before the allocation
     seen = bytearray(q * q)
     orbits = []
     for x, z in classes:

@@ -67,8 +67,4 @@ def hurwitz_deficiency(n_autos: int, g_bar: int, branch_orders: list[int]) -> in
 def is_semihyperelliptic_level(q: int) -> bool:
     """True when the level-q curve admits a cyclic quotient of genus zero,
     i.e. the curve itself has genus 0 or some translation quotient does."""
-    if genus_q(q) == 0:
-        return True
-    if q >= 5:
-        return any(genus_qn(q, n) == 0 for n in divisors(q))
-    return False
+    return genus_q(q) == 0 or any(genus_qn(q, n) == 0 for n in divisors(q))

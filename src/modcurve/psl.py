@@ -17,7 +17,9 @@ at q = 16 and 32, where it has two classes (at 16: I and (3, 8; 8, 11)).
 
 A canonical representative is the lexicographic minimum over the coset; the
 choice is deterministic and independent of enumeration order.  Only least
-members are generated, and the last eight (level, quotient) sets are cached.
+members are generated, and the last eight (level, quotient) sets are cached
+as tuples in lexicographic order; enumerate_psl hands out the sign-quotient
+tuple itself, and scalar_units caches each level's scalars as a tuple.
 Enumeration is guarded at q <= 40 (|SL| grows like q^3).  Orders walk the
 powers of g = (a, b; c, d) by Cayley-Hamilton, g^2 = t*g - I with t = a + d:
 g^k = s_k*g - s_(k-1)*I for s_0 = 0, s_1 = 1, s_(k+1) = t*s_k - s_(k-1).  So
@@ -84,14 +86,10 @@ def _signs(q: int) -> tuple[int, ...]:
     return (1, q - 1) if q > 2 else (1,)  # -I = I mod 2: one cache entry
 
 
-@cache
-def _scalars(q: int) -> tuple[int, ...]:
-    return tuple(scalar_units(q))
-
-
-def enumerate_psl(q: int) -> set[Mat]:
-    """All of PSL(2, Z/qZ) as canonical representatives."""
-    return set(_reps(q, _signs(q)))
+def enumerate_psl(q: int) -> tuple[Mat, ...]:
+    """All of PSL(2, Z/qZ) as canonical representatives, in lexicographic
+    order: the cached tuple itself, so repeated calls share one object."""
+    return _reps(q, _signs(q))
 
 
 def r_formula(q: int) -> int:
@@ -130,14 +128,16 @@ def element_order(q: int, g: Mat) -> int:
     return _order(q, g, _signs(q))
 
 
-def scalar_units(q: int) -> list[int]:
-    """All lambda mod q with lambda^2 = 1; lambda * I is a scalar of SL."""
-    return [lam for lam in range(1, q) if (lam * lam) % q == 1]
+@cache
+def scalar_units(q: int) -> tuple[int, ...]:
+    """All lambda mod q with lambda^2 = 1, ascending; lambda * I is a scalar
+    of SL.  Cached per level, so repeated calls share one tuple."""
+    return tuple(lam for lam in range(1, q) if (lam * lam) % q == 1)
 
 
 def projective_element_order(q: int, g: Mat) -> int:
     """Order of g in the projective group SL/{scalars}."""
-    return _order(q, g, _scalars(q))
+    return _order(q, g, scalar_units(q))
 
 
 def type_classify(q: int) -> str:
@@ -161,7 +161,7 @@ def max_element_order(q: int) -> int:
     each distinct pair is walked once (66 pairs for 5,760 classes at level
     40, 30 for 12,180 at level 29)."""
     pairs = {(m := q // math.gcd(q, b, c, a - d), (a + d) % m)
-             for a, b, c, d in _reps(q, _scalars(q))}
+             for a, b, c, d in _reps(q, scalar_units(q))}
     best, steps = 0, range(1, 2 * q * q + 1)
     for m, t in pairs:
         s0, s1 = 0, 1 % m
@@ -223,7 +223,7 @@ def center(q: int) -> set[Mat]:
     Candidates are cut down against the images of the two standard
     generators of SL(2, Z), then verified against the whole group.
     """
-    return _center_of(q, _scalars(q))
+    return _center_of(q, scalar_units(q))
 
 
 def sign_center(q: int) -> set[Mat]:

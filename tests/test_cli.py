@@ -509,7 +509,7 @@ class TestOracleGroupCache:
         psl._reps.cache_clear()
         status, out, _ = run(capsys, "verify", "--oracles", "--q-max", "40")
         keys = ({(q, psl._signs(q)) for q in range(3, 41)}
-                | {(q, psl._scalars(q)) for q in range(2, 41)})
+                | {(q, psl.scalar_units(q)) for q in range(2, 41)})
         assert status == 0 and out.endswith("\n761/761 checks passed\n")
         assert psl._reps.cache_info().misses == len(keys)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from modcurve import cli, curve
-from modcurve.curve import (INF, AffinePoint, BranchPoint, InfinityPoint,
+from modcurve.curve import (INF, BranchPoint, InfinityPoint,
                             LiftCertificate, Monomial,
                             SemiHyperellipticCurve, curve_genus,
                             differential_order,
@@ -225,11 +225,6 @@ class TestDifferentialOrders:
     def test_divisor_degrees(self, mono):
         deg = divisor_degree(octic_family(), mono)
         assert deg == (8 if mono.dx else 0)  # 2g - 2 = 8 for differentials
-
-    def test_affine_points_are_unramified(self):
-        mono = Monomial((1, 0, 0), 3)
-        assert differential_order(octic_family(), mono,
-                                  AffinePoint(2 + 0j, 1 + 0j)) == 0
 
     # index -1 used to read the last branch and 7 raised IndexError
     @pytest.mark.parametrize("index", [7, 3, -1])

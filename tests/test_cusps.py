@@ -203,20 +203,31 @@ class TestOrbits:
     # the sorted scan and the inline sign fold against the set-and-sort walk
     @pytest.mark.parametrize("q", range(3, 61))
     def test_matches_reference_walk(self, q):
-        assert enumerate_cusps(q) == sorted(_reference_classes(q))
+        assert enumerate_cusps(q) == tuple(sorted(_reference_classes(q)))
         for n in divisors(q):
             assert tau_orbits(q, n) == _reference_orbits(q, n)
 
     @pytest.mark.parametrize("q", [3, 8, 24, 60])
     def test_cached_classes_survive_caller_edits(self, q):
+        # the cache hands out its own tuple: every call gets the one value,
+        # and a caller cannot edit it under the orbit walk
         classes = enumerate_cusps(q)
-        orbits = {n: tau_orbits(q, n) for n in divisors(q)}
-        for edit in (list.clear, lambda c: c.append((q, q)), lambda c: c.sort(reverse=True)):
-            got = enumerate_cusps(q)
-            edit(got)
-            assert enumerate_cusps(q) == classes
-            assert {n: tau_orbits(q, n) for n in divisors(q)} == orbits
-        assert cusps._classes.cache_info().maxsize == 8
+        assert type(classes) is tuple and enumerate_cusps(q) is classes
+        with pytest.raises(TypeError):
+            classes[0] = (q, q)
+        assert cusps.enumerate_cusps.cache_info().maxsize == 8
+
+    @pytest.mark.parametrize("q,n", [(3, 1), (8, 2), (24, 4), (60, 60)])
+    def test_orbits_read_the_public_enumerator(self, monkeypatch, q, n):
+        calls = []
+
+        def counting(level):
+            calls.append(level)
+            return enumerate_cusps(level)
+
+        monkeypatch.setattr(cusps, "enumerate_cusps", counting)
+        assert tau_orbits(q, n) == _reference_orbits(q, n)
+        assert calls == [q]
 
     # 10**6 and 10**10 would ask tau_orbits for a q*q seen mark of 1 TB and up
     @pytest.mark.parametrize("q", [-1, 0, 2, 61, 10**6, 10**10])

@@ -97,6 +97,11 @@ class TestSemiHyperellipticLevels:
         expect = {q for q in range(1, 61) if q <= 10 or q == 12}
         assert {q for q in range(1, 61) if is_semihyperelliptic_level(q)} == expect
 
+    @pytest.mark.parametrize("q", [-1, 0])
+    def test_rejects_level_below_one(self, q):
+        with pytest.raises(ValueError, match="at least 1"):
+            is_semihyperelliptic_level(q)
+
     def test_named(self):
         assert is_semihyperelliptic_level(8)
         assert is_semihyperelliptic_level(12)

@@ -28,6 +28,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_psl(50)
 
+    @pytest.mark.parametrize("q", [2, 8, 15, 24])
+    def test_one_cached_tuple_per_level(self, q):
+        # each call hands out the cached value itself, not a fresh copy
+        group, lams = enumerate_psl(q), scalar_units(q)
+        assert type(group) is tuple and group is psl._reps(q, psl._signs(q))
+        assert type(lams) is tuple and scalar_units(q) is lams
+
 
 class TestIndexFormulas:
     def test_values(self):
@@ -66,7 +73,7 @@ class TestOrders:
         m = (4, 4, 0, 4)
         assert element_order(15, m) == 30
         assert projective_element_order(15, m) == 15
-        assert scalar_units(15) == [1, 4, 11, 14]
+        assert scalar_units(15) == (1, 4, 11, 14)
 
     @pytest.mark.parametrize("q", [8, 10, 12])
     def test_orders_bounded_by_formula(self, q):
@@ -108,7 +115,7 @@ class TestCenter:
 
 def enumerate_projective(q):
     """SL(2, Z/qZ) modulo all scalars, from the library's generator."""
-    return set(psl._reps(q, psl._scalars(q)))
+    return psl._reps(q, scalar_units(q))
 
 
 def enumerate_sl(q):
@@ -203,11 +210,8 @@ class TestAgainstDefinitions:
         # generation; the cached tuples are in lexicographic order
         sl = enumerate_sl(q)
         assert len(sl) == (2 * r_formula(q) if q > 2 else 6)
-        for enum, lams, canon in ((enumerate_psl, psl._signs(q), psl_canon),
-                                  (enumerate_projective, psl._scalars(q), projective_canon)):
-            ref = sorted({canon(q, m) for m in sl})
-            assert enum(q) == set(ref)
-            assert list(psl._reps(q, lams)) == ref
+        for enum, canon in ((enumerate_psl, psl_canon), (enumerate_projective, projective_canon)):
+            assert list(enum(q)) == sorted({canon(q, m) for m in sl})
 
     @pytest.mark.parametrize("q", range(2, 17))
     def test_center_by_direct_scan(self, q):
@@ -310,7 +314,7 @@ class TestKernelsAgainstReference:
         # -I = I mod 2, so the sign and projective sets are the same 6 matrices
         psl._reps.cache_clear()
         signs = enumerate_psl(2)
-        assert enumerate_projective(2) == signs and len(signs) == 6
+        assert enumerate_projective(2) is signs and len(signs) == 6
         assert psl._reps.cache_info().misses == 1
 
     @pytest.mark.parametrize("order", [element_order, projective_element_order])
