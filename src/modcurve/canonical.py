@@ -26,7 +26,8 @@ terms forcing the multipliers.  The elimination pulls each quadric back
 once, when its stage starts, from the entries solved by then, and
 substitutes each later entry into the remainders taken so far, which
 commutes with pullback and reduction: both are polynomial and no form holds
-an entry.
+an entry.  Each solved entry is pinned by the exact terms of one coefficient,
+its step named from that coefficient's quadric and monomial.
 Zero and equality tests compare the canonical term dicts; ints stay int,
 and an integral Fraction parameter enters the sigma test as an int.
 Scalar rules: a product by 1 is the (immutable) operand itself; MPoly and
@@ -375,7 +376,8 @@ def elimination_solve() -> EliminationResult:
     The reduction's multipliers are the z3^2, z2^2, z1^2 coefficients and no
     form holds an entry or another form's square, so both ring maps commute
     with pullback and reduction.  Every step asserts the shape of the
-    constraint it consumes, so any divergence points at the exact step.
+    constraint it consumes, so any divergence points at the exact step; pin
+    checks each entry's coefficient term by term, named from the key it reads.
     The octic check and the eight-matrix family both read entries through
     the one ring map _at_root into Z[t]/(t^8 - 1).
     """
@@ -399,7 +401,16 @@ def elimination_solve() -> EliminationResult:
         rems[:] = [map_quadric(r, lambda c: c.subs(name, mp)) for r in rems]
         steps.append(f"{name} = {value!r}  [{why}]")
 
-    a_sym = MPoly.const(_A)
+    def mono(key: QuadMono) -> str:  # z4^2 or z1*z5
+        i, j = key
+        return f"z{i + 1}^2" if i == j else f"z{i + 1}*z{j + 1}"
+
+    def pin(k: int, key: QuadMono, shape: dict, name: str, value, why=""):
+        """Set name from remainder k's key coefficient, whose terms must be shape."""
+        _expect(rems[k].get(key, zero).terms == shape, f"Q{k + 1}: {mono(key)}")
+        setk(name, value, f"Q{k + 1} pullback, {mono(key)} coefficient{why}")
+
+    a_sym, c33 = MPoly.const(_A), MPoly.var("c33")
     forms = quadric_forms(a_sym)
 
     # image of [0,0,0,0,1] is [0,0,0,a-1,1], scaled to lambda = 1
@@ -440,48 +451,30 @@ def elimination_solve() -> EliminationResult:
 
     # first quadric pullback; setk substitutes into it from now on
     pull_back()
-    eq = rems[0].get((2, 4), zero)   # z3*z5
-    _expect(eq.terms == {("c23",): -1}, "Q1: z3*z5")
-    setk("c23", 0, "Q1 pullback, z3*z5 coefficient")
-    eq = rems[0].get((1, 2), zero)   # z2*z3
-    _expect(eq.terms == {("c22", "c53"): -1}, "Q1: z2*z3")
+    pin(0, (2, 4), {("c23",): -1}, "c23", 0)
     assumptions.append("c22 != 0 (row 2 would vanish)")
-    setk("c53", 0, "Q1 pullback, z2*z3 coefficient, c22 != 0")
-    eq = rems[0].get((1, 4), zero)   # z2*z5
-    _expect(eq.terms == {("c33", "c33"): 1, ("c22",): -1}, "Q1: z2*z5")
-    setk("c22", MPoly.var("c33") ** 2, "Q1 pullback, z2*z5 coefficient")
+    pin(0, (1, 2), {("c22", "c53"): -1}, "c53", 0, ", c22 != 0")
+    pin(0, (1, 4), {("c33", "c33"): 1, ("c22",): -1}, "c22", c33 ** 2)
     _expect(not rems[0], "Q1 pullback must now lie in the span")
     steps.append("Q1 pullback lies in the span")
 
     # second quadric pullback
     pull_back()
-    eq = rems[1].get((2, 4), zero)   # z3*z5
-    _expect(eq.terms == {("c13",): -_A}, "Q2: z3*z5")
-    setk("c13", 0, "Q2 pullback, z3*z5 coefficient, a != 0")
-    eq = rems[1].get((1, 4), zero)   # z2*z5
-    _expect(eq.terms == {("c12",): -_A}, "Q2: z2*z5")
-    setk("c12", 0, "Q2 pullback, z2*z5 coefficient, a != 0")
+    pin(1, (2, 4), {("c13",): -_A}, "c13", 0, ", a != 0")
+    pin(1, (1, 4), {("c12",): -_A}, "c12", 0, ", a != 0")
     assumptions.append("c11 != 0 (row 1 would vanish)")
-    eq = rems[1].get((0, 1), zero)   # z1*z2
-    _expect(eq.terms == {("c11", "c42"): -1}, "Q2: z1*z2")
-    setk("c42", 0, "Q2 pullback, z1*z2 coefficient, c11 != 0")
-    eq = rems[1].get((0, 2), zero)   # z1*z3
-    _expect(eq.terms == {("c11", "c43"): -1}, "Q2: z1*z3")
-    setk("c43", 0, "Q2 pullback, z1*z3 coefficient, c11 != 0")
-    eq = rems[1].get((3, 3), zero)   # z4^2
-    _expect(set(eq.terms) == {("c11", "c41")}, "Q2: z4^2")
-    setk("c41", 0, "Q2 pullback, z4^2 coefficient, c11 != 0")
-    eq = rems[1].get((0, 3), zero)   # z1*z4
-    _expect(eq.terms == {("c11",): 1, ("c33",) * 4: 1}, "Q2: z1*z4")
-    setk("c11", -(MPoly.var("c33") ** 4), "Q2 pullback, z1*z4 coefficient")
-    eq = rems[1].get((0, 4), zero)   # z1*z5
-    _expect(set(eq.terms) == {("c33",) * 4}, "Q2: z1*z5")
+    pin(1, (0, 1), {("c11", "c42"): -1}, "c42", 0, ", c11 != 0")
+    pin(1, (0, 2), {("c11", "c43"): -1}, "c43", 0, ", c11 != 0")
+    pin(1, (3, 3), {("c11", "c41"): -1}, "c41", 0, ", c11 != 0")
+    pin(1, (0, 3), {("c11",): 1, ("c33",) * 4: 1}, "c11", -(c33 ** 4))
+    z15, eq = mono((0, 4)), rems[1].get((0, 4), zero)
+    _expect(set(eq.terms) == {("c33",) * 4}, f"Q2: {z15}")
     coeff = eq.terms[("c33",) * 4]
     # c33 != 0, so the coefficient must vanish; linear in a, it has one root
-    _expect(coeff.degree == 1, "Q2: z1*z5 linear in a")
+    _expect(coeff.degree == 1, f"Q2: {z15} linear in a")
     (a_value,) = rational_roots(coeff)
     _expect(a_value not in (0, 1), "a != 0, a != 1")
-    steps.append(f"a = {a_value}  [Q2 pullback, z1*z5 coefficient, c33 != 0]")
+    steps.append(f"a = {a_value}  [Q2 pullback, {z15} coefficient, c33 != 0]")
     pull_back()  # Q3, still symbolic in a
 
     # both pullbacks at the root must sit in the span
@@ -490,10 +483,9 @@ def elimination_solve() -> EliminationResult:
     _expect(not at_a[1], f"Q2 pullback at a = {a_value}")
 
     # third quadric pullback: remainder must vanish modulo c33^8 = 1
-    r = at_a[2]
-    eq = r.get((3, 3), zero)
-    _expect(eq.terms == {(): -1, ("c33",) * 8: 1}, "Q3: z4^2")
-    steps.append("c33^8 = 1  [Q3 pullback, z4^2 coefficient]")
+    r, z44 = at_a[2], mono((3, 3))
+    _expect(r.get((3, 3), zero).terms == {(): -1, ("c33",) * 8: 1}, f"Q3: {z44}")
+    steps.append(f"c33^8 = 1  [Q3 pullback, {z44} coefficient]")
     for key, val in r.items():
         step = f"Q3 remainder at {key}"
         _expect(_at_root(val, 1, step) == 0, step)

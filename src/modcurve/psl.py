@@ -20,14 +20,15 @@ choice is deterministic and independent of enumeration order.  Only least
 members are generated, and the last eight (level, quotient) sets are cached
 as tuples in lexicographic order; enumerate_psl hands out the sign-quotient
 tuple itself, and scalar_units caches each level's scalars as a tuple.
-Enumeration is guarded at q <= 40 (|SL| grows like q^3).  Orders walk the
-powers of g = (a, b; c, d) by Cayley-Hamilton, g^2 = t*g - I with t = a + d:
-g^k = s_k*g - s_(k-1)*I for s_0 = 0, s_1 = 1, s_(k+1) = t*s_k - s_(k-1).  So
-g^k is scalar exactly when s_k*b, s_k*c and s_k*(a - d) vanish mod q, that is
-s_k = 0 mod m = q / gcd(q, b, c, a - d), with scalar s_k*a - s_(k-1).  The
-sequence s_k mod m is fixed by t mod m, so a class's projective order depends
-only on the pair (m, t mod m), and the max-order oracle walks each distinct
-pair once, after computing every class's pair from its own entries.
+Enumeration and the scalar list are guarded at q <= 40 (|SL| grows like q^3).
+Orders walk the powers of g = (a, b; c, d) by Cayley-Hamilton, g^2 = t*g - I
+with t = a + d: g^k = s_k*g - s_(k-1)*I for s_0 = 0, s_1 = 1,
+s_(k+1) = t*s_k - s_(k-1).  So g^k is scalar exactly when s_k*b, s_k*c and
+s_k*(a - d) vanish mod q, that is s_k = 0 mod m = q / gcd(q, b, c, a - d),
+with scalar s_k*a - s_(k-1); its square is det g^k = 1, so projective orders
+need no scalar list and walk at any level.  The sequence s_k mod m is fixed by
+t mod m, so a class's projective order depends only on the pair (m, t mod m),
+and the max-order oracle walks each distinct pair once.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ from .arith import Mat, check_step, euler_product, exact_int
 from .cusps import cusp_class_action
 
 ENUM_GUARD = 40
+
+
+def _check_enum(q: int) -> None:
+    if not 2 <= q <= ENUM_GUARD:
+        raise ValueError(f"enumeration supports 2 <= q <= {ENUM_GUARD}, got {q}")
 
 
 def _least(x: int, fix: tuple[int, ...], q: int) -> tuple[int, ...] | None:
@@ -57,8 +63,7 @@ def _reps(q: int, lams: tuple[int, ...]) -> tuple[Mat, ...]:
     Only a and b are compared, b only against the lams fixing a: a lam
     fixing a and b has (lam - 1)(a*d - b*c) = 0, so lam = 1 and c, d are free.
     """
-    if not 2 <= q <= ENUM_GUARD:
-        raise ValueError(f"enumeration supports 2 <= q <= {ENUM_GUARD}, got {q}")
+    _check_enum(q)
     out = []
     for a in range(q):
         fa = _least(a, lams, q)
@@ -106,9 +111,9 @@ def r_n_formula(q: int, n: int) -> int:
     return exact_int(Fraction(n * q * q, 2) * euler_product(q), f"index at q = {q}, n = {n}")
 
 
-def _order(q: int, g: Mat, lams: tuple[int, ...]) -> int:
-    """Least k >= 1 with g^k = lam * I for some lam in lams, walking s_k mod q.
-    g^k is scalar exactly when s_k = 0 mod m, with scalar s_k*a - s_(k-1)
+def _order(q: int, g: Mat, lams: tuple[int, ...] | None) -> int:
+    """Least k >= 1 with g^k = lam * I, lam in lams (any lam if None), by s_k
+    mod q.  g^k is scalar exactly when s_k = 0 mod m, with scalar s_k*a - s_(k-1)
     (module docstring), so this stops where "b = c = 0, a = d in lams" does."""
     check_step(q, 1, 2)
     a, b, c, d = [e % q for e in g]
@@ -117,7 +122,7 @@ def _order(q: int, g: Mat, lams: tuple[int, ...]) -> int:
     m = q // math.gcd(q, b, c, a - d)
     t, s0, s1 = a + d, 0, 1
     for k in range(1, 2 * q * q + 1):
-        if not s1 % m and (s1 * a - s0) % q in lams:
+        if not s1 % m and (lams is None or (s1 * a - s0) % q in lams):
             return k
         s0, s1 = s1, (t * s1 - s0) % q
     raise RuntimeError("order computation runaway")
@@ -130,14 +135,15 @@ def element_order(q: int, g: Mat) -> int:
 
 @cache
 def scalar_units(q: int) -> tuple[int, ...]:
-    """All lambda mod q with lambda^2 = 1, ascending; lambda * I is a scalar
-    of SL.  Cached per level, so repeated calls share one tuple."""
+    """All lambda mod q with lambda^2 = 1, ascending, at enumerated levels;
+    lambda * I is a scalar of SL.  Cached: repeated calls share one tuple."""
+    _check_enum(q)
     return tuple(lam for lam in range(1, q) if (lam * lam) % q == 1)
 
 
 def projective_element_order(q: int, g: Mat) -> int:
-    """Order of g in the projective group SL/{scalars}."""
-    return _order(q, g, scalar_units(q))
+    """Order of g in the projective group SL/{scalars}, at any level."""
+    return _order(q, g, None)
 
 
 def type_classify(q: int) -> str:
@@ -155,11 +161,11 @@ def max_element_order(q: int) -> int:
 
     Taken modulo all scalars: the sign quotient is bigger for some
     composite q and its longer elements (order 30 at level 15) are scalar
-    multiples of shorter ones.  A scalar power has determinant lam^2 = 1,
-    so the order is the least k with s_k = 0 mod m, walked mod m.  That walk
-    reads only m and t = a + d mod m, so every class gives its own pair and
-    each distinct pair is walked once (66 pairs for 5,760 classes at level
-    40, 30 for 12,180 at level 29)."""
+    multiples of shorter ones.  The order is the least k with s_k = 0 mod m,
+    walked mod m, and reads only m and t = a + d mod m, so every class gives
+    its own pair and each distinct pair is walked once (66 pairs for 5,760
+    classes at level 40, 30 for 12,180 at level 29)."""
+    _check_enum(q)
     pairs = {(m := q // math.gcd(q, b, c, a - d), (a + d) % m)
              for a, b, c, d in _reps(q, scalar_units(q))}
     best, steps = 0, range(1, 2 * q * q + 1)
@@ -223,6 +229,7 @@ def center(q: int) -> set[Mat]:
     Candidates are cut down against the images of the two standard
     generators of SL(2, Z), then verified against the whole group.
     """
+    _check_enum(q)
     return _center_of(q, scalar_units(q))
 
 

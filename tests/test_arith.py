@@ -396,3 +396,16 @@ class TestExactRingLaws:
             x ** -1
         with pytest.raises(AttributeError):
             setattr(x, type(x).__slots__[0], None)
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("call, args, match", [
+        (solve_unit_congruence, (1, 0), "^modulus must be >= 1$"),
+        (factorize, (0,), "^factorize requires n >= 1$"),
+        (n3, (2, 0, 0), "^exponent r must be >= 1$"),
+        (Cyclotomic, (4, (1, 2)), "^need d >= 1 and d coefficients, got d = 4 and 2$"),
+        (Cyclotomic.scalar, (0, 1), "^need d >= 1, got d = 0$"),
+    ])
+    def test_rejects(self, call, args, match):
+        with pytest.raises(ValueError, match=match):
+            call(*args)

@@ -1,4 +1,5 @@
 import cmath
+import json
 import random
 import re
 from fractions import Fraction
@@ -10,8 +11,8 @@ from modcurve import canonical
 from modcurve.arith import Cyclotomic, GAUSS_I, GaussRational
 from modcurve.canonical import (EliminationError, MPoly, _at_root, _expect,
                                 deck_matrix, elimination_solve, embed_point,
-                                hyperellipticity_obstruction, image_of_a,
-                                image_of_one, images_of_infinity,
+                                eval_quadric, hyperellipticity_obstruction,
+                                image_of_a, image_of_one, images_of_infinity,
                                 images_of_zero, map_quadric, preserves_ideal,
                                 quadric_forms, quadric_residuals,
                                 reduce_by_span, sigma_family, sigma_matrix,
@@ -117,6 +118,10 @@ class TestEmbedding:
     def test_rejects_y_zero(self):
         with pytest.raises(ValueError):
             embed_point(Fraction(1), Fraction(0))
+
+    def test_residuals_need_a_point_of_p4(self):
+        with pytest.raises(ValueError, match="points live in P\\^4"):
+            quadric_residuals(-1, (1, 0, 0, 1))
 
 
 class TestSigma:
@@ -236,6 +241,61 @@ class TestElimination:
         assert res.entries["c45"] == -2
         assert res.entries["c44"] == -1
         assert res.entries["c55"] == 1
+
+
+# each entry solved from a pullback coefficient, in elimination order, with
+# the quadric (0-indexed) and the monomial key of the coefficient it reads
+PINS = [("c23", 0, (2, 4)), ("c53", 0, (1, 2)), ("c22", 0, (1, 4)),
+        ("c13", 1, (2, 4)), ("c12", 1, (1, 4)), ("c42", 1, (0, 1)),
+        ("c43", 1, (0, 2)), ("c41", 1, (3, 3)), ("c11", 1, (0, 3))]
+
+
+def monomial(key) -> str:
+    """z_(i+1) * z_(j+1), a repeated factor written as a square."""
+    names = [f"z{i + 1}" for i in key]
+    return names[0] + "^2" if names[0] == names[1] else "*".join(names)
+
+
+class TestPinnedSteps:
+    @pytest.mark.parametrize("name, k, key", PINS)
+    def test_doubled_coefficient_fails_its_pin(self, monkeypatch, name, k, key):
+        # pullback k + 1 with the coefficient this entry reads doubled: each
+        # pinned shape is exact, so the doubled terms fail there
+        reduce, calls = canonical.reduce_by_span, []
+
+        def doubled(p, forms):
+            calls.append(rem := reduce(p, forms))
+            return {**rem, key: 2 * rem[key]} if len(calls) == k + 1 else rem
+        monkeypatch.setattr(canonical, "reduce_by_span", doubled)
+        step = f"at: Q{k + 1}: {monomial(key)}"
+        with pytest.raises(EliminationError, match=re.escape(step) + "$"):
+            elimination_solve()
+
+    def test_each_pin_names_the_coefficient_it_reads(self, monkeypatch):
+        labels, expect = [], canonical._expect
+        monkeypatch.setattr(canonical, "_expect",
+                            lambda cond, step: labels.append(step) or expect(cond, step))
+        res = elimination_solve()
+        named = [label for label in labels if re.match(r"Q\d: ", label)]
+        assert named == [f"Q{k + 1}: {monomial(key)}" for _, k, key in PINS] \
+            + ["Q2: z1*z5", "Q2: z1*z5 linear in a", "Q3: z4^2"]
+        lines = {line.split(" = ")[0]: line for line in res.steps}
+        for name, k, key in PINS:
+            reason = f"[Q{k + 1} pullback, {monomial(key)} coefficient"
+            assert reason in lines[name], name
+
+
+class TestPrintedQuadrics:
+    def test_strings_evaluate_to_the_forms(self, capsys):
+        assert main(["--format", "json", "canonical"]) == 0
+        printed = json.loads(capsys.readouterr().out)["result"]["quadrics"]
+        rng = random.Random(8)
+        for _ in range(20):
+            z = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5)]
+            a = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            env = {f"z{i + 1}": zi for i, zi in enumerate(z)} | {"a": a}
+            got = [eval(s.replace("^", "**"), {}, env) for s in printed]
+            assert got == [eval_quadric(q, z) for q in quadric_forms(a)]
 
 
 class TestOcticCheck:

@@ -546,3 +546,19 @@ print(attempt(equation.exponent_from_rotation, 8, equation.RotationNumber(1, 1))
                               capture_output=True, text=True, check=True,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.stdout.split() == ["RuntimeError"] * 4
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("call, args, exc, match", [
+        (differential_order, (klein_curve(), Monomial((0, 0), 1), (0, 1)), TypeError,
+         r"^unsupported point \(0, 1\)$"),
+        (differential_order, (klein_curve(), Monomial((0,), 1), InfinityPoint(1)), ValueError,
+         "^one exponent per branch value is required$"),
+        (solve_branch_constant, (SemiHyperellipticCurve(2, (("a", 1),)), ("a", INF)),
+         ValueError, "^need at least three branch points to pin a base map$"),
+        (solve_branch_constant, (octic_family(), ("a", "a")), ValueError,
+         "^demand must name two distinct branch points$"),
+    ])
+    def test_rejects(self, call, args, exc, match):
+        with pytest.raises(exc, match=match):
+            call(*args)

@@ -373,3 +373,9 @@ class TestClassActionCompat:
         c = (x, z)
         assert cusp_class_action(q, tuple(e % q for e in g), cusp_canonical(q, c)) == \
             cusp_canonical(q, cusp_action(g, c))
+
+
+class TestInputRules:
+    def test_action_needs_a_coprime_pair(self):
+        with pytest.raises(ValueError, match="^cusp 2/4 is not a coprime pair$"):
+            cusp_action((1, 0, 0, 1), (2, 4))

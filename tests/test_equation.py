@@ -394,3 +394,21 @@ class TestRecords:
             "BranchTerm(exponent=2, label=Fraction(0, 1), orbit=((1, 4), (3, 4)), "
             "rotation=RotationNumber(orbit_len=2, k=1))")
         assert repr(BranchTerm(3)) == "BranchTerm(exponent=3, label=None, orbit=None, rotation=None)"
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("call, args, match", [
+        (exponent_from_rotation, (8, RotationNumber(3, 1)),
+         "^orbit length 3 must divide p = 8$"),
+        (exponent_from_rotation, (8, RotationNumber(1, 2)),
+         "^rotation exponent 2 is not a unit mod 8$"),
+        (build_equation, (5, 5), r"^the quotient must have degree >= 2 \(n < q\)$"),
+        (substitute_label, (build_equation(8, 1), "b", Fraction(-1)),
+         "^no term labeled 'b'$"),
+    ])
+    def test_rejects(self, call, args, match):
+        with pytest.raises(ValueError, match=match):
+            call(*args)
+
+    def test_no_terms_print_one(self):
+        assert equation_string(SemiHyperellipticEquation(8, ())) == "y^8 = 1"

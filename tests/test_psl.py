@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modcurve import psl
+from modcurve import cli, psl
 from modcurve.cusps import (cusp_action, cusp_canonical, cusp_class_action,
                             enumerate_cusps, gamma_qn_member)
 from modcurve.genus import genus_q, hurwitz_deficiency
@@ -34,6 +34,32 @@ class TestEnumeration:
         group, lams = enumerate_psl(q), scalar_units(q)
         assert type(group) is tuple and group is psl._reps(q, psl._signs(q))
         assert type(lams) is tuple and scalar_units(q) is lams
+
+
+class TestEnumerationGuard:
+    """The guard runs before any brute-force work, the scalar scan included."""
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        levels, scan = [], psl.scalar_units
+        monkeypatch.setattr(psl, "scalar_units", lambda q: levels.append(q) or scan(q))
+        return levels
+
+    @pytest.mark.parametrize("flag", ["--max-order", "--center"])
+    def test_group_rejects_before_the_scalar_scan(self, scanned, capsys, flag):
+        assert cli.main(["group", "--q", "1000000", flag]) == 2
+        assert "enumeration supports 2 <= q <= 40" in capsys.readouterr().err
+        assert all(q <= psl.ENUM_GUARD for q in scanned)
+
+    def test_projective_order_reads_no_scalars(self, scanned):
+        assert projective_element_order(10007, (1, 1, 0, 1)) == 10007
+        assert scanned == []
+
+    @pytest.mark.parametrize("fn", [scalar_units, max_element_order, center])
+    @pytest.mark.parametrize("q", [0, 1, 41])
+    def test_one_range_and_message(self, fn, q):
+        with pytest.raises(ValueError, match=f"^enumeration supports 2 <= q <= 40, got {q}$"):
+            fn(q)
 
 
 class TestIndexFormulas:
