@@ -34,6 +34,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Union
 from .arith import adj2, mat_mul2
 from .equation import (RotationNumber, SemiHyperellipticEquation, check_branch_data,
                        rotation_from_exponent)
+from .genus import hurwitz_deficiency
 from .poly import Poly, rational_roots
 
 
@@ -134,10 +135,9 @@ def ramification_profile(c: SemiHyperellipticCurve) -> list[tuple[object, int, i
 
 
 def curve_genus(c: SemiHyperellipticCurve) -> int:
-    """Genus from the ramification profile: 2g - 2 = -2p + sum(e - 1)."""
-    total = -2 * c.p
-    for _, num, e in ramification_profile(c):
-        total += num * (e - 1)
+    """Genus from the ramification profile by Riemann-Hurwitz over the line:
+    a fiber of index e > 1 is a branch point of order e of the degree-p map."""
+    total = hurwitz_deficiency(c.p, 0, [e for _, _, e in ramification_profile(c) if e > 1])
     if total % 2:
         raise ArithmeticError("ramification does not close to an even number")
     return total // 2 + 1

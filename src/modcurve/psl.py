@@ -25,10 +25,14 @@ Orders walk the powers of g = (a, b; c, d) by Cayley-Hamilton, g^2 = t*g - I
 with t = a + d: g^k = s_k*g - s_(k-1)*I for s_0 = 0, s_1 = 1,
 s_(k+1) = t*s_k - s_(k-1).  So g^k is scalar exactly when s_k*b, s_k*c and
 s_k*(a - d) vanish mod q, that is s_k = 0 mod m = q / gcd(q, b, c, a - d),
-with scalar s_k*a - s_(k-1); its square is det g^k = 1, so projective orders
-need no scalar list and walk at any level.  The sequence s_k mod m is fixed by
-t mod m, so a class's projective order depends only on the pair (m, t mod m),
-and the max-order oracle walks each distinct pair once.
+with scalar lam = s_k*a - s_(k-1).  The one walk, _order, stops at the first
+such k: the projective order, since lam^2 = det g^k = 1.  The scalar powers
+of g are the multiples of k, so the sign order is k when lam = +-1, else 2k.
+Orders read no scalar list and take no level limit: one step per power up to
+the element's order, linear in q.  The sequence s_k mod m is fixed by t mod m,
+so a class's projective order depends only on the pair (m, t mod m), and the
+max-order oracle walks each distinct pair once as the companion matrix
+(t, -1; 1, 0) mod m, of trace t, determinant 1 and the same m.
 """
 
 from __future__ import annotations
@@ -111,10 +115,10 @@ def r_n_formula(q: int, n: int) -> int:
     return exact_int(Fraction(n * q * q, 2) * euler_product(q), f"index at q = {q}, n = {n}")
 
 
-def _order(q: int, g: Mat, lams: tuple[int, ...] | None) -> int:
-    """Least k >= 1 with g^k = lam * I, lam in lams (any lam if None), by s_k
-    mod q.  g^k is scalar exactly when s_k = 0 mod m, with scalar s_k*a - s_(k-1)
-    (module docstring), so this stops where "b = c = 0, a = d in lams" does."""
+def _order(q: int, g: Mat) -> tuple[int, int]:
+    """(k, lam) for the least k >= 1 with g^k = lam * I, by s_k mod q: g^k is
+    scalar exactly when s_k = 0 mod m, with lam = s_k*a - s_(k-1) (module
+    docstring), so this stops where "b = c = 0, a = d" does."""
     check_step(q, 1, 2)
     a, b, c, d = [e % q for e in g]
     if (a * d - b * c - 1) % q:
@@ -122,15 +126,17 @@ def _order(q: int, g: Mat, lams: tuple[int, ...] | None) -> int:
     m = q // math.gcd(q, b, c, a - d)
     t, s0, s1 = a + d, 0, 1
     for k in range(1, 2 * q * q + 1):
-        if not s1 % m and (lams is None or (s1 * a - s0) % q in lams):
-            return k
+        if not s1 % m:
+            return k, (s1 * a - s0) % q
         s0, s1 = s1, (t * s1 - s0) % q
     raise RuntimeError("order computation runaway")
 
 
 def element_order(q: int, g: Mat) -> int:
-    """Order of g in the sign quotient SL/{+-I}."""
-    return _order(q, g, _signs(q))
+    """Order of g in the sign quotient SL/{+-I}: k or 2k for the first scalar
+    power g^k = lam * I, as lam is a sign or not (lam^2 = 1)."""
+    k, lam = _order(q, g)
+    return k if lam in _signs(q) else 2 * k
 
 
 @cache
@@ -143,7 +149,7 @@ def scalar_units(q: int) -> tuple[int, ...]:
 
 def projective_element_order(q: int, g: Mat) -> int:
     """Order of g in the projective group SL/{scalars}, at any level."""
-    return _order(q, g, None)
+    return _order(q, g)[0]
 
 
 def type_classify(q: int) -> str:
@@ -161,24 +167,14 @@ def max_element_order(q: int) -> int:
 
     Taken modulo all scalars: the sign quotient is bigger for some
     composite q and its longer elements (order 30 at level 15) are scalar
-    multiples of shorter ones.  The order is the least k with s_k = 0 mod m,
-    walked mod m, and reads only m and t = a + d mod m, so every class gives
-    its own pair and each distinct pair is walked once (66 pairs for 5,760
-    classes at level 40, 30 for 12,180 at level 29)."""
+    multiples of shorter ones.  Each pair (m, t mod m) with m > 1 is walked
+    once (module docstring): 65 walks for 5,760 classes at level 40, 29 for
+    12,180 at level 29.  The scalar classes (m = 1) have order 1."""
     _check_enum(q)
     pairs = {(m := q // math.gcd(q, b, c, a - d), (a + d) % m)
              for a, b, c, d in _reps(q, scalar_units(q))}
-    best, steps = 0, range(1, 2 * q * q + 1)
-    for m, t in pairs:
-        s0, s1 = 0, 1 % m
-        for k in steps:
-            if not s1:
-                break
-            s0, s1 = s1, (t * s1 - s0) % m
-        else:
-            raise RuntimeError("order computation runaway")
-        best = k if k > best else best
-    return best
+    return max((projective_element_order(m, (t, m - 1, 1, 0)) for m, t in pairs if m > 1),
+               default=1)
 
 
 def _center_of(q: int, lams: tuple[int, ...]) -> set[Mat]:

@@ -277,6 +277,17 @@ class TestAgainstDefinitions:
             one[:] = [g]
             assert max_element_order(q) == order
 
+    @pytest.mark.parametrize("q,walks", [(40, 65), (29, 29)])
+    def test_max_order_walks_each_pair_once(self, monkeypatch, q, walks):
+        # one projective walk per distinct (m, t mod m) with m > 1, each on
+        # the companion matrix (t, -1; 1, 0) mod m
+        calls, walk = [], psl.projective_element_order
+        monkeypatch.setattr(psl, "projective_element_order",
+                            lambda m, g: calls.append((m, g)) or walk(m, g))
+        assert max_element_order(q) == max_order_formula(q)
+        assert len(calls) == len(set(calls)) == walks
+        assert all(g[1:] == (m - 1, 1, 0) for m, g in calls)
+
     @pytest.mark.parametrize("order", [[(1, 0, 0, 1), (1, 1, 0, 1)],
                                        [(1, 1, 0, 1), (1, 0, 0, 1)]])
     def test_max_order_tells_classes_of_one_trace_apart(self, monkeypatch, order):
