@@ -11,6 +11,7 @@ rounding.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .arith import check_step, divisors, euler_product, exact_int, mult_n
@@ -55,13 +56,13 @@ def genus_prime_quotient(q: int) -> int:
 
 
 def hurwitz_deficiency(n_autos: int, g_bar: int, branch_orders: list[int]) -> int:
-    """2g - 2 from the Hurwitz relation N*(2*g_bar - 2 + sum(1 - 1/m_i))."""
+    """2g - 2 from the Hurwitz relation N*(2*g_bar - 2 + sum(1 - 1/m_i)),
+    summed in integers over the common denominator lcm(m_i)."""
     if any(m < 2 for m in branch_orders):
         raise ValueError("branch orders must be >= 2")
-    s = Fraction(2 * g_bar - 2)
-    for m in branch_orders:
-        s += 1 - Fraction(1, m)
-    return exact_int(n_autos * s, "Hurwitz relation value")
+    den = math.lcm(*branch_orders)
+    num = den * (2 * g_bar - 2) + sum(den - den // m for m in branch_orders)
+    return exact_int(Fraction(n_autos * num, den), "Hurwitz relation value")
 
 
 def is_semihyperelliptic_level(q: int) -> bool:

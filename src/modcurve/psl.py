@@ -169,7 +169,9 @@ def max_element_order(q: int) -> int:
     composite q and its longer elements (order 30 at level 15) are scalar
     multiples of shorter ones.  Each pair (m, t mod m) with m > 1 is walked
     once (module docstring): 65 walks for 5,760 classes at level 40, 29 for
-    12,180 at level 29.  The scalar classes (m = 1) have order 1."""
+    12,180 at level 29.  The scalar classes (m = 1) have order 1.  The walks
+    go through the public projective_element_order, companion checks and all,
+    because the benchmark's order counter hooks that name (perfbench/metrics.py)."""
     _check_enum(q)
     pairs = {(m := q // math.gcd(q, b, c, a - d), (a + d) % m)
              for a, b, c, d in _reps(q, scalar_units(q))}

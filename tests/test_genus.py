@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from modcurve.arith import divisors
@@ -90,6 +92,18 @@ class TestHurwitz:
             hurwitz_deficiency(10, 0, [1])
         with pytest.raises(ArithmeticError):
             hurwitz_deficiency(5, 0, [2])
+
+    @pytest.mark.parametrize("n", [1, 6, 12, 24, 35, 60])
+    def test_matches_the_rational_sum(self, n):
+        # integral exactly when the rational sum is, with the same value
+        for g_bar in (0, 1, 3):
+            for orders in ([], [2], [4, 6], [2, 3, 5], [6, 6, 9, 10]):
+                s = n * (2 * g_bar - 2 + sum(1 - Fraction(1, m) for m in orders))
+                if s.denominator == 1:
+                    assert hurwitz_deficiency(n, g_bar, orders) == s
+                else:
+                    with pytest.raises(ArithmeticError, match=f": {s}$"):
+                        hurwitz_deficiency(n, g_bar, orders)
 
 
 class TestSemiHyperellipticLevels:
