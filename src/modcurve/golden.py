@@ -7,25 +7,26 @@ computation bug.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-from importlib import resources
 
 GoldenKey = tuple[str, str, str]
 
 
 @lru_cache(maxsize=1)
 def load_golden() -> dict[GoldenKey, int]:
-    text = (resources.files("modcurve") / "data" / "golden_tables.txt").read_text()
     out: dict[GoldenKey, int] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        table, row, col, value = line.split()
-        key = (table, row, col)
-        if key in out:
-            raise ValueError(f"duplicate golden record {key}")
-        out[key] = int(value)
+    with open(os.path.join(os.path.dirname(__file__), "data", "golden_tables.txt"),
+              encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            table, row, col, value = line.split()
+            key = (table, row, col)
+            if key in out:
+                raise ValueError(f"duplicate golden record {key}")
+            out[key] = int(value)
     return out
 
 

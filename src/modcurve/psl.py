@@ -14,6 +14,7 @@ projective group only: the sign quotient contains, e.g., an element of order
 30 at level 15, namely (4, 4; 0, 4) = 4I * (1, 1; 0, 1), because 4I is a
 non-sign scalar there.  For q <= 40 the projective center is trivial except
 at q = 16 and 32, where it has two classes (at 16: I and (3, 8; 8, 11)).
+Of the classes commuting with T and S, only the non-scalar ones are scanned.
 
 A canonical representative is the lexicographic minimum over the coset; the
 choice is deterministic and independent of enumeration order.  Only least
@@ -179,6 +180,22 @@ def max_element_order(q: int) -> int:
                default=1)
 
 
+def _commutes_with_all(q: int, lams: tuple[int, ...], g: Mat, group) -> bool:
+    """Whether gh = lam * hg for some lam in lams, for every h in group."""
+    a, b, c, d = g
+    for e, f, x, y in group:
+        gh0, hg0 = (a * e + b * x) % q, (e * a + f * c) % q
+        for lam in lams:
+            if (lam * hg0 % q == gh0
+                    and (lam * (e * b + f * d) - a * f - b * y) % q == 0
+                    and (lam * (x * a + y * c) - c * e - d * x) % q == 0
+                    and (lam * (x * b + y * d) - c * f - d * y) % q == 0):
+                break
+        else:
+            return False
+    return True
+
+
 def _center_of(q: int, lams: tuple[int, ...]) -> set[Mat]:
     """The classes of SL modulo the scalars lams that commute with every
     class, where g and h commute when gh = lam * hg for some lam.
@@ -187,22 +204,9 @@ def _center_of(q: int, lams: tuple[int, ...]) -> set[Mat]:
     and S = (0, -1; 1, 0), which generate SL(2, Z) and so the group:
     gT = lam * Tg reads a = lam(a + c), a + b = lam(b + d), c = lam c,
     c + d = lam d, and gS = lam * Sg reads b = -lam c, a = lam d, d = lam a,
-    c = -lam b.  Each survivor is then checked against every class."""
-    def commutes(g: Mat, hs) -> bool:
-        a, b, c, d = g
-        for e, f, x, y in hs:
-            gh0, hg0 = (a * e + b * x) % q, (e * a + f * c) % q
-            for lam in lams:
-                if (lam * hg0 % q == gh0
-                        and (lam * (e * b + f * d) - a * f - b * y) % q == 0
-                        and (lam * (x * a + y * c) - c * e - d * x) % q == 0
-                        and (lam * (x * b + y * d) - c * f - d * y) % q == 0):
-                    break
-            else:
-                return False
-        return True
-
-    group, cand = _reps(q, lams), []
+    c = -lam b.  Each survivor is then checked against every class, unless
+    it is scalar (b = c = 0, a = d): mu*I * h = h * mu*I for every h."""
+    group, out = _reps(q, lams), set()
     for g in group:
         a, b, c, d = g
         for lam in lams:
@@ -217,15 +221,16 @@ def _center_of(q: int, lams: tuple[int, ...]) -> set[Mat]:
                 break
         else:
             continue
-        cand.append(g)
-    return {g for g in cand if commutes(g, group)}
+        if b == c == 0 and a == d or _commutes_with_all(q, lams, g, group):
+            out.add(g)
+    return out
 
 
 def center(q: int) -> set[Mat]:
     """Center of the projective group SL/{scalars}, by commutation scan.
 
     Candidates are cut down against the images of the two standard
-    generators of SL(2, Z), then verified against the whole group.
+    generators of SL(2, Z), then the non-scalar ones against the whole group.
     """
     _check_enum(q)
     return _center_of(q, scalar_units(q))

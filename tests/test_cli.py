@@ -346,7 +346,7 @@ class TestGroupCommand:
         assert calls == []
 
     def test_pinned_runs(self):
-        assert len(GROUP_RUNS) == 2 * 5
+        assert len(GROUP_RUNS) == 2 * 6
 
     @pytest.mark.parametrize("argv, expect", zip(GROUP_RUNS[::2], GROUP_RUNS[1::2]),
                              ids=GROUP_RUNS[::2])

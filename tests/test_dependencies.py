@@ -1,7 +1,7 @@
 """The library keeps zero runtime dependencies: it loads only the standard
 library, and pyproject.toml declares no dependency.  Its start-up stays
-light: importing the CLI does not load dataclasses.  Its checks survive
-python -O: no assert statement is left in src/."""
+light: importing the CLI loads neither dataclasses nor importlib.resources.
+Its checks survive python -O: no assert statement is left in src/."""
 
 import ast
 import os
@@ -32,14 +32,26 @@ def test_every_module_loads_only_the_standard_library():
             and name not in ("modcurve", "__main__")] == []
 
 
+def cli_import_loads(name):
+    """Whether `import modcurve.cli` loads module name in a python -S
+    process, as the text that process prints: "True\\n" or "False\\n"."""
+    proc = subprocess.run([sys.executable, "-S", "-c",
+                           f"import sys, modcurve.cli; print({name!r} in sys.modules)"],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    return proc.stdout
+
+
 def test_cli_import_leaves_dataclasses_unloaded():
     # dataclasses pulls in inspect, which 3.10 and 3.11 load for nothing else;
     # 3.12 and 3.13 load inspect themselves, so only dataclasses is guarded
-    proc = subprocess.run([sys.executable, "-S", "-c",
-                           "import sys, modcurve.cli; print('dataclasses' in sys.modules)"],
-                          capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert proc.stdout == "False\n"
+    assert cli_import_loads("dataclasses") == "False\n"
+
+
+def test_cli_import_leaves_importlib_resources_unloaded():
+    # golden reads its table with open(), so the CLI does not pay for
+    # importlib.resources and the pathlib, tempfile and urllib.parse it pulls in
+    assert cli_import_loads("importlib.resources") == "False\n"
 
 
 def test_pyproject_declares_no_dependencies():

@@ -131,6 +131,20 @@ class TestCenter:
                                                            (1, 0, 0, 0)))
         assert center(16) == {(1, 0, 0, 1)}
 
+    @pytest.mark.parametrize("fn,q,scanned", [
+        (center, 8, []), (center, 24, []), (center, 29, []), (center, 40, []),
+        (sign_center, 8, []), (center, 16, [(3, 8, 8, 11)]),
+        (center, 32, [(7, 16, 16, 23)])])
+    def test_scan_skips_scalar_candidates(self, monkeypatch, fn, q, scanned):
+        # a scalar class commutes with every class by definition, so only the
+        # non-scalar survivors of the T and S filter are scanned: at level 8
+        # the sign center's {I, 3I} needs no scan at all
+        calls, scan = [], psl._commutes_with_all
+        monkeypatch.setattr(psl, "_commutes_with_all",
+                            lambda q, lams, g, group: calls.append(g) or scan(q, lams, g, group))
+        fn(q)
+        assert calls == scanned
+
     def test_sign_center_level8(self):
         assert sign_center(8) == {psl_canon(8, (1, 0, 0, 1)),
                                   psl_canon(8, (3, 0, 0, 3))}
@@ -315,6 +329,17 @@ class TestKernelsAgainstReference:
         assert element_order(q, g) == _reference_order(q, g, psl_canon)
         assert projective_element_order(q, g) == \
             _reference_order(q, g, projective_canon)
+
+    @given(st.integers(2, 16), ST_WORDS)
+    def test_commutation_scan_of_random_words(self, q, ks):
+        g, group = _st_word(q, ks), enumerate_projective(q)
+        assert psl._commutes_with_all(q, scalar_units(q), g, group) == \
+            all(_commute(q, projective_canon, g, h) for h in group)
+
+    def test_commutation_scan_rejects_t(self):
+        q = 29
+        assert not psl._commutes_with_all(q, scalar_units(q), (1, 1, 0, 1),
+                                          enumerate_projective(q))
 
     @given(st.integers(2, 40), ST_WORDS, st.data())
     def test_powers_follow_trace_recurrence(self, q, ks, data):
