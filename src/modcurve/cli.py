@@ -34,7 +34,7 @@ from fractions import Fraction
 from .arith import GAUSS_I, Cyclotomic, check_step, divisors
 from . import canonical as canon
 from .cusps import (check_cusp, class_to_cusp, cusp_action, cusp_canonical,
-                    cusp_class_action, cusp_str, enumerate_cusps,
+                    cusp_class_action, enumerate_cusps,
                     find_equivalence_witness, gamma_qn_member, h_formula,
                     h_n_formula, orbit_rep, tau_orbits, width, width_bruteforce,
                     width_distribution, width_tally)
@@ -309,10 +309,10 @@ def cmd_cusps(args) -> tuple[dict, list[str], int]:
     rows = []
     lines = [f"{len(orbits)} translation orbits at level {q}, step {n}"]
     for orbit in orbits:
-        rep = orbit_rep(orbit)
-        row = {"rep": cusp_str(q, rep), "size": str(len(orbit))}
+        x, z = cusp = class_to_cusp(q, orbit_rep(orbit))
+        row = {"rep": f"{x}/{z}", "size": str(len(orbit))}
         if args.widths:
-            row["width"] = str(width(q, n, class_to_cusp(q, rep)))
+            row["width"] = str(width(q, n, cusp))
         rows.append(row)
     if args.format == "text":  # one line per orbit, built only when printed
         lines += ["  " + "  ".join(f"{k}={v}" for k, v in row.items()) for row in rows]

@@ -152,6 +152,18 @@ class TestCuspsCommand:
         assert status == 0 and len(doc["result"]["orbits"]) == 6
         assert not any("rep=" in line for line in lines)
 
+    def test_each_orbit_lifted_once(self, monkeypatch):
+        # the row's rep string and its width both read one lift of the orbit
+        # rep; cusps' own binding is wrapped too, so cusp_str's lift counts
+        from modcurve import cli, cusps
+        calls, lift = [], cusps.class_to_cusp
+        for mod in (cli, cusps):
+            monkeypatch.setattr(mod, "class_to_cusp",
+                                lambda q, cls: calls.append(cls) or lift(q, cls))
+        args = build_parser().parse_args(["cusps", "--q", "12", "--n", "2", "--widths"])
+        doc, _, status = cmd_cusps(args)
+        assert status == 0 and len(calls) == len(doc["result"]["orbits"]) == 16
+
     @pytest.mark.parametrize("q,n,dist", [
         ("3", "3", {"3": "4"}),
         ("4", "1", {"1": "2", "4": "1"}),

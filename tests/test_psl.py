@@ -145,6 +145,28 @@ class TestCenter:
         fn(q)
         assert calls == scanned
 
+    @pytest.mark.parametrize("q", range(2, 41))
+    def test_commuting_with_t_forces_2c_zero(self, q):
+        # the T equations give 2c = 0 whatever the scalar, so the center scan
+        # may reject by 2c before it tries any scalar
+        t = (1, 1, 0, 1)
+        for lams in (scalar_units(q), psl._signs(q)):
+            for g in psl._reps(q, lams):
+                gt, tg = mat_mul(q, g, t), mat_mul(q, t, g)
+                if any(gt == tuple(lam * e % q for e in tg) for lam in lams):
+                    assert 2 * g[2] % q == 0, (q, lams, g)
+
+    @pytest.mark.parametrize("fn,q,tried", [(center, 40, 160), (center, 29, 406),
+                                            (center, 24, 48), (sign_center, 8, 32)])
+    def test_scalar_loops_run_only_where_2c_is_zero(self, monkeypatch, fn, q, tried):
+        # of 5,760 classes at level 40 only the 160 with 2c = 0 try the scalars
+        calls, loops = [], psl._commutes_with_t_and_s
+        monkeypatch.setattr(psl, "_commutes_with_t_and_s",
+                            lambda q, lams, g: calls.append(g) or loops(q, lams, g))
+        fn(q)
+        assert len(calls) == tried
+        assert all(2 * g[2] % q == 0 for g in calls)
+
     def test_sign_center_level8(self):
         assert sign_center(8) == {psl_canon(8, (1, 0, 0, 1)),
                                   psl_canon(8, (3, 0, 0, 3))}
