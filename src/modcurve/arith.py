@@ -242,14 +242,6 @@ class Cyclotomic(ExactRing):
     def __neg__(self):
         return _of(type(self), self.d, tuple([-a for a in self.coeffs]))
 
-    # kept off ExactRing: reduce_by_span subtracts in the sigma tests' inner
-    # loop, where the inherited self + (-o) made cover-geometry about 3% slower
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _of(type(self), self.d, tuple([a - b for a, b in zip(self.coeffs, o.coeffs)]))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 1:  # immutable, so the operand itself is the product

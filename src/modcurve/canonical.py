@@ -139,8 +139,9 @@ def reduce_by_span(p: Quadric, forms: list[Quadric]) -> Quadric:
         lam = rem.get(sq, 0)
         if lam == 0:
             continue
+        lam = -lam
         for key, c in form.items():
-            rem[key] = rem[key] - lam * c if key in rem else -(lam * c)
+            rem[key] = rem[key] + lam * c if key in rem else lam * c
     return {k: v for k, v in rem.items() if not v == 0}
 
 

@@ -46,7 +46,7 @@ def gamma_qn_member(m: Mat, q: int, n: int) -> bool:
     if a * d - b * c != 1:
         raise ValueError("matrix must have determinant 1")
     check_step(q, n)
-    return a % q == 1 and d % q == 1 and c % q == 0 and b % n == 0
+    return (a - 1) % q == 0 and (d - 1) % q == 0 and c % q == 0 and b % n == 0
 
 
 def cusp_action(m: Mat, cusp: Cusp) -> Cusp:

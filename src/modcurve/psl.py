@@ -14,10 +14,9 @@ projective group only: the sign quotient contains, e.g., an element of order
 30 at level 15, namely (4, 4; 0, 4) = 4I * (1, 1; 0, 1), because 4I is a
 non-sign scalar there.  For q <= 40 the projective center is trivial except
 at q = 16 and 32, where it has two classes (at 16: I and (3, 8; 8, 11)).
-gT = lam * Tg forces 2c = 0 for g = (a, b; c, d): c = lam c and c + d = lam d
-give c = (lam - 1)d and (lam - 1)^2 = 2 - 2*lam, so 0 = (lam - 1)c = -2c.
-The center scan tries the scalars against T and S only where 2c = 0, and
-scans only the non-scalar classes commuting with T and S against the group.
+The center scan applies one commutation rule twice: to the generators T and
+S, only for classes with 2c = 0 (commuting with T forces it, see _center_of),
+then to the whole group, only for the non-scalar classes that pass T and S.
 
 A canonical representative is the lexicographic minimum over the coset; the
 choice is deterministic and independent of enumeration order.  Only least
@@ -184,7 +183,8 @@ def max_element_order(q: int) -> int:
 
 
 def _commutes_with_all(q: int, lams: tuple[int, ...], g: Mat, group) -> bool:
-    """Whether gh = lam * hg for some lam in lams, for every h in group."""
+    """Whether gh = lam * hg for some lam in lams, for every h in group;
+    _center_of passes the pair (T, S) first, then the whole group."""
     a, b, c, d = g
     for e, f, x, y in group:
         gh0, hg0 = (a * e + b * x) % q, (e * a + f * c) % q
@@ -199,39 +199,22 @@ def _commutes_with_all(q: int, lams: tuple[int, ...], g: Mat, group) -> bool:
     return True
 
 
-def _commutes_with_t_and_s(q: int, lams: tuple[int, ...], g: Mat) -> bool:
-    """Whether gT = lam * Tg and gS = mu * Sg for some lam and mu in lams,
-    by the equations in _center_of's docstring."""
-    a, b, c, d = g
-    for lam in lams:
-        if not ((lam * (a + c) - a) % q or (lam * (b + d) - a - b) % q
-                or (lam * c - c) % q or (lam * d - c - d) % q):
-            break
-    else:
-        return False
-    for lam in lams:
-        if not ((b + lam * c) % q or (a - lam * d) % q
-                or (d - lam * a) % q or (c + lam * b) % q):
-            return True
-    return False
-
-
 def _center_of(q: int, lams: tuple[int, ...]) -> set[Mat]:
     """The classes of SL modulo the scalars lams that commute with every
     class, where g and h commute when gh = lam * hg for some lam.
 
     A candidate g = (a, b; c, d) must first commute with T = (1, 1; 0, 1)
-    and S = (0, -1; 1, 0), which generate SL(2, Z) and so the group:
+    and S = (0, -1; 1, 0), which generate SL(2, Z) and so the group; the
+    pair goes through the same _commutes_with_all as the group does.
     gT = lam * Tg reads a = lam(a + c), a + b = lam(b + d), c = lam c,
-    c + d = lam d, and gS = lam * Sg reads b = -lam c, a = lam d, d = lam a,
-    c = -lam b.  The T equations force 2c = 0 whatever lam is: the last two
-    give c = (lam - 1)d, and (lam - 1)^2 = 2 - 2*lam as lam^2 = 1, so
+    c + d = lam d, which force 2c = 0 whatever lam is: the last two give
+    c = (lam - 1)d, and (lam - 1)^2 = 2 - 2*lam as lam^2 = 1, so
     0 = (lam - 1)c = -2(lam - 1)d = -2c; only classes with 2c = 0 try the
-    lams.  Each survivor is then checked against every class, unless it is
+    pair.  Each survivor is then checked against every class, unless it is
     scalar (b = c = 0, a = d): mu*I * h = h * mu*I for every h."""
-    group = _reps(q, lams)
+    group, pair = _reps(q, lams), ((1, 1, 0, 1), (0, q - 1, 1, 0))
     return {g for g in group
-            if not 2 * g[2] % q and _commutes_with_t_and_s(q, lams, g)
+            if not 2 * g[2] % q and _commutes_with_all(q, lams, g, pair)
             and (g[1] == g[2] == 0 and g[0] == g[3] or _commutes_with_all(q, lams, g, group))}
 
 

@@ -211,6 +211,27 @@ class TestElimination:
         assert "c33^8 = 1" in res.relations
         assert "a != 1" in res.assumptions
 
+    def test_relations_hold(self):
+        # each relation read as an equation, ^ a power and a the constant: the
+        # entry relations hold as polynomials in c33, and c33^8 = 1 holds at
+        # the eight values c33 takes across the family
+        res = elimination_solve()
+
+        def sides(relation, names):
+            return [eval(side.replace("^", "**"), {}, {**names, "a": res.a})
+                    for side in relation.split(" = ")]
+
+        *entry_relations, root_relation = res.relations
+        assert root_relation == "c33^8 = 1"
+        for relation in entry_relations:
+            lhs, rhs = sides(relation, res.entries)
+            assert lhs == rhs, relation
+        c33s = {m[2][2] for m in res.family}
+        assert c33s == {Cyclotomic.root(8, j) for j in range(8)}
+        for c33 in c33s:
+            lhs, rhs = sides(root_relation, {"c33": c33})
+            assert lhs == rhs, c33
+
     def test_family_matches_constructor(self):
         assert elimination_solve().family == sigma_family(-1)
 

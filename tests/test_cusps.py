@@ -129,6 +129,17 @@ class TestWitness:
     def test_inequivalent(self):
         assert find_equivalence_witness(8, (1, 4), (3, 4)) is None
 
+    # Gamma(1) is all of SL(2, Z): every determinant-1 matrix is a member
+    @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
+    def test_level_one_takes_every_matrix(self, x, z, k):
+        assume(math.gcd(x, z) == 1)
+        assert gamma_qn_member(mat_mul2(complete_to_unimodular(x, z), (1, k, 0, 1)), 1, 1)
+
+    def test_level_one_witness(self):
+        g = find_equivalence_witness(1, (1, 0), (0, 1))
+        assert g is not None and gamma_qn_member(g, 1, 1)
+        assert cusp_action(g, (1, 0)) == (0, 1)
+
     # both used to return None, as if the classes differed
     @pytest.mark.parametrize("q", [0, -5])
     def test_rejects_level_below_one(self, q):

@@ -139,11 +139,7 @@ class TestCenter:
         # a scalar class commutes with every class by definition, so only the
         # non-scalar survivors of the T and S filter are scanned: at level 8
         # the sign center's {I, 3I} needs no scan at all
-        calls, scan = [], psl._commutes_with_all
-        monkeypatch.setattr(psl, "_commutes_with_all",
-                            lambda q, lams, g, group: calls.append(g) or scan(q, lams, g, group))
-        fn(q)
-        assert calls == scanned
+        assert commutation_calls(monkeypatch, fn, q)[1] == scanned
 
     @pytest.mark.parametrize("q", range(2, 41))
     def test_commuting_with_t_forces_2c_zero(self, q):
@@ -160,12 +156,10 @@ class TestCenter:
                                             (center, 24, 48), (sign_center, 8, 32)])
     def test_scalar_loops_run_only_where_2c_is_zero(self, monkeypatch, fn, q, tried):
         # of 5,760 classes at level 40 only the 160 with 2c = 0 try the scalars
-        calls, loops = [], psl._commutes_with_t_and_s
-        monkeypatch.setattr(psl, "_commutes_with_t_and_s",
-                            lambda q, lams, g: calls.append(g) or loops(q, lams, g))
-        fn(q)
-        assert len(calls) == tried
-        assert all(2 * g[2] % q == 0 for g in calls)
+        # against T and S
+        tested = commutation_calls(monkeypatch, fn, q)[0]
+        assert len(tested) == tried
+        assert all(2 * g[2] % q == 0 for g in tested)
 
     def test_sign_center_level8(self):
         assert sign_center(8) == {psl_canon(8, (1, 0, 0, 1)),
@@ -173,6 +167,17 @@ class TestCenter:
 
     def test_projective_size(self):
         assert len(enumerate_projective(8)) == 96
+
+
+def commutation_calls(monkeypatch, fn, q):
+    """The classes that fn(q) hands to the one commutation test, split by the
+    group each call receives: the pair (T, S), then the classes of the quotient."""
+    pair, calls, test = ((1, 1, 0, 1), (0, q - 1, 1, 0)), [], psl._commutes_with_all
+    monkeypatch.setattr(psl, "_commutes_with_all",
+                        lambda q, lams, g, group: calls.append((g, group)) or test(q, lams, g, group))
+    fn(q)
+    return ([g for g, group in calls if group == pair],
+            [g for g, group in calls if group != pair])
 
 
 def enumerate_projective(q):
