@@ -8,8 +8,8 @@ lexicographic minimum of the two sign choices.  That rule is validated
 constructively here (witness search) and numerically (class counts).
 
 Each level's classes are generated once, directly, under an eight-entry
-cache.  enumerate_cusps hands out the cached tuple itself, and tau_orbits
-reads the classes through it and walks every orbit class by class.
+cache.  enumerate_cusps hands out the cached tuple itself; tau_orbits reads
+it and visits each class once, carrying the step n*z, negated with the fold.
 
 The width of x/z for the intermediate group of level q and step n is
 q / gcd(q/n, z) once q >= 5; below that only the brute-force congruence
@@ -178,17 +178,19 @@ def tau_orbits(q: int, n: int) -> list[tuple[ClassPair, ...]]:
     seen = bytearray(q * q)
     orbits = []
     for x, z in classes:
-        if seen[x * q + z]:
+        key = x * q + z
+        if seen[key]:
             continue
-        orbit = []
-        while not seen[x * q + z]:
-            seen[x * q + z] = 1
+        orbit, s = [], n * z % q  # the step n*z, negated with the fold like x and z
+        while not seen[key]:
+            seen[key] = 1
             orbit.append((x, z))
-            x = (x + n * z) % q
-            nx = -x % q
-            if x > nx or x == nx and z > -z % q:  # fold to the lesser of +-(x, z)
-                x, z = nx, -z % q
-        orbits.append(tuple(sorted(orbit)))
+            x = (x + s) % q
+            if 2 * x > q or (x == 0 or 2 * x == q) and 2 * z > q:
+                x, z, s = -x % q, -z % q, -s % q  # fold to the lesser of +-(x, z)
+            key = x * q + z
+        orbit.sort()
+        orbits.append(tuple(orbit))
     # each orbit starts at its least class, so they arrive in representative order
     orbits.sort(key=len)
     return orbits

@@ -18,11 +18,11 @@ The center scan applies one commutation rule twice: to the generators T and
 S, only for classes with 2c = 0 (commuting with T forces it, see _center_of),
 then to the whole group, only for the non-scalar classes that pass T and S.
 
-A canonical representative is the lexicographic minimum over the coset; the
-choice is deterministic and independent of enumeration order.  Only least
-members are generated, and the last eight (level, quotient) sets are cached
-as tuples in lexicographic order; enumerate_psl hands out the sign-quotient
-tuple itself, and scalar_units caches each level's scalars as a tuple.
+A canonical representative is the lexicographic minimum over the coset.  Only
+least members are generated, c and d as two progressions for non-unit a (a
+row with gcd(a, b, q) > 1 is empty); the last eight (level, quotient) sets are
+cached as sorted tuples, enumerate_psl hands out the sign-quotient tuple
+itself, and scalar_units caches each level's scalars as a tuple.
 Enumeration and the scalar list are guarded at q <= 40 (|SL| grows like q^3).
 Orders walk the powers of g = (a, b; c, d) by Cayley-Hamilton, g^2 = t*g - I
 with t = a + d: g^k = s_k*g - s_(k-1)*I for s_0 = 0, s_1 = 1,
@@ -65,10 +65,12 @@ def _least(x: int, fix: tuple[int, ...], q: int) -> tuple[int, ...] | None:
 @lru_cache(maxsize=8)
 def _reps(q: int, lams: tuple[int, ...]) -> tuple[Mat, ...]:
     """The lexicographically least member of each class {lam * m : lam in
-    lams} of SL(2, Z/qZ), in lexicographic order, solving a*d = 1 + b*c for d.
+    lams} of SL(2, Z/qZ), in lexicographic order, solving a*d = 1 + b*c.
 
     Only a and b are compared, b only against the lams fixing a: a lam
     fixing a and b has (lam - 1)(a*d - b*c) = 0, so lam = 1 and c, d are free.
+    For g = gcd(a, q) > 1 the row is empty if gcd(b, g) > 1, else c = -1/b
+    mod g in steps of g and d = (1 + b*c)/g * (a/g)^-1 mod q/g in steps of q/g.
     """
     _check_enum(q)
     out = []
@@ -84,13 +86,9 @@ def _reps(q: int, lams: tuple[int, ...]) -> tuple[Mat, ...]:
                 continue
             if g == 1:  # a unit: d is unique
                 out += [(a, b, c, (1 + b * c) * ainv % q) for c in range(q)]
-                continue
-            for c in range(q):
-                rhs = (1 + b * c) % q
-                if rhs % g:
-                    continue
-                for d in range(rhs // g * ainv % qg, q, qg):
-                    out.append((a, b, c, d))
+            elif math.gcd(b, g) == 1:  # else g never divides 1 + b*c: an empty row
+                out += [(a, b, c, d) for c in range(-pow(b, -1, g) % g, q, g)
+                        for d in range((1 + b * c) // g * ainv % qg, q, qg)]
     return tuple(out)
 
 

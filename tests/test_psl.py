@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,6 +280,20 @@ class TestAgainstDefinitions:
         assert len(sl) == (2 * r_formula(q) if q > 2 else 6)
         for enum, canon in ((enumerate_psl, psl_canon), (enumerate_projective, projective_canon)):
             assert list(enum(q)) == sorted({canon(q, m) for m in sl})
+
+    @pytest.mark.parametrize("q", range(2, 41))
+    def test_each_primitive_row_has_q_completions(self, q):
+        # with lams = (1,) each class is one matrix, so _reps is all of SL; the
+        # unwrapped call leaves the cache alone.  Each row (a, b) with
+        # gcd(a, b, q) = 1 has exactly q completions (c, d), the count the
+        # two-progression solve for non-unit a rests on, and no other row appears
+        before = psl._reps.cache_info()
+        sl = psl._reps.__wrapped__(q, (1,))
+        assert psl._reps.cache_info() == before
+        assert len(set(sl)) == len(sl) and all((a * d - b * c) % q == 1 for a, b, c, d in sl)
+        rows = Counter((a, b) for a, b, _, _ in sl)
+        assert dict(rows) == {(a, b): q for a in range(q) for b in range(q)
+                              if math.gcd(a, b, q) == 1}
 
     @pytest.mark.parametrize("q", range(2, 17))
     def test_center_by_direct_scan(self, q):
