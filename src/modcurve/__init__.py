@@ -3,8 +3,8 @@ curves attached to principal congruence subgroups, with the full
 determination of the level-8 curve y^8 = x^2 (x - 1)(x + 1) and its
 canonical model in P^4."""
 
-from .arith import (Cyclotomic, GaussRational, divisors, ext_gcd, factorize,
-                    is_prime, mult_n, n3, solve_unit_congruence)
+from .arith import (Cyclotomic, GaussRational, divisors, factorize, is_prime,
+                    mult_n, n3, solve_unit_congruence)
 from .cusps import (cusp_action, cusp_canonical, enumerate_cusps,
                     find_equivalence_witness, gamma_qn_member, h_formula,
                     h_n_formula, tau_orbits, width, width_bruteforce,

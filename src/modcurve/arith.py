@@ -1,8 +1,8 @@
 """Exact scalar arithmetic kernel.
 
-Everything here is integer or rational and exact: extended gcd, unit
-congruences, trial-division factorization, the multiplicative counting
-functions
+Everything here is integer or rational and exact: unit congruences (every
+modular inverse in the library is Python's pow(x, -1, m)), trial-division
+factorization, the multiplicative counting functions
 
     N(p)  = prod_i (1 + r_i * (p_i - 1)/(p_i + 1))      for p = prod p_i^r_i
     N3(j) = p/(p+1) for j in {0, r},  (p-1)/(p+1) else
@@ -19,33 +19,16 @@ from fractions import Fraction
 Mat = tuple[int, int, int, int]  # (a, b; c, d) as the flat tuple (a, b, c, d)
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with g = gcd(a, b) >= 0 and a*u + b*v = g."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def solve_unit_congruence(u: int, v: int) -> int:
     """Unique k with 1 <= k < v and k*u = 1 (mod v); 0 for the vacuous v = 1.
 
-    The modulus-1 case encodes "no rotation constraint" for unbranched
-    points.  Requires gcd(u, v) = 1.
+    The modulus-1 case, pow's own answer, encodes "no rotation constraint"
+    for unbranched points.  Requires gcd(u, v) = 1.
     """
     if v < 1:
         raise ValueError("modulus must be >= 1")
     if math.gcd(u, v) != 1:
         raise ValueError(f"{u} is not a unit modulo {v}")
-    if v == 1:
-        return 0
     return pow(u, -1, v)
 
 

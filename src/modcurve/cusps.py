@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .arith import (Mat, adj2, check_step, euler_product, exact_int, ext_gcd, factorize,
+from .arith import (Mat, adj2, check_step, euler_product, exact_int, factorize,
                     mat_mul2, mult_n, n3)
 
 Cusp = tuple[int, int]
@@ -128,11 +128,12 @@ def find_equivalence_witness(q: int, c1: Cusp, c2: Cusp):
 
 
 def complete_to_unimodular(x: int, z: int) -> Mat:
-    """(x, -v; z, u) with x*u + z*v = 1: determinant 1, sending oo to x/z."""
-    g, u, v = ext_gcd(x, z)
-    if g != 1:
+    """(x, (x*u - 1)/z; z, u) with u = x^-1 mod z, or u = x = +-1 when z = 0:
+    determinant 1, sending oo to x/z."""
+    if math.gcd(x, z) != 1:
         raise RuntimeError(f"{x}/{z} is not reduced")
-    return (x, -v, z, u)
+    u = pow(x, -1, z) if z else x
+    return (x, (x * u - 1) // (z or 1), z, u)  # x*u - 1 = 0 when z = 0
 
 
 def h_formula(q: int) -> int:

@@ -80,7 +80,7 @@ def _reps(q: int, lams: tuple[int, ...]) -> tuple[Mat, ...]:
             continue
         g = math.gcd(a, q)
         qg = q // g
-        ainv = pow(a // g, -1, qg) if qg > 1 else 0
+        ainv = pow(a // g, -1, qg)
         for b in range(q):
             if _least(b, fa, q) is None:
                 continue

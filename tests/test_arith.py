@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modcurve.arith import (Cyclotomic, GaussRational, GAUSS_I, check_step,
-                            divisors, exact_int, ext_gcd, factorize, is_prime,
-                            mult_n, n3, solve_unit_congruence)
+                            divisors, exact_int, factorize, is_prime, mult_n,
+                            n3, solve_unit_congruence)
 from modcurve.canonical import MPoly
 from modcurve.poly import Poly
 
@@ -57,20 +57,6 @@ def retyped(coeffs):
     """The same values with int and integral Fraction swapped."""
     return [Fraction(c) if isinstance(c, int)
             else int(c) if c.denominator == 1 else c for c in coeffs]
-
-
-class TestExtGcd:
-    def test_examples(self):
-        assert ext_gcd(3, 8) == (1, 3, -1)
-        assert ext_gcd(0, 5) == (5, 0, 1)
-        g, u, v = ext_gcd(12, 18)
-        assert g == 6 and 12 * u + 18 * v == 6
-
-    @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-    def test_bezout(self, a, b):
-        g, u, v = ext_gcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * u + b * v == g
 
 
 class TestUnitCongruence:

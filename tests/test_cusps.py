@@ -156,6 +156,10 @@ class TestWitness:
         assume(math.gcd(x, z) == 1)
         a, b, c, d = complete_to_unimodular(x, z)
         assert (a, c) == (x, z) and a * d - b * c == 1
+        if z:  # d is x's inverse mod z: x*d + z*(-b) = 1 is a Bezout pair
+            assert x * d % z == 1 % z
+        else:
+            assert d == x
 
     @pytest.mark.parametrize("q", [5, 7, 8, 9])
     def test_witness_iff_same_class(self, q):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, strategies as st
 
 from modcurve import cli, equation
 from modcurve.arith import divisors
-from modcurve.cusps import cusp_canonical, tau_orbits
+from modcurve.cusps import class_to_cusp, cusp_canonical, enumerate_cusps, tau_orbits
 from modcurve.curve import SemiHyperellipticCurve, curve_genus
 from modcurve.equation import (BranchTerm, RotationNumber, build_equation,
                                equation_string, exponent_from_rotation,
@@ -101,6 +101,19 @@ class TestRotationNumber:
         g = math.gcd(8, z)
         ks = {((w * w) % g) for w in range(-50, 50) if (x * w) % z == 1 % z}
         assert len(ks) == 1
+
+    def test_matches_inverse_by_search(self):
+        # k = w^2 mod gcd(p, z) with x*w = 1 (mod z), w found by trying every
+        # residue, so the expected value shares no code with the library's inverse
+        for q in range(5, 41):
+            for n in divisors(q):
+                p = q // n
+                for cls in enumerate_cusps(q):
+                    x, z = class_to_cusp(q, cls)
+                    g = math.gcd(p, z)
+                    w = next(w for w in range(z) if x * w % z == 1 % z) if z else 1
+                    expect = (p // g, w * w % g) if g > 1 else (p, 0)
+                    assert rotation_number(q, n, (x, z)) == expect, (q, n, x, z)
 
     @pytest.mark.parametrize("q", [5, 6, 7, 8, 9, 10, 12])
     def test_constant_on_orbits(self, q):
