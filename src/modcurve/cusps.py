@@ -9,7 +9,9 @@ constructively here (witness search) and numerically (class counts).
 
 Each level's classes are generated once, directly, under an eight-entry
 cache.  enumerate_cusps hands out the cached tuple itself; tau_orbits reads
-it and visits each class once, carrying the step n*z, negated with the fold.
+it, takes each class with n*z = 0 (mod q) as a fixed one-class orbit without
+a walk, and visits every other class once, carrying the step n*z, negated
+with the fold.
 
 The width of x/z for the intermediate group of level q and step n is
 q / gcd(q/n, z) once q >= 5; below that only the brute-force congruence
@@ -179,6 +181,9 @@ def tau_orbits(q: int, n: int) -> list[tuple[ClassPair, ...]]:
     seen = bytearray(q * q)
     orbits = []
     for x, z in classes:
+        if not n * z % q:  # a step of 0: the class is fixed, and no walk reaches it
+            orbits.append(((x, z),))
+            continue
         key = x * q + z
         if seen[key]:
             continue
@@ -220,12 +225,13 @@ def width_bruteforce(q: int, n: int, c: Cusp) -> int:
     negative): R*z^2 = 0 (mod q), R*x^2 = 0 (mod n) and R*x*z = 0 (mod q),
     or for the negative R*x*z = 2 and R*x*z = -2 (mod q).  Those two
     together force 4 = 0 (mod q), so that branch is tested only for q <= 4.
-    Each R is tried in turn; the products are reduced once, before the scan."""
+    R*z^2 = 0 (mod q) holds exactly at the multiples of q / gcd(q, z^2), so
+    only those R are tried, in turn; the other products are reduced once."""
     check_step(q, n)
     x, z = check_cusp(c)
-    xz, zz, xx = x * z % q, z * z % q, x * x % n
-    for r in range(1, q * n + 1):
-        if r * zz % q == 0 and r * xx % n == 0 and (
+    xz, xx, step = x * z % q, x * x % n, q // math.gcd(q, z * z)
+    for r in range(step, q * n + 1, step):
+        if r * xx % n == 0 and (
                 r * xz % q == 0
                 or q <= 4 and (r * xz - 2) % q == 0 and (r * xz + 2) % q == 0):
             return r

@@ -19,7 +19,8 @@ S, only for classes with 2c = 0 (commuting with T forces it, see _center_of),
 then to the whole group, only for the non-scalar classes that pass T and S.
 
 A canonical representative is the lexicographic minimum over the coset.  Only
-least members are generated, c and d as two progressions for non-unit a (a
+least members are generated, b from one list per subset of lams fixing a,
+built once per call, and c and d as two progressions for non-unit a (a
 row with gcd(a, b, q) > 1 is empty); the last eight (level, quotient) sets are
 cached as sorted tuples, enumerate_psl hands out the sign-quotient tuple
 itself, and scalar_units caches each level's scalars as a tuple.
@@ -69,21 +70,23 @@ def _reps(q: int, lams: tuple[int, ...]) -> tuple[Mat, ...]:
 
     Only a and b are compared, b only against the lams fixing a: a lam
     fixing a and b has (lam - 1)(a*d - b*c) = 0, so lam = 1 and c, d are free.
+    Which b pass depends on that subset alone, so each distinct subset's
+    b-list is built once per call (at most two for the sign quotient).
     For g = gcd(a, q) > 1 the row is empty if gcd(b, g) > 1, else c = -1/b
     mod g in steps of g and d = (1 + b*c)/g * (a/g)^-1 mod q/g in steps of q/g.
     """
     _check_enum(q)
-    out = []
+    out, blists = [], {}
     for a in range(q):
         fa = _least(a, lams, q)
         if fa is None:
             continue
+        if fa not in blists:
+            blists[fa] = [b for b in range(q) if _least(b, fa, q) is not None]
         g = math.gcd(a, q)
         qg = q // g
         ainv = pow(a // g, -1, qg)
-        for b in range(q):
-            if _least(b, fa, q) is None:
-                continue
+        for b in blists[fa]:
             if g == 1:  # a unit: d is unique
                 out += [(a, b, c, (1 + b * c) * ainv % q) for c in range(q)]
             elif math.gcd(b, g) == 1:  # else g never divides 1 + b*c: an empty row
@@ -237,11 +240,13 @@ def maps_between_cusps(q: int, c1: tuple[int, int], c2: tuple[int, int]) -> list
 
     Both must be canonical level-q classes: coprime to q and the lesser of
     +-(x, z) mod q, so fixed by the identity's class action.  Then an image
-    lands in c2's class exactly when it is c2 or -c2 mod q."""
+    lands in c2's class exactly when it is c2 or -c2 mod q; the image's
+    second entry is built only when its first is that of c2 or -c2."""
     check_step(q, 1, 2)
     for cls in (c1, c2):
         if math.gcd(*cls, q) != 1 or cusp_class_action(q, (1, 0, 0, 1), cls) != cls:
             raise ValueError(f"{cls} is not a canonical level-{q} cusp class")
-    (x, z), targets = c1, (c2, ((-c2[0]) % q, (-c2[1]) % q))
-    return [g for g in _reps(q, _signs(q))
-            if ((g[0] * x + g[1] * z) % q, (g[2] * x + g[3] * z) % q) in targets]
+    (x, z), (u, w) = c1, c2
+    firsts, targets = (u, -u % q), (c2, (-u % q, -w % q))
+    return [(a, b, c, d) for a, b, c, d in _reps(q, _signs(q))
+            if (y := (a * x + b * z) % q) in firsts and (y, (c * x + d * z) % q) in targets]

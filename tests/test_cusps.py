@@ -293,6 +293,18 @@ class TestWidths:
         assume(math.gcd(x, z) == 1 and (z > 0 or x == 1))
         assert width_bruteforce(q, n, (x, z)) == _reference_width(q, n, (x, z))
 
+    def test_scan_matches_reference_scan_at_every_class(self):
+        # every class of every (q, n) at levels 3..40: the scan tries only
+        # multiples of q / gcd(q, z^2), the reference every R
+        scans = 0
+        for q in range(3, 41):
+            for n in divisors(q):
+                for cls in enumerate_cusps(q):
+                    cusp = class_to_cusp(q, cls)
+                    assert width_bruteforce(q, n, cusp) == _reference_width(q, n, cusp), (q, n, cls)
+                    scans += 1
+        assert scans == 39938
+
     # the levels dividing 4 (and 3) where the negative-sign branch is tested
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_scan_matches_reference_scan_at_small_levels(self, q):

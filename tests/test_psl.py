@@ -244,27 +244,29 @@ ST_WORDS = st.lists(st.integers(0, 39), max_size=8)
 
 
 def _reference_order(q, g, canon):
-    """Order of g in a quotient, canonicalizing every power."""
-    ident = canon(q, (1, 0, 0, 1))
-    x = canon(q, g)
-    k = 1
-    while x != ident:
+    """Order of g in a quotient, canonicalizing every power.  Every element
+    of GL(2, Z/qZ) has order below q^2, so a walk that has not returned by
+    then was handed a matrix outside SL and fails instead of hanging."""
+    ident, x = canon(q, (1, 0, 0, 1)), canon(q, g)
+    for k in range(1, q * q + 1):
+        if x == ident:
+            return k
         x = canon(q, mat_mul(q, x, g))
-        k += 1
-    return k
+    raise AssertionError(f"{g} has no order below {q * q} mod {q}")
 
 
 def _matrix_walk_order(q, g, lams):
     """Least k >= 1 with g^k = lam * I for some lam in lams, multiplying the
     four entries of each power by g inline: the reference for the library's
-    trace-recurrence kernels, sharing no code with them."""
+    trace-recurrence kernels, sharing no code with them.  Bounded at q^2
+    steps, as _reference_order is."""
     a0, b0, c0, d0 = a, b, c, d = g
-    k = 1
-    while b or c or a != d or a not in lams:
+    for k in range(1, q * q + 1):
+        if not (b or c or a != d or a not in lams):
+            return k
         a, b = (a * a0 + b * c0) % q, (a * b0 + b * d0) % q
         c, d = (c * a0 + d * c0) % q, (c * b0 + d * d0) % q
-        k += 1
-    return k
+    raise AssertionError(f"{g} has no order below {q * q} mod {q}")
 
 
 class TestAgainstDefinitions:
@@ -275,11 +277,15 @@ class TestAgainstDefinitions:
     @pytest.mark.parametrize("q", range(2, 41))
     def test_representative_sets(self, q):
         # the whole of SL filtered by each canonical form, against the direct
-        # generation; the cached tuples are in lexicographic order
+        # generation; the cached tuples are in lexicographic order.  Lengths,
+        # then the first differing element: pytest's diff of two whole lists
+        # of a broken generator ran past 40 s
         sl = enumerate_sl(q)
         assert len(sl) == (2 * r_formula(q) if q > 2 else 6)
         for enum, canon in ((enumerate_psl, psl_canon), (enumerate_projective, projective_canon)):
-            assert list(enum(q)) == sorted({canon(q, m) for m in sl})
+            got, want = enum(q), sorted({canon(q, m) for m in sl})
+            assert len(got) == len(want)
+            assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
 
     @pytest.mark.parametrize("q", range(2, 41))
     def test_each_primitive_row_has_q_completions(self, q):
