@@ -100,18 +100,15 @@ def divisors(n: int) -> list[int]:
 
 def euler_product(q: int) -> Fraction:
     """prod(1 - 1/l^2) over the primes l dividing q."""
-    out = Fraction(1)
-    for l, _ in factorize(q):
-        out *= 1 - Fraction(1, l * l)
-    return out
+    squares = [l * l for l, _ in factorize(q)]
+    return Fraction(math.prod(s - 1 for s in squares), math.prod(squares))
 
 
 def mult_n(p: int) -> Fraction:
     """The multiplicative function N(p); N(1) = 1."""
-    out = Fraction(1)
-    for pi, ri in factorize(p):
-        out *= 1 + Fraction(ri * (pi - 1), pi + 1)
-    return out
+    f = factorize(p)
+    return Fraction(math.prod(pi + 1 + ri * (pi - 1) for pi, ri in f),
+                    math.prod(pi + 1 for pi, _ in f))
 
 
 def n3(p_i: int, r_i: int, j: int) -> Fraction:
@@ -178,9 +175,10 @@ class Cyclotomic(ExactRing):
     product rule serves every c: t^(d+k) = c*t^k.  Not a field when t^d - c
     factors, but enough to verify identities among such roots.  Immutable;
     scalars (int, Fraction) coerce to constants and scale the coefficients
-    directly in a product, and a product by 1 is the operand.  Values of two
-    rings (class or d) are equal only as the same constant; arithmetic
-    mixing them raises ValueError.
+    directly in a product, and a product by 1 is the operand.  An operand of
+    the same class and d skips _coerce, and a product loops over the nonzero
+    coefficient pairs only.  Values of two rings (class or d) are equal only
+    as the same constant; arithmetic mixing them raises ValueError.
     """
 
     __slots__ = ("d", "coeffs")
@@ -202,7 +200,9 @@ class Cyclotomic(ExactRing):
     @classmethod
     def root(cls, d: int, k: int = 1) -> "Cyclotomic":
         """The basis element t^(k mod d): t^k itself when c = 1."""
-        coeffs = list(cls.scalar(d, 0).coeffs)
+        if d < 1:
+            raise ValueError(f"need d >= 1, got d = {d}")
+        coeffs = [0] * d
         coeffs[k % d] = 1
         return _of(cls, d, tuple(coeffs))
 
@@ -217,7 +217,7 @@ class Cyclotomic(ExactRing):
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is type(self) and other.d == self.d else self._coerce(other)
         if o is None:
             return NotImplemented
         return _of(type(self), self.d, tuple([a + b for a, b in zip(self.coeffs, o.coeffs)]))
@@ -230,22 +230,22 @@ class Cyclotomic(ExactRing):
             if other == 1:  # immutable, so the operand itself is the product
                 return self
             return _of(type(self), self.d, tuple([a * other if a else 0 for a in self.coeffs]))
-        o = self._coerce(other)
+        o = other if type(other) is type(self) and other.d == self.d else self._coerce(other)
         if o is None:
             return NotImplemented
         # a*t^i times x*t^j lands at t^(i+j) while i + j < d; past the top,
         # the wrap t^(d+k) = c*t^k puts c*a*x at t^k
-        d, c, b = self.d, self.c, o.coeffs
+        d, c = self.d, self.c
+        nonzero = [(j, x) for j, x in enumerate(o.coeffs) if x]
         out = [0] * d
         for i, a in enumerate(self.coeffs):
             if a:
-                for k, x in enumerate(b[:d - i], i):
-                    if x:
+                for j, x in nonzero:
+                    k = i + j
+                    if k < d:
                         out[k] += a * x
-                ca = c * a
-                for k, x in enumerate(b[d - i:]):
-                    if x:
-                        out[k] += ca * x
+                    else:
+                        out[k - d] += c * a * x
         return _of(type(self), d, tuple(out))
 
     def __eq__(self, other):

@@ -29,10 +29,13 @@ commutes with pullback and reduction: both are polynomial and no form holds
 an entry.  Each solved entry is pinned by the exact terms of one coefficient,
 its step named from that coefficient's quadric and monomial.
 Zero and equality tests compare the canonical term dicts; ints stay int,
-and an integral Fraction parameter enters the sigma test as an int.
+and an integral Fraction enters as an int (_as_int): the sigma test's
+parameter, and the root a = -1, so the elimination runs on ints after it.
+preserves_ideal reads each row's nonzero entries once for all three pullbacks.
 Scalar rules: a product by 1 is the (immutable) operand itself; MPoly and
 Cyclotomic (at every c, so GaussRational too) scale each coefficient by any
-other int or Fraction directly, and Poly by a constant operand on either side.
+other int or Fraction directly, MPoly by a constant MPoly as well, keeping
+the other's sorted keys, and Poly by a constant operand on either side.
 """
 
 from __future__ import annotations
@@ -48,6 +51,11 @@ from .psl import center, r_formula, sign_center
 
 QuadMono = tuple[int, int]  # (i, j) with i <= j, 0-indexed coordinates
 Quadric = dict[QuadMono, object]
+
+
+def _as_int(x):
+    """The int rule: an integral Fraction as an int, anything else as it is."""
+    return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
 def quadric_forms(a) -> list[Quadric]:
@@ -106,21 +114,24 @@ def images_of_infinity(i_unit):
             (1, i_unit, 0, -1, 0), (1, -i_unit, 0, -1, 0)]
 
 
+def _pull_backs(qs, m):
+    """Yield q(M z) for each q in qs, lazily, from one read of M's nonzero
+    entries per row; coefficients that cancel stay."""
+    rows = [[(k, x) for k, x in enumerate(row) if not x == 0] for row in m]
+    for q in qs:
+        out: Quadric = {}
+        for (i, j), c in q.items():
+            for k, mik in rows[i]:
+                cm = c * mik
+                for l, mjl in rows[j]:
+                    key = (k, l) if k <= l else (l, k)
+                    out[key] = out[key] + cm * mjl if key in out else cm * mjl
+        yield out
+
+
 def transform_quadric(q: Quadric, m) -> Quadric:
     """Pullback q(M z) as a quadric in z."""
-    out: Quadric = {}
-    for (i, j), c in q.items():
-        for k in range(5):
-            mik = m[i][k]
-            if mik == 0:
-                continue
-            cm = c * mik
-            for l in range(5):
-                mjl = m[j][l]
-                if mjl == 0:
-                    continue
-                key = (k, l) if k <= l else (l, k)
-                out[key] = out[key] + cm * mjl if key in out else cm * mjl
+    (out,) = _pull_backs([q], m)
     return {k: v for k, v in out.items() if not v == 0}
 
 
@@ -183,15 +194,13 @@ def preserves_ideal(m, a) -> bool:
     if tuple(map(len, m)) != (5, 5, 5, 5, 5):
         raise ValueError("maps of P^4 are 5x5 matrices")
     forms = quadric_forms(a)
-    return all(not reduce_by_span(transform_quadric(q, m), forms)
-               for q in forms)
+    return all(not reduce_by_span(p, forms) for p in _pull_backs(forms, m))
 
 
 def sigma_preserves_ideal(a, eta3: Cyclotomic) -> bool:
     """Exact ideal-preservation test for the candidate matrix over
     Z[t]/(t^8 - 1).  An integral Fraction a enters as an int."""
-    if isinstance(a, Fraction) and a.denominator == 1:
-        a = int(a)
+    a = _as_int(a)
     return preserves_ideal(sigma_matrix(a, eta3), a)
 
 
@@ -248,7 +257,9 @@ class MPoly(ExactRing):
 
     @classmethod
     def const(cls, value) -> "MPoly":
-        return cls({(): value})
+        if not isinstance(value, Poly):
+            value = Poly.const(value if isinstance(value, int) else Fraction(value))
+        return cls._canonical({(): value} if value.coeffs else {})
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
@@ -278,6 +289,11 @@ class MPoly(ExactRing):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        for x, y in ((o, self), (self, o)):
+            if x.terms.keys() == {()}:  # a constant scales y's sorted keys
+                c = x.terms[()]
+                return MPoly._canonical({k: r for k, p in y.terms.items()
+                                         if not (r := p * c).is_zero()})
         out: dict = {}
         for k1, p1 in self.terms.items():
             for k2, p2 in o.terms.items():
@@ -304,16 +320,20 @@ class MPoly(ExactRing):
 
     def subs(self, name: str, value: "MPoly") -> "MPoly":
         """Substitute value for the variable name (a ring map fixing Q[a])."""
+        if not (held := [key for key in self.terms if name in key]):
+            return self
         out = MPoly._canonical({k: p for k, p in self.terms.items() if name not in k})
         if value.terms:  # a zero value drops every term that holds name
-            for key, poly in self.terms.items():
-                if name in key:
-                    rest = tuple(k for k in key if k != name)
-                    out = out + MPoly._canonical({rest: poly}) * value ** key.count(name)
+            for key in held:
+                rest = tuple(k for k in key if k != name)
+                out = out + MPoly._canonical({rest: self.terms[key]}) * value ** key.count(name)
         return out
 
     def subs_a(self, a_value: Fraction) -> "MPoly":
-        return MPoly({k: Poly.const(p(a_value)) for k, p in self.terms.items()})
+        """Evaluate every coefficient at a = a_value, under the int rule."""
+        a_value = _as_int(a_value)
+        return MPoly._canonical({k: Poly.const(v) for k, p in self.terms.items()
+                                 if not (v := p(a_value)) == 0})
 
     def __repr__(self):
         if not self.terms:
@@ -497,11 +517,10 @@ def elimination_solve() -> EliminationResult:
                  "c55 = 1", "c33^8 = 1"]
     step = "family entries depend on c33 only"
     # a constant entry has one image at every root, read once and shared
-    images = {name: [_at_root(e, 0, step)] * 8 if e.terms.keys() <= {()}
-              else [_at_root(e, j, step) for j in range(8)]
-              for name, e in entries.items()}
-    family = [tuple(tuple(images[f"c{i}{k}"][j] for k in range(1, 6))
-                    for i in range(1, 6)) for j in range(8)]
+    images = [[_at_root(e, 0, step)] * 8 if e.terms.keys() <= {()}
+              else [_at_root(e, j, step) for j in range(8)] for e in entries.values()]
+    family = [tuple(tuple(im[j] for im in images[r:r + 5]) for r in range(0, 25, 5))
+              for j in range(8)]
 
     return EliminationResult(a=a_value, assumptions=assumptions,
                              relations=relations, steps=steps,

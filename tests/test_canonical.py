@@ -61,6 +61,29 @@ def subs_by_definition(m: MPoly, name: str, value: MPoly) -> MPoly:
     return out
 
 
+def pullback_by_definition(q, m) -> dict:
+    """q(M z) expanded over every entry pair, zeros included, then dropped."""
+    out = {}
+    for (i, j), c in q.items():
+        for k in range(5):
+            for l in range(5):
+                key = (min(k, l), max(k, l))
+                out[key] = out.get(key, 0) + c * m[i][k] * m[j][l]
+    return {k: v for k, v in out.items() if not v == 0}
+
+
+# sparse 5x5 matrices over Z[t]/(t^8 - 1): mostly zeros, then +-1, ints,
+# Fractions and cyclotomic monomials and binomials; plus the sigma and deck
+# matrices, which preserve the ideal at a = -1
+ROOTS8 = st.integers(0, 7).map(lambda j: Cyclotomic.root(8, j))
+ENTRIES = st.one_of(st.just(0), st.just(0), st.just(0), st.sampled_from([1, -1]), SCALARS,
+                    st.builds(lambda s, t: s * t, SCALARS, ROOTS8),
+                    st.builds(lambda s, t, u: t + s * u, SCALARS, ROOTS8, ROOTS8))
+MATRICES = st.one_of(st.lists(st.tuples(*[ENTRIES] * 5), min_size=5, max_size=5).map(tuple),
+                     st.builds(sigma_matrix, st.just(-1), ROOTS8),
+                     st.builds(deck_matrix, ROOTS8))
+
+
 def as_polys(point):
     return tuple(p if isinstance(p, Poly) else Poly.const(Fraction(p))
                  for p in point)
@@ -202,6 +225,18 @@ class TestSpanReduction:
         assert in_quadric_span(combo, -1)
         combo[(0, 1)] = combo.get((0, 1), 0) + 1
         assert not in_quadric_span(combo, -1)
+
+    # preserves_ideal reads each row once for all three pullbacks and skips
+    # the zero filter; its answer must be the public path's, and that path's
+    # pullback the one expanded over every entry pair
+    @settings(deadline=None)
+    @given(MATRICES, st.one_of(st.just(-1), st.just(Fraction(-1)), SCALARS))
+    def test_preserves_ideal_is_the_public_path(self, m, a):
+        forms = quadric_forms(a)
+        for q in forms:
+            assert transform_quadric(q, m) == pullback_by_definition(q, m)
+        assert preserves_ideal(m, a) == all(not reduce_by_span(transform_quadric(q, m), forms)
+                                            for q in forms)
 
 
 class TestElimination:
@@ -474,6 +509,19 @@ class TestMPoly:
         dropped = MPoly({k: p for k, p in x.terms.items() if name not in k})
         assert x.subs(name, MPoly({})) == dropped
         assert x.subs(name, MPoly.const(Fraction(0))) == dropped
+
+    # an integral Fraction a is evaluated as an int: the same polynomial, with
+    # the same hash, as evaluating with Fraction arithmetic, and int-valued
+    # wherever every coefficient is an int
+    @given(MPOLYS, st.integers(-3, 3))
+    def test_subs_a_at_an_integral_fraction(self, x, k):
+        got = x.subs_a(Fraction(k))
+        ref = MPoly({key: sum(Fraction(c) * Fraction(k) ** i for i, c in enumerate(p.coeffs))
+                     for key, p in x.terms.items()})
+        assert got == ref and got.terms == ref.terms and hash(got) == hash(ref)
+        assert got.terms == MPoly(dict(got.terms)).terms
+        if all(isinstance(c, int) for c in coefficients(x)):
+            assert all(isinstance(c, int) for c in coefficients(got))
 
     @given(MPOLYS, MPOLYS, SCALARS)
     def test_subs_a_is_ring_map(self, x, y, a):
