@@ -124,10 +124,32 @@ def n3(p_i: int, r_i: int, j: int) -> Fraction:
     return Fraction(p_i - 1, p_i + 1)
 
 
+def show_sum(terms) -> str:
+    """The one printer of the exact rings: (coefficient, names) terms in print
+    order, a repeated name as a power (c33^2).  Zero terms drop out, a rational
+    sign joins the sum, a unit is not written, other coefficients are bracketed."""
+    text = ""
+    for c, names in terms:
+        if c == 0:
+            continue
+        rational = isinstance(c, (int, Fraction))
+        factors = [n if names.count(n) == 1 else f"{n}^{names.count(n)}"
+                   for n in dict.fromkeys(names)]
+        coef = str(abs(c)) if rational else f"({c})"
+        if coef != "1" or not factors:
+            factors.insert(0, coef)
+        if rational and c < 0:
+            text += " - " if text else "-"
+        elif text:
+            text += " + "
+        text += "*".join(factors)
+    return text or "0"
+
+
 class ExactRing:
     """Ring rules shared by the exact commutative rings (Cyclotomic and its
-    subclasses such as GaussRational, poly.Poly, canonical.MPoly):
-    immutability, subtraction, reflected operators and powers.
+    subclasses such as GaussRational, poly.Poly, canonical.MPoly, each printed
+    by show_sum): immutability, subtraction, reflected operators and powers.
 
     A subclass supplies _coerce (its own elements and the scalars it
     accepts, else None), +, unary -, *, == and __hash__.  Its + and * serve
@@ -265,9 +287,7 @@ class Cyclotomic(ExactRing):
         return hash((self.d, self.coeffs))
 
     def __repr__(self):
-        terms = [str(a) if i == 0 else ("" if a == 1 else f"{a}*") + ("t" if i == 1 else f"t^{i}")
-                 for i, a in enumerate(self.coeffs) if a]
-        return " + ".join(terms) or "0"
+        return show_sum((a, ("t",) * i) for i, a in enumerate(self.coeffs))
 
 
 _set_d, _set_coeffs = Cyclotomic.d.__set__, Cyclotomic.coeffs.__set__

@@ -27,9 +27,9 @@ once, when its stage starts, from the entries solved by then, and
 substitutes each later entry into the remainders taken so far, which
 commutes with pullback and reduction: both are polynomial and no form holds
 an entry.  Each solved entry is pinned by the exact terms of one coefficient,
-its step named from that coefficient's quadric and monomial.
-Zero and equality tests compare the canonical term dicts; ints stay int,
-and an integral Fraction enters as an int (_as_int): the sigma test's
+its step named from that coefficient's quadric and monomial, its relation the
+step's text.  Zero and equality tests compare the canonical term dicts; ints
+stay int, and an integral Fraction enters as an int (_as_int): the sigma test's
 parameter, and the root a = -1, so the elimination runs on ints after it.
 preserves_ideal reads each row's nonzero entries once for all three pullbacks.
 Scalar rules: a product by 1 is the (immutable) operand itself; MPoly and
@@ -43,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Cyclotomic, ExactRing
+from .arith import Cyclotomic, ExactRing, show_sum
 from .cusps import cusp_class_action, enumerate_cusps
 from .genus import euler_genus
 from .poly import Poly, rational_roots
@@ -225,9 +225,9 @@ _A = Poly.x()
 class MPoly(ExactRing):
     """Polynomial in the unknown matrix entries with Q[a] coefficients.
 
-    Terms map sorted variable-name tuples to univariate Poly coefficients.
-    Just enough ring structure for replaying the elimination: +, unary -,
-    * and == here, the rest of the ring rules from arith.ExactRing.
+    Terms map sorted variable-name tuples to Poly coefficients in a, printed
+    expanded, highest power of a first.  Just enough ring structure for the
+    elimination: +, unary -, * and == here, the rest from arith.ExactRing.
     """
 
     __slots__ = ("terms",)
@@ -336,14 +336,8 @@ class MPoly(ExactRing):
                                  if not (v := p(a_value)) == 0})
 
     def __repr__(self):
-        if not self.terms:
-            return "MPoly(0)"
-        parts = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
-            mono = "*".join(key) if key else "1"
-            parts.append(f"({c!r})*{mono}")
-        return "MPoly(" + " + ".join(parts) + ")"
+        return show_sum([(p.coeffs[i], ("a",) * i + key) for key, p in sorted(self.terms.items())
+                         for i in range(p.degree, -1, -1)])
 
 
 class EliminationResult(NamedTuple):
@@ -369,7 +363,7 @@ def _expect(cond: bool, step: str):
 def _at_root(mp: MPoly, j: int, step: str) -> Cyclotomic:
     """The ring map c33 -> t^j into Z[t]/(t^8 - 1), on an MPoly in c33 alone
     with constant coefficients; any other term fails step.  At j = 1 its
-    kernel is (c33^8 - 1), so a zero image is vanishing modulo c33^8 = 1.
+    kernel is (c33^8 - 1), so a zero image is vanishing modulo that octic.
     Each term c33^k adds its constant at index j*k mod 8 of one list."""
     out = [0] * 8
     for key, poly in mp.terms.items():
@@ -405,6 +399,7 @@ def elimination_solve() -> EliminationResult:
     steps: list[str] = []
     assumptions = ["a != 0", "a != 1", "matrix invertible"]
     known: dict[str, MPoly] = {}
+    shown: dict[str, str] = {}  # "name = value", printed once for its step and relation
     rems: list[Quadric] = []  # Q1, Q2, Q3 pulled back, each from its stage on
     zero = MPoly({})  # the coefficient of a monomial a remainder lacks
 
@@ -420,7 +415,8 @@ def elimination_solve() -> EliminationResult:
     def setk(name: str, value, why: str):
         known[name] = mp = value if isinstance(value, MPoly) else MPoly.const(value)
         rems[:] = [map_quadric(r, lambda c: c.subs(name, mp)) for r in rems]
-        steps.append(f"{name} = {value!r}  [{why}]")
+        shown[name] = f"{name} = {value}"
+        steps.append(f"{shown[name]}  [{why}]")
 
     def mono(key: QuadMono) -> str:  # z4^2 or z1*z5
         i, j = key
@@ -435,8 +431,8 @@ def elimination_solve() -> EliminationResult:
     forms = quadric_forms(a_sym)
 
     # image of [0,0,0,0,1] is [0,0,0,a-1,1], scaled to lambda = 1
-    for row, val in zip((1, 2, 3, 4, 5), (0, 0, 0, _A - 1, 1)):
-        setk(f"c{row}5", MPoly.const(val), "image of the x=1 point")
+    for row, val in zip((1, 2, 3, 4, 5), (0, 0, 0, a_sym - 1, 1)):
+        setk(f"c{row}5", val, "image of the x=1 point")
 
     # image of [0,0,0,a-1,1] is [0,0,0,0,1]; rows 1..3 give (a-1)*ci4 = 0
     for row in (1, 2, 3):
@@ -503,18 +499,19 @@ def elimination_solve() -> EliminationResult:
     _expect(not at_a[0], f"Q1 pullback at a = {a_value}")
     _expect(not at_a[1], f"Q2 pullback at a = {a_value}")
 
-    # third quadric pullback: remainder must vanish modulo c33^8 = 1
-    r, z44 = at_a[2], mono((3, 3))
+    # third quadric pullback: remainder must vanish modulo the octic relation
+    r, z44, octic = at_a[2], mono((3, 3)), "c33^8 = 1"
     _expect(r.get((3, 3), zero).terms == {(): -1, ("c33",) * 8: 1}, f"Q3: {z44}")
-    steps.append(f"c33^8 = 1  [Q3 pullback, {z44} coefficient]")
+    steps.append(f"{octic}  [Q3 pullback, {z44} coefficient]")
     for key, val in r.items():
         step = f"Q3 remainder at {key}"
         _expect(_at_root(val, 1, step) == 0, step)
 
     entries = {f"c{i}{j}": entry(i, j).subs_a(a_value)
                for i in range(1, 6) for j in range(1, 6)}
-    relations = ["c22 = c33^2", "c11 = -c33^4", "c44 = -1", "c45 = a - 1",
-                 "c55 = 1", "c33^8 = 1"]
+    # nonzero solved entries: powers of c33, lowest first, then constants by name
+    deg = {name: max(map(len, e.terms)) for name, e in known.items() if e.terms}
+    relations = [shown[n] for n in sorted(deg, key=lambda n: (not deg[n], deg[n], n))] + [octic]
     step = "family entries depend on c33 only"
     # a constant entry has one image at every root, read once and shared
     images = [[_at_root(e, 0, step)] * 8 if e.terms.keys() <= {()}

@@ -1,10 +1,10 @@
 """Dense univariate polynomials over an exact coefficient ring.
 
 Coefficients are anything with exact +, -, * and == 0 (Fraction, int,
-Cyclotomic and its subclasses such as GaussRational).  Only what the
-equation solvers need: ring operations, evaluation and rational root
-extraction.  Subtraction, the reflected operators, powers and
-immutability come from arith.ExactRing.
+Cyclotomic and its subclasses such as GaussRational).  Only what the equation
+solvers need: ring operations, evaluation and rational root extraction.
+Subtraction, the reflected operators, powers and immutability come from
+arith.ExactRing, and repr from arith.show_sum, highest power of x first.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import ExactRing, divisors
+from .arith import ExactRing, divisors, show_sum
 
 
 class Poly(ExactRing):
@@ -105,19 +105,7 @@ class Poly(ExactRing):
         return out
 
     def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(f"{c}")
-            elif i == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{i}")
-        return "Poly(" + " + ".join(parts) + ")"
+        return show_sum((self.coeffs[i], ("x",) * i) for i in range(self.degree, -1, -1))
 
 
 def rational_roots(p: Poly) -> list[Fraction]:

@@ -384,6 +384,48 @@ class TestExactRingLaws:
             setattr(x, type(x).__slots__[0], None)
 
 
+def read_back(printed: str, names: dict):
+    """A printed value as Python: ^ a power, and every integer literal that is
+    not an exponent a Fraction, so that 1/3 stays exact."""
+    code = re.sub(r"(?<!\^)\b(\d+)\b", r"Fraction(\1)", printed).replace("^", "**")
+    return eval(code, {"Fraction": Fraction}, names)
+
+
+# each ring the printer serves, with its names bound to the ring's generators
+PRINTED = {
+    "Poly": (RINGS["Poly"], {"x": Poly.x()}),
+    "Cyclotomic": (CYCLO8, {"t": Cyclotomic.root(8, 1)}),
+    "MPoly": (st.dictionaries(st.sampled_from([(), ("c11",), ("c11", "c22"), ("c33",) * 3,
+                                               ("c11", "c11", "c22")]),
+                              st.lists(SCALARS, max_size=3).map(Poly), max_size=4).map(MPoly),
+              {"a": MPoly.const(Poly.x()), **{n: MPoly.var(n) for n in ("c11", "c22", "c33")}}),
+}
+
+
+class TestPrinter:
+    @pytest.mark.parametrize("ring", sorted(PRINTED))
+    @given(data=st.data())
+    def test_printed_text_reads_back_as_the_value(self, ring, data):
+        strategy, names = PRINTED[ring]
+        x = data.draw(strategy)
+        assert read_back(repr(x), names) == x, repr(x)
+
+    @pytest.mark.parametrize("x, printed", [
+        (Poly([]), "0"),
+        (Cyclotomic.scalar(8, 0), "0"),
+        (MPoly({}), "0"),
+        (Poly([1, GAUSS_I]), "(t)*x + 1"),
+        (Poly([GaussRational(1, -2), 0, 1]), "x^2 + (1 - 2*t)"),
+        (Poly([1, 0, -2]), "-2*x^2 + 1"),
+        (Cyclotomic(8, [0, -1, 0, 0, 0, 0, 0, 1]), "-t + t^7"),
+        (MPoly({(): Poly([-1, 1])}), "a - 1"),
+        (MPoly({("c33",) * 4: -1}), "-c33^4"),
+        (MPoly({(): Fraction(-1, 3), ("c11", "c22"): Poly([0, 2])}), "-1/3 + 2*a*c11*c22"),
+    ])
+    def test_fixed_cases(self, x, printed):
+        assert repr(x) == printed
+
+
 class TestInputRules:
     @pytest.mark.parametrize("call, args, match", [
         (solve_unit_congruence, (1, 0), "^modulus must be >= 1$"),

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import json
 import random
 import re
@@ -239,6 +240,11 @@ class TestSpanReduction:
                                             for q in forms)
 
 
+def read_back(printed: str, names: dict, a):
+    """A printed value as Python, ^ a power and a the constant."""
+    return eval(printed.replace("^", "**"), {}, {**names, "a": a})
+
+
 class TestElimination:
     def test_constant_and_relations(self):
         res = elimination_solve()
@@ -247,14 +253,13 @@ class TestElimination:
         assert "a != 1" in res.assumptions
 
     def test_relations_hold(self):
-        # each relation read as an equation, ^ a power and a the constant: the
-        # entry relations hold as polynomials in c33, and c33^8 = 1 holds at
-        # the eight values c33 takes across the family
+        # the printer's relations, read back as equations: the entry relations
+        # hold as polynomials in c33 against the solved entries, and c33^8 = 1
+        # holds at the eight values c33 takes across the family
         res = elimination_solve()
 
         def sides(relation, names):
-            return [eval(side.replace("^", "**"), {}, {**names, "a": res.a})
-                    for side in relation.split(" = ")]
+            return [read_back(side, names, res.a) for side in relation.split(" = ")]
 
         *entry_relations, root_relation = res.relations
         assert root_relation == "c33^8 = 1"
@@ -266,6 +271,14 @@ class TestElimination:
         for c33 in c33s:
             lhs, rhs = sides(root_relation, {"c33": c33})
             assert lhs == rhs, c33
+
+    def test_steps_evaluate_to_the_entries(self):
+        # each entry's step, read back as the relations are, is the solved entry
+        res = elimination_solve()
+        logged = [m.groups() for m in map(re.compile(r"(c\d\d) = (.*)  \[").match, res.steps) if m]
+        assert {name for name, _ in logged} == set(res.entries) - {"c33"}
+        for name, value in logged:
+            assert read_back(value, {"c33": MPoly.var("c33")}, res.a) == res.entries[name], name
 
     def test_family_matches_constructor(self):
         assert elimination_solve().family == sigma_family(-1)
@@ -530,19 +543,27 @@ class TestMPoly:
         assert all(p.degree < 1 for p in x.subs_a(a).terms.values())
 
 
-# The elimination's assignments in order, as (entry, value).  LINEAR is the
-# stage fixed by the branch-point images; each SOLVED entry comes from a
-# pullback coefficient.
 A = MPoly.const(Poly.x())
 C33 = MPoly.var("c33")
-LINEAR = [("c15", 0), ("c25", 0), ("c35", 0), ("c45", A - 1), ("c55", 1),
-          ("c14", 0), ("c24", 0), ("c34", 0), ("c44", -1), ("c31", 0),
-          ("c32", 0), ("c52", 0), ("c51", 0), ("c54", 0), ("c21", 0)]
-SOLVED = [("c23", 0), ("c53", 0), ("c22", C33 ** 2), ("c13", 0), ("c12", 0),
-          ("c42", 0), ("c43", 0), ("c41", 0), ("c11", -C33 ** 4)]
-# the SOLVED entries known when Q1, Q2 and Q3 are pulled back
+
+
+@functools.cache
+def elimination_order() -> tuple[list, list]:
+    """The elimination's assignments in order, as (entry, value): the linear
+    stage fixed by the branch-point images, then the entries solved from
+    pullback coefficients.  Built on first use, so a broken MPoly product
+    fails the tests that read them, not the collection of this file."""
+    linear = [("c15", 0), ("c25", 0), ("c35", 0), ("c45", A - 1), ("c55", 1),
+              ("c14", 0), ("c24", 0), ("c34", 0), ("c44", -1), ("c31", 0),
+              ("c32", 0), ("c52", 0), ("c51", 0), ("c54", 0), ("c21", 0)]
+    solved = [("c23", 0), ("c53", 0), ("c22", C33 ** 2), ("c13", 0), ("c12", 0),
+              ("c42", 0), ("c43", 0), ("c41", 0), ("c11", -C33 ** 4)]
+    return linear, solved
+
+
+# the solved entries known when Q1, Q2 and Q3 are pulled back
 STAGES = (0, 3, 9)
-# the 14 remainder reads: (SOLVED entries assigned before it, quadric, a)
+# the 14 remainder reads: (solved entries assigned before it, quadric, a)
 READS = ([(k, 0, None) for k in (0, 1, 2, 3)]
          + [(k, 1, None) for k in (3, 4, 5, 6, 7, 8, 9)]
          + [(9, i, Fraction(-1)) for i in (0, 1, 2)])
@@ -575,7 +596,6 @@ def recorder(log: list, fn):
     return recorded
 
 
-POST_LINEAR = matrix_of({name: as_mpoly(v) for name, v in LINEAR})
 FREE = ["c11", "c12", "c13", "c22", "c23", "c33", "c41", "c42", "c43", "c53"]
 VALUES = st.one_of(st.just(0), SCALARS,
                    st.builds(lambda sign, k: sign * C33 ** k,
@@ -584,11 +604,12 @@ VALUES = st.one_of(st.just(0), SCALARS,
 
 class TestPullBackOnce:
     def test_listed_order_is_the_elimination_order(self):
+        linear, solved = elimination_order()
         res = elimination_solve()
         order = [m.group(1) for m in map(re.compile(r"(c\d\d) = ").match, res.steps) if m]
-        assert order == [name for name, _ in LINEAR + SOLVED]
+        assert order == [name for name, _ in linear + solved]
         assert all(res.entries[name] == as_mpoly(v).subs_a(-1)
-                   for name, v in LINEAR + SOLVED)
+                   for name, v in linear + solved)
 
     def test_pulls_back_once_per_quadric(self, monkeypatch):
         calls = []
@@ -600,6 +621,7 @@ class TestPullBackOnce:
         assert len(calls) == 6
 
     def test_pullback_k_reads_the_entries_of_its_stage(self, monkeypatch):
+        linear, solved = elimination_order()
         calls = []
         transform = canonical.transform_quadric
         monkeypatch.setattr(canonical, "transform_quadric",
@@ -607,12 +629,13 @@ class TestPullBackOnce:
         elimination_solve()
         assert [q for q, _ in calls] == quadric_forms(A)
         for (_, m), s in zip(calls, STAGES, strict=True):
-            known = {name: as_mpoly(v) for name, v in LINEAR + SOLVED[:s]}
+            known = {name: as_mpoly(v) for name, v in linear + solved[:s]}
             assert m == matrix_of(known), s
 
     def test_substituted_remainders_equal_the_rebuild(self, monkeypatch):
         # record the elimination's own remainders: each pullback, followed
         # through the map_quadric calls whose input is its latest state
+        linear, solved = elimination_order()
         pulled, maps = [], []
         monkeypatch.setattr(canonical, "reduce_by_span",
                             recorder(pulled, canonical.reduce_by_span))
@@ -628,19 +651,19 @@ class TestPullBackOnce:
                     chains[-1].append(out)
         # every remainder takes each substitution after its pullback, then a = -1
         assert len(maps) == sum(len(c) - 1 for c in chains)
-        assert [len(c) for c in chains] == [len(SOLVED) - s + 2 for s in STAGES]
-        known = {name: as_mpoly(v) for name, v in LINEAR}
-        for solved, index, a in READS:
-            known.update((name, as_mpoly(v)) for name, v in SOLVED[:solved])
-            got = chains[index][-1 if a is not None else solved - STAGES[index]]
-            assert got == rebuilt_remainder(known, index, a), (solved, index, a)
+        assert [len(c) for c in chains] == [len(solved) - s + 2 for s in STAGES]
+        known = {name: as_mpoly(v) for name, v in linear}
+        for k, index, a in READS:
+            known.update((name, as_mpoly(v)) for name, v in solved[:k])
+            got = chains[index][-1 if a is not None else k - STAGES[index]]
+            assert got == rebuilt_remainder(known, index, a), (k, index, a)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(FREE), VALUES), max_size=5),
            st.one_of(st.none(), SCALARS))
     def test_substitution_commutes_with_pullback(self, assignments, a):
         forms = quadric_forms(A)
-        m = POST_LINEAR
+        m = matrix_of({name: as_mpoly(v) for name, v in elimination_order()[0]})
         rems = [reduce_by_span(transform_quadric(q, m), forms) for q in forms]
         for name, value in assignments:
             value = as_mpoly(value)
