@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, neg
 
 Mat = tuple[int, int, int, int]  # (a, b; c, d) as the flat tuple (a, b, c, d)
 
@@ -152,9 +153,10 @@ class ExactRing:
     by show_sum): immutability, subtraction, reflected operators and powers.
 
     A subclass supplies _coerce (its own elements and the scalars it
-    accepts, else None), +, unary -, *, == and __hash__.  Its + and * serve
-    as the reflected operators too, bound in its own class dict so that
-    they add no call frame.
+    accepts, else None), +, unary -, *, == and __hash__.  Its +, * and ==
+    take an operand of its own ring first, then a scalar (int, Fraction),
+    then _coerce; + and * serve as the reflected operators too, bound in
+    its own class dict so that they add no call frame.
     """
 
     __slots__ = ()
@@ -197,10 +199,10 @@ class Cyclotomic(ExactRing):
     product rule serves every c: t^(d+k) = c*t^k.  Not a field when t^d - c
     factors, but enough to verify identities among such roots.  Immutable;
     scalars (int, Fraction) coerce to constants and scale the coefficients
-    directly in a product, and a product by 1 is the operand.  An operand of
-    the same class and d skips _coerce, and a product loops over the nonzero
-    coefficient pairs only.  Values of two rings (class or d) are equal only
-    as the same constant; arithmetic mixing them raises ValueError.
+    directly in a product, and a product by 1 is the operand.  Its own ring
+    is its class and d, and a product loops over the nonzero coefficient
+    pairs only.  Values of two rings (class or d) are equal only as the same
+    constant; arithmetic mixing them raises ValueError.
     """
 
     __slots__ = ("d", "coeffs")
@@ -242,18 +244,19 @@ class Cyclotomic(ExactRing):
         o = other if type(other) is type(self) and other.d == self.d else self._coerce(other)
         if o is None:
             return NotImplemented
-        return _of(type(self), self.d, tuple([a + b for a, b in zip(self.coeffs, o.coeffs)]))
+        return _of(type(self), self.d, tuple(map(add, self.coeffs, o.coeffs)))
 
     def __neg__(self):
-        return _of(type(self), self.d, tuple([-a for a in self.coeffs]))
+        return _of(type(self), self.d, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is type(self) and other.d == self.d:
+            o = other
+        elif isinstance(other, (int, Fraction)):
             if other == 1:  # immutable, so the operand itself is the product
                 return self
             return _of(type(self), self.d, tuple([a * other if a else 0 for a in self.coeffs]))
-        o = other if type(other) is type(self) and other.d == self.d else self._coerce(other)
-        if o is None:
+        elif (o := self._coerce(other)) is None:
             return NotImplemented
         # a*t^i times x*t^j lands at t^(i+j) while i + j < d; past the top,
         # the wrap t^(d+k) = c*t^k puts c*a*x at t^k
@@ -271,14 +274,14 @@ class Cyclotomic(ExactRing):
         return _of(type(self), d, tuple(out))
 
     def __eq__(self, other):
+        if type(other) is type(self) and self.d == other.d:
+            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self.coeffs[0] == other and not any(self.coeffs[1:])
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        if other.d != self.d or type(other) is not type(self):
-            # only constants are equal across rings
-            return not any(other.coeffs[1:]) and self == other.coeffs[0]
-        return self.coeffs == other.coeffs
+        # only constants are equal across rings
+        return not any(other.coeffs[1:]) and self == other.coeffs[0]
 
     def __hash__(self):
         # a constant equals its scalar, so it must hash like it

@@ -226,8 +226,8 @@ class MPoly(ExactRing):
     """Polynomial in the unknown matrix entries with Q[a] coefficients.
 
     Terms map sorted variable-name tuples to Poly coefficients in a, printed
-    expanded, highest power of a first.  Just enough ring structure for the
-    elimination: +, unary -, * and == here, the rest from arith.ExactRing.
+    expanded, highest power of a first.  +, unary -, * and == are defined
+    here, in ExactRing's dispatch order; a Poly operand coerces to a constant.
     """
 
     __slots__ = ("terms",)
@@ -281,13 +281,14 @@ class MPoly(ExactRing):
         return MPoly._canonical({k: -p for k, p in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, MPoly):
+            o = other
+        elif isinstance(other, (int, Fraction)):
             if other == 1:
                 return self
             return MPoly._canonical({k: p * other for k, p in self.terms.items()}
                                     if other else {})
-        o = self._coerce(other)
-        if o is None:
+        elif (o := self._coerce(other)) is None:
             return NotImplemented
         for x, y in ((o, self), (self, o)):
             if x.terms.keys() == {()}:  # a constant scales y's sorted keys
@@ -305,12 +306,12 @@ class MPoly(ExactRing):
         return not self.terms
 
     def __eq__(self, other):
+        if isinstance(other, MPoly):
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)) and other == 0:
             return not self.terms
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
+        return NotImplemented if o is None else self.terms == o.terms
 
     def __hash__(self):
         # a constant equals its Poly constant, so it must hash like it

@@ -463,13 +463,15 @@ def octic_to_quartic_maps() -> tuple[Callable, Callable]:
     y^4 = x(x-1)(x+1)(x^2+1)^2, built from a primitive 16th root of unity
     and real fourth roots."""
     zeta = cmath.exp(2j * cmath.pi / 16)
+    zeta4 = zeta**4
     root8 = 8 ** 0.25
-    root2 = 2 ** 0.25
+    root2_zeta = 2 ** 0.25 * zeta  # 2**0.25 * zeta * y groups as (2**0.25 * zeta) * y
 
     def forward(x: complex, y: complex) -> tuple[complex, complex]:
-        return (zeta**4 * y**4 / (x * (x + 1)), root8 * y / (zeta * (x + 1)))
+        return (zeta4 * y**4 / (x * (x + 1)), root8 * y / (zeta * (x + 1)))
 
     def inverse(x: complex, y: complex) -> tuple[complex, complex]:
-        return (-(x * x - 1) / (x * x + 1), root2 * zeta * y / (x * x + 1))
+        xx = x * x
+        return (-(xx - 1) / (xx + 1), root2_zeta * y / (xx + 1))
 
     return forward, inverse

@@ -16,7 +16,8 @@ from .arith import ExactRing, divisors, show_sum
 
 
 class Poly(ExactRing):
-    """Polynomial sum(c[i] * x^i), trailing zero coefficients stripped."""
+    """Polynomial sum(c[i] * x^i), trailing zero coefficients stripped;
+    +, * and == take a Poly, then a scalar (ExactRing's dispatch order)."""
 
     __slots__ = ("coeffs",)
 
@@ -86,12 +87,11 @@ class Poly(ExactRing):
         return Poly(out)
 
     def __eq__(self, other):
+        if isinstance(other, Poly):
+            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self.coeffs == ((other,) if other else ())
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        return NotImplemented
 
     def __hash__(self):
         if self.degree < 1:

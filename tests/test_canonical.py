@@ -1,3 +1,4 @@
+import abc
 import cmath
 import functools
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcurve import canonical
-from modcurve.arith import Cyclotomic, GAUSS_I, GaussRational
+from modcurve.arith import Cyclotomic, ExactRing, GAUSS_I, GaussRational
 from modcurve.canonical import (EliminationError, MPoly, _at_root, _expect,
                                 deck_matrix, elimination_solve, embed_point,
                                 eval_quadric, hyperellipticity_obstruction,
@@ -17,7 +18,8 @@ from modcurve.canonical import (EliminationError, MPoly, _at_root, _expect,
                                 images_of_zero, map_quadric, preserves_ideal,
                                 quadric_forms, quadric_residuals,
                                 reduce_by_span, sigma_family, sigma_matrix,
-                                sigma_preserves_ideal, transform_quadric)
+                                sigma_count, sigma_preserves_ideal,
+                                transform_quadric)
 from modcurve.cli import main
 from modcurve.poly import Poly
 
@@ -674,3 +676,48 @@ class TestPullBackOnce:
             forms = quadric_forms(MPoly.const(Poly.const(a)))
             rems = [map_quadric(r, lambda c: c.subs_a(a)) for r in rems]
         assert rems == [reduce_by_span(transform_quadric(q, m), forms) for q in forms]
+
+
+def fraction_checks(monkeypatch, fn, *args) -> tuple[list, object]:
+    """fn(*args), and the ring elements it tests against Fraction.  Fraction is
+    a numbers.Rational, so isinstance(x, Fraction) on any other type goes
+    through abc.ABCMeta.__instancecheck__, about ten times a type test."""
+    seen, check = [], abc.ABCMeta.__instancecheck__
+
+    def counting(cls, instance):
+        if cls is Fraction and isinstance(instance, ExactRing):
+            seen.append(type(instance).__name__)
+        return check(cls, instance)
+
+    with monkeypatch.context() as m:
+        m.setattr(abc.ABCMeta, "__instancecheck__", counting)
+        out = fn(*args)
+    return seen, out
+
+
+# Each operator takes an operand of its own ring before asking whether it is
+# a scalar, so a ring element is never tested against Fraction.  Fraction's own
+# operators test their operands against numbers.Rational; those checks are the
+# standard library's, made on scalar coefficients, and are not counted here.
+class TestDispatchOrder:
+    @pytest.mark.parametrize("pair", [
+        lambda: (Cyclotomic.root(8, 1) + 2, Cyclotomic.root(8, 3) - Fraction(1, 2)),
+        lambda: (GaussRational(1, 2), GAUSS_I),
+        lambda: (Poly([1, Fraction(2, 3)]), Poly([0, -1, 4])),
+        lambda: (Poly([Cyclotomic.root(8, 1), 1]), Poly([Cyclotomic.root(8, 2)])),
+        lambda: (MPoly({("c11",): Poly.x(), (): 2}), MPoly.var("c22") - Fraction(1, 3)),
+        lambda: (MPoly.const(Poly.x()), MPoly.var("c33")),
+    ], ids=["cyclotomic", "gauss", "poly", "poly-over-cyclotomic", "mpoly", "mpoly-const"])
+    def test_same_ring_operators(self, monkeypatch, pair):
+        x, y = pair()
+        seen, out = fraction_checks(monkeypatch, lambda: [
+            x * y, y * x, x + y, y + x, x - y, x == y, x == x])
+        assert seen == []
+        assert out[0] == out[1] and out[2] == out[3] and out[5:] == [False, True]
+
+    def test_sigma_count(self, monkeypatch):
+        assert fraction_checks(monkeypatch, sigma_count, Fraction(5, 3)) == ([], 0)
+
+    def test_elimination(self, monkeypatch):
+        seen, res = fraction_checks(monkeypatch, elimination_solve)
+        assert seen == [] and res.a == -1
