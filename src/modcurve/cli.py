@@ -13,12 +13,12 @@ floor and limit that each SUITES entry states beside its suite's source and
 runner; `verify` derives its flags and --q-max checks from those entries.
 
 Output is text by default or a JSON document with --format json, whose
-bytes are exactly those of json.dumps(doc, indent=2).  Exact numbers are
-serialized as strings "p" or "p/q".  The only non-exact values are the
-residuals of the numeric isomorphism check and, in verify's JSON, each
-suite's wall-clock "seconds" (a decimal string that differs from run to
-run).  main may be called many times in one process; it builds the parser
-once and reuses it.
+bytes are exactly those of json.dumps(doc, indent=2), rows of one key tuple
+filled into one template included.  Exact numbers are strings "p" or "p/q".
+The only non-exact values are the residuals of the numeric isomorphism
+check and, in verify's JSON, each suite's wall-clock "seconds" (a decimal
+string that differs from run to run).  main may be called many times in
+one process; it builds the parser once and reuses it.
 """
 
 from __future__ import annotations
@@ -556,8 +556,9 @@ _quote = json.encoder.encode_basestring_ascii
 
 def _render_json(v, nl: str = "\n") -> str:
     """The text of json.dumps(v, indent=2), built by joins so that every
-    leaf takes json's C path (indent makes json.dumps run pure Python).
-    A tuple renders as a list; a key that is not a str raises TypeError."""
+    leaf takes json's C path (indent makes json.dumps run pure Python); each
+    row of a list of dicts with the first row's keys and str values fills one
+    %-template.  A tuple renders as a list; a non-str key raises TypeError."""
     if isinstance(v, str):
         return _quote(v)
     if not isinstance(v, (dict, list, tuple)):
@@ -566,9 +567,19 @@ def _render_json(v, nl: str = "\n") -> str:
         return "{}" if isinstance(v, dict) else "[]"
     inner = nl + "  "
     if isinstance(v, dict):
-        items = [_quote(k) + ": " + _render_json(x, inner) for k, x in v.items()]
+        items = [_quote(k) + ": " + (_quote(x) if type(x) is str else _render_json(x, inner))
+                 for k, x in v.items()]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    items = [_render_json(x, inner) for x in v]
+    if type(v[0]) is dict and (keys := tuple(v[0])):
+        try:  # _quote raises TypeError on a key or a value that is not a str
+            tmpl = "{" + ",".join([f"{inner}  {_quote(k).replace('%', '%%')}: %s"
+                                   for k in keys]) + inner + "}"
+            items = [tmpl % tuple(map(_quote, x.values())) if type(x) is dict and tuple(x) == keys
+                     else _render_json(x, inner) for x in v]
+            return "[" + inner + ("," + inner).join(items) + nl + "]"
+        except TypeError:
+            pass  # the whole list takes the general path
+    items = [_quote(x) if type(x) is str else _render_json(x, inner) for x in v]
     return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 

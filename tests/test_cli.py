@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modcurve.canonical import EliminationError
 from modcurve.cli import (SUITES, _level8_swap, _render_json, build_parser, cmd_cusps,
@@ -606,6 +606,37 @@ LEAVES = (st.none() | st.booleans() | st.integers() | STRINGS
 TREES = st.recursive(LEAVES, lambda kids: st.lists(kids) | st.lists(kids).map(tuple)
                      | st.builds(Pair, kids, kids) | st.dictionaries(STRINGS, kids),
                      max_leaves=40)
+# keys that a %-template, a JSON string or an ASCII escape could get wrong
+ROW_KEYS = STRINGS | st.sampled_from(["%", "%s", "%%", "%(a)s", "%d%", '"', "\\", "\u00e9"])
+ODD_ROWS = ["reordered", "extra key", "non-str value", "nested list", "empty"]
+
+
+@st.composite
+def row_lists(draw):
+    """Rows sharing one key tuple with str values, with some odd rows among
+    them, sometimes an empty first row, as a list or a tuple."""
+    keys = draw(st.lists(ROW_KEYS, min_size=1, max_size=4, unique=True))
+
+    def row():
+        return dict(zip(keys, draw(st.lists(STRINGS, min_size=len(keys), max_size=len(keys)))))
+
+    rows = [row() for _ in range(draw(st.integers(1, 4)))]
+    for odd in draw(st.lists(st.sampled_from(ODD_ROWS), max_size=2)):
+        r = row()
+        if odd == "reordered":
+            r = dict(reversed(r.items()))
+        elif odd == "extra key":
+            r[draw(ROW_KEYS)] = draw(STRINGS)
+        elif odd == "non-str value":
+            r[draw(st.sampled_from(keys))] = draw(LEAVES)
+        elif odd == "nested list":
+            r[keys[-1]] = [row(), row()]
+        else:
+            r = {}
+        rows.insert(draw(st.integers(0, len(rows))), r)
+    if draw(st.booleans()):
+        rows.insert(0, {})
+    return tuple(rows) if draw(st.booleans()) else rows
 
 
 class TestJsonRendering:
@@ -619,8 +650,31 @@ class TestJsonRendering:
 
     @settings(max_examples=300, deadline=None)
     @given(TREES)
+    @example(Pair("\u00e9", ({}, [])))  # a tuple, a non-ASCII str, an empty dict and list
     def test_renderer_is_indent_2(self, tree):
         assert _render_json(tree) == json.dumps(tree, indent=2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(row_lists())
+    @example([{"a": "1", "b": "2"}, {"b": "3", "a": "4"}])  # same keys, another order
+    @example([{"%": "1", "b": "2"}, {"%": "3", "b": "4"}])
+    def test_rows_are_indent_2(self, rows):
+        assert _render_json(rows) == json.dumps(rows, indent=2)
+
+    def test_rows_take_one_template(self, capsys, monkeypatch):
+        # the count stays flat in the 1,152 rows, so a fall back to a call
+        # per leaf fails here
+        from modcurve import cli
+        render, calls = cli._render_json, []
+
+        def counted(v, nl="\n"):
+            calls.append(v)
+            return render(v, nl)
+        monkeypatch.setattr(cli, "_render_json", counted)
+        status, out, _ = run(capsys, "--format", "json", "cusps", "--q", "60", "--n", "60",
+                             "--widths", "--distribution")
+        assert status == 0 and out.count('"rep": ') == 1152
+        assert len(calls) < 20
 
     def test_skips_the_python_encoder(self, capsys, monkeypatch):
         argv = ["--format", "json", "cusps", "--q", "60", "--n", "60", "--widths",
@@ -634,7 +688,8 @@ class TestJsonRendering:
         assert (status, out, err) == (0, expected, "")
 
     @pytest.mark.parametrize("doc", [{1: "x"}, {"a": [{None: 1}]}, {True: False},
-                                     {("c11",): "1"}])
+                                     {("c11",): "1"}, [{"a": "x"}, {1: "x"}],
+                                     [{1: "x"}, {1: "x"}]])
     def test_non_str_key_raises(self, doc):
         with pytest.raises(TypeError):
             _render_json(doc)

@@ -1,5 +1,6 @@
 """The committed mutant list stays applicable as src/ changes: each old
-string occurs exactly once in its file, and each named test file exists.
+string occurs exactly once in its file, or at least k times where the file is
+written file#k, and each named test file exists.
 tools/mutants.py runs the list itself; its three verdicts are checked here
 on one mutant each."""
 
@@ -19,10 +20,12 @@ def load_runner():
 
 
 def test_every_listed_mutant_applies_once():
-    mutants = load_runner().read_list(ROOT / "tests" / "data" / "mutants.txt")
+    runner = load_runner()
+    mutants = runner.read_list(ROOT / "tests" / "data" / "mutants.txt")
     assert mutants
-    for file, old, new, tests in mutants:
+    for file, k, old, new, tests in mutants:
         assert old != new, old
+        assert runner.apply((ROOT / file).read_text(), old, new, k) is not None, (file, k, old)
         for test in tests:
             # a file, never a directory, and never this file, which fails in
             # every mutated copy and so would kill any mutant
@@ -37,6 +40,22 @@ def test_a_string_that_is_not_unique_is_rejected(tmp_path, capsys):
         load_runner().read_list(listed)
     assert exc.value.code == 2
     assert "not once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "9999", "x"])
+def test_a_missing_occurrence_is_rejected(tmp_path, capsys, k):
+    listed = tmp_path / "mutants.txt"
+    listed.write_text(f"src/modcurve/arith.py#{k} 'return' 'yield' tests/test_arith.py\n")
+    with pytest.raises(SystemExit) as exc:
+        load_runner().read_list(listed)
+    assert exc.value.code == 2
+    assert f"has no occurrence {k}" in capsys.readouterr().err
+
+
+def test_the_kth_occurrence_is_replaced():
+    apply = load_runner().apply
+    assert [apply("a-a-a", "a", "b", k) for k in (1, 2, 3)] == ["b-a-a", "a-b-a", "a-a-b"]
+    assert apply("a-a-a", "a", "b", 4) is None and apply("a-a-a", "a", "b", 0) is None
 
 
 # one fast test that reads the printer, and two strings of arith.py: a comment
@@ -54,5 +73,6 @@ BRACKET = 'f"({c})"'
 def test_verdicts(old, new, timeout, verdict):
     runner = load_runner()
     assert (ROOT / "src/modcurve/arith.py").read_text().count(old) == 1, old
-    got = runner.run("src/modcurve/arith.py", old, new, [PRINTER_TEST], timeout or runner.TIMEOUT)
+    got = runner.run("src/modcurve/arith.py", 1, old, new, [PRINTER_TEST],
+                     timeout or runner.TIMEOUT)
     assert got == verdict

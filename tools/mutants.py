@@ -8,12 +8,17 @@ where `pytest -x` runs the named tests under a time limit:
     SURVIVED  the tests pass
     TIMEOUT   the tests run past the limit; a hang is a missing bound, not a kill
 
+A mutant replaces the one occurrence of its old string in its file, or,
+when the file is written file#k, the k-th occurrence (1-based), so that a
+string written the same way in two places can be mutated at either.
+
 The run exits 1 when any mutant survives or times out, and 2 when the list is
-malformed: an old string that does not occur exactly once in its file, or
-named tests that pytest cannot find.  The named tests are assumed to pass on
-the unmutated tree, which the tier-1 run checks.  tests/test_mutants.py is
-never run in a copy: it checks the list against the tree, so it fails under
-every mutant and would report each one KILLED.
+malformed: an old string that does not occur exactly once in its file (or
+fewer than k times for file#k), or named tests that pytest cannot find.  The
+named tests are assumed to pass on the unmutated tree, which the tier-1 run
+checks.  tests/test_mutants.py is never run in a copy: it checks the list
+against the tree, so it fails under every mutant and would report each one
+KILLED.
 
     python tools/mutants.py
 """
@@ -41,29 +46,42 @@ def malformed(message: str):
     raise SystemExit(2)
 
 
-def read_list(path: Path) -> list[tuple[str, str, str, list[str]]]:
-    """(file, old, new, tests) per line, each field shell-quoted; # comments."""
+def apply(text: str, old: str, new: str, k: int) -> str | None:
+    """text with the k-th occurrence of old replaced by new, or None when old
+    occurs fewer than k times."""
+    parts = text.split(old)
+    if not 1 <= k < len(parts):
+        return None
+    return old.join(parts[:k]) + new + old.join(parts[k:])
+
+
+def read_list(path: Path) -> list[tuple[str, int, str, str, list[str]]]:
+    """(file, k, old, new, tests) per line, each field shell-quoted, k = 1
+    unless the file is written file#k; a line that starts with # is a comment."""
     mutants = []
     for n, line in enumerate(path.read_text().splitlines(), 1):
-        fields = shlex.split(line, comments=True)
+        fields = [] if line.lstrip().startswith("#") else shlex.split(line)
         if not fields:
             continue
         if len(fields) < 4:
             malformed(f"{path}:{n}: need a file, an old string, a new string and tests")
         file, old, new, *tests = fields
-        count = (ROOT / file).read_text().count(old)
-        if count != 1:
-            malformed(f"{path}:{n}: {old!r} occurs {count} times in {file}, not once")
-        mutants.append((file, old, new, tests))
+        file, _, k = file.partition("#")
+        text = (ROOT / file).read_text()
+        if k and not (k.isdigit() and apply(text, old, new, int(k)) is not None):
+            malformed(f"{path}:{n}: {old!r} has no occurrence {k} in {file}")
+        if not k and text.count(old) != 1:
+            malformed(f"{path}:{n}: {old!r} occurs {text.count(old)} times in {file}, not once")
+        mutants.append((file, int(k or 1), old, new, tests))
     return mutants
 
 
-def run(file: str, old: str, new: str, tests: list[str], timeout: float) -> str:
+def run(file: str, k: int, old: str, new: str, tests: list[str], timeout: float) -> str:
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORED)
         target = tree / file
-        target.write_text(target.read_text().replace(old, new))
+        target.write_text(apply(target.read_text(), old, new, k))
         env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         try:
             done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -80,10 +98,10 @@ def run(file: str, old: str, new: str, tests: list[str], timeout: float) -> str:
 
 def main() -> int:
     verdicts = []
-    for file, old, new, tests in read_list(LIST):
+    for file, k, old, new, tests in read_list(LIST):
         start = time.perf_counter()
-        verdicts.append(run(file, old, new, tests, TIMEOUT))
-        print(f"{verdicts[-1]:<8} {time.perf_counter() - start:6.1f}s  {file}: "
+        verdicts.append(run(file, k, old, new, tests, TIMEOUT))
+        print(f"{verdicts[-1]:<8} {time.perf_counter() - start:6.1f}s  {file}#{k}: "
               f"{old!r} -> {new!r}", flush=True)
     failed = sum(v != "KILLED" for v in verdicts)
     print(f"{len(verdicts) - failed}/{len(verdicts)} mutants killed")
