@@ -3,7 +3,8 @@
 Subcommands: genus, cusps, rotation, equation, group, verify, canonical.
 Exit status: 0 success, 1 verification mismatch, 2 argument error,
 3 unsupported-mathematics request, 4 internal error (an exception such as
-a failed elimination step or a closed output pipe, reported on stderr).
+a failed elimination step, a ValueError inside a verify suite or a closed
+output pipe, reported on stderr).
 
 Argument rules are stated once, in the library: each raises ValueError,
 which main maps to exit 2, and no handler restates them.  The explicit
@@ -13,12 +14,12 @@ floor and limit that each SUITES entry states beside its suite's source and
 runner; `verify` derives its flags and --q-max checks from those entries.
 
 Output is text by default or a JSON document with --format json, whose
-bytes are exactly those of json.dumps(doc, indent=2), rows of one key tuple
-filled into one template included.  Exact numbers are strings "p" or "p/q".
-The only non-exact values are the residuals of the numeric isomorphism
-check and, in verify's JSON, each suite's wall-clock "seconds" (a decimal
-string that differs from run to run).  main may be called many times in
-one process; it builds the parser once and reuses it.
+bytes are exactly those of json.dumps(doc, indent=2), a list of rows of one
+key tuple filled by one %-format included.  Exact numbers are strings "p" or
+"p/q".  The only non-exact values are the residuals of the numeric
+isomorphism check and, in verify's JSON, each suite's wall-clock "seconds"
+(a decimal string that differs from run to run).  main may be called many
+times in one process; it builds the parser once and reuses it.
 """
 
 from __future__ import annotations
@@ -30,14 +31,15 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 
 from .arith import GAUSS_I, Cyclotomic, check_step, divisors
 from . import canonical as canon
 from .cusps import (check_cusp, class_to_cusp, cusp_action, cusp_canonical,
                     cusp_class_action, enumerate_cusps,
                     find_equivalence_witness, gamma_qn_member, h_formula,
-                    h_n_formula, orbit_rep, tau_orbits, width, width_bruteforce,
-                    width_distribution, width_tally)
+                    h_n_formula, orbit_rep, orbit_widths, tau_orbits, width,
+                    width_bruteforce, width_distribution, width_tally)
 from .curve import (BranchPoint, InfinityPoint, Monomial, SemiHyperellipticCurve,
                     differential_order, octic_family, octic_model,
                     octic_to_quartic_maps, quartic_model, solve_branch_constant,
@@ -308,11 +310,10 @@ def cmd_cusps(args) -> tuple[dict, list[str], int]:
     orbits = tau_orbits(q, n)
     rows = []
     lines = [f"{len(orbits)} translation orbits at level {q}, step {n}"]
-    for orbit in orbits:
-        x, z = cusp = class_to_cusp(q, orbit_rep(orbit))
+    for orbit, ((x, z), w) in zip(orbits, orbit_widths(q, n, orbits)):
         row = {"rep": f"{x}/{z}", "size": str(len(orbit))}
         if args.widths:
-            row["width"] = str(width(q, n, cusp))
+            row["width"] = str(w)
         rows.append(row)
     if args.format == "text":  # one line per orbit, built only when printed
         lines += ["  " + "  ".join(f"{k}={v}" for k, v in row.items()) for row in rows]
@@ -482,7 +483,10 @@ def cmd_verify(args) -> tuple[dict, list[str], int]:
     checks, suites = [], []
     for name in names:
         start = time.perf_counter()
-        got = run_suite(name, args.q_max, args.seed)
+        try:  # the flags are checked above, so a ValueError here is a fault of the suite
+            got = run_suite(name, args.q_max, args.seed)
+        except ValueError as exc:
+            raise RuntimeError(f"suite {name}: {exc}") from exc
         suites.append({"name": name, "source": SUITES[name][0], "checks": str(len(got)),
                        "seconds": f"{time.perf_counter() - start:.6f}"})
         checks += got
@@ -556,11 +560,15 @@ _quote = json.encoder.encode_basestring_ascii
 
 def _render_json(v, nl: str = "\n") -> str:
     """The text of json.dumps(v, indent=2), built by joins so that every
-    leaf takes json's C path (indent makes json.dumps run pure Python); each
-    row of a list of dicts with the first row's keys and str values fills one
-    %-template.  A tuple renders as a list; a non-str key raises TypeError."""
+    leaf takes json's C path (indent makes json.dumps run pure Python).  A
+    list whose items are all dicts of one non-empty key tuple with str values
+    fills one %-format; any other list takes the general path.  True, False
+    and None print as literals.  A tuple renders as a list; a non-str key
+    raises TypeError."""
     if isinstance(v, str):
         return _quote(v)
+    if v is None or type(v) is bool:
+        return "null" if v is None else "true" if v else "false"
     if not isinstance(v, (dict, list, tuple)):
         return json.dumps(v)
     if not v:
@@ -570,13 +578,13 @@ def _render_json(v, nl: str = "\n") -> str:
         items = [_quote(k) + ": " + (_quote(x) if type(x) is str else _render_json(x, inner))
                  for k, x in v.items()]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if type(v[0]) is dict and (keys := tuple(v[0])):
-        try:  # _quote raises TypeError on a key or a value that is not a str
-            tmpl = "{" + ",".join([f"{inner}  {_quote(k).replace('%', '%%')}: %s"
-                                   for k in keys]) + inner + "}"
-            items = [tmpl % tuple(map(_quote, x.values())) if type(x) is dict and tuple(x) == keys
-                     else _render_json(x, inner) for x in v]
-            return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if type(v[0]) is dict and v[0]:
+        try:  # _quote and dict.values raise TypeError on a non-str key or value or a non-dict
+            if len(set(map(tuple, v))) == 1:
+                row = "{" + ",".join([f"{inner}  {_quote(k).replace('%', '%%')}: %s"
+                                      for k in v[0]]) + inner + "}"
+                return ("[" + inner + ("," + inner).join([row] * len(v)) + nl + "]") % tuple(
+                    map(_quote, chain.from_iterable(map(dict.values, v))))
         except TypeError:
             pass  # the whole list takes the general path
     items = [_quote(x) if type(x) is str else _render_json(x, inner) for x in v]

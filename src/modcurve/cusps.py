@@ -15,7 +15,9 @@ with the fold.
 
 The width of x/z for the intermediate group of level q and step n is
 q / gcd(q/n, z) once q >= 5; below that only the brute-force congruence
-scan is trustworthy, so width() delegates to it there.
+scan is trustworthy, so width() delegates to it there.  orbit_widths lifts
+each orbit's least class and takes its width through the statement width()
+runs after its checks, with the level and step checked once per call.
 """
 
 from __future__ import annotations
@@ -213,11 +215,21 @@ def width(q: int, n: int, c: Cusp) -> int:
     form provably fails at level 4).
     """
     check_step(q, n)
-    x, z = check_cusp(c)
+    return _width(q, n, check_cusp(c))
+
+
+def _width(q: int, n: int, c: Cusp) -> int:
+    """width() once the level, the step and the cusp are checked."""
     if q <= 4:
         return width_bruteforce(q, n, c)
-    p = q // n
-    return q // math.gcd(p, z)
+    return q // math.gcd(q // n, c[1])
+
+
+def orbit_widths(q: int, n: int, orbits: list[tuple[ClassPair, ...]]) -> list[tuple[Cusp, int]]:
+    """(lifted representative, width) per orbit, the level and step checked
+    once: class_to_cusp already returns a coprime pair with z >= 0."""
+    check_step(q, n)
+    return [(c, _width(q, n, c)) for c in [class_to_cusp(q, o[0]) for o in orbits]]
 
 
 def width_bruteforce(q: int, n: int, c: Cusp) -> int:
@@ -261,11 +273,11 @@ def width_distribution(q: int, n: int) -> dict[int, int]:
 
 def width_tally(q: int, n: int, orbits: list[tuple[ClassPair, ...]]) -> dict[int, int]:
     """Map width -> number of the given translation orbits with that width,
-    each orbit's width taken by width() at its representative."""
-    return dict(Counter(width(q, n, class_to_cusp(q, orbit_rep(o))) for o in orbits))
+    each orbit's width taken at its representative."""
+    return dict(Counter(w for _, w in orbit_widths(q, n, orbits)))
 
 
 def orbit_width_sum(q: int, n: int) -> int:
     """Sum of widths over all translation orbits; must equal the group index."""
-    return sum(width(q, n, class_to_cusp(q, orbit_rep(o))) for o in tau_orbits(q, n))
+    return sum(w for _, w in orbit_widths(q, n, tau_orbits(q, n)))
 

@@ -136,6 +136,32 @@ class TestCuspsCommand:
          "04dec68246e7eee8ec210666c3e6558bff92e15bf98167a817223736fc62d34e"),
         (["--q", "8", "--n", "1", "--widths"], "json", 613,
          "f7c0d24c91d26379b348873fff7c83f1ba30472f237e6eb718447b21a00749d2"),
+        # the orbit rows with and without widths, as printed before each orbit's
+        # width was taken with the level and step checked once
+        (["--q", "4", "--n", "2"], "text", 112,
+         "65930f0f6e5b0f2a19b39ce7371424425eef91d8362f815f5f7f36ac6fe4b1dd"),
+        (["--q", "4", "--n", "2"], "json", 363,
+         "0c3ff18cc09e1d2a4ed2bd72104957162c7c10a561e78789c7c51e4adc4261b9"),
+        (["--q", "4", "--n", "2", "--widths"], "text", 210,
+         "cbdd90e6d7b76b9c3f723e6022ae9094d240afedd41b375edad925f3af7f8145"),
+        (["--q", "4", "--n", "2", "--widths"], "json", 528,
+         "afc9b2cd434516cabb38069ec7815198897ebc017f0175937f2e35045212cc9b"),
+        (["--q", "47", "--n", "1"], "text", 965,
+         "2a47f034ee1da40c2d35d8bd4e25d9841c61549376cb84f4f2dc48ef9a3d639c"),
+        (["--q", "47", "--n", "1"], "json", 2937,
+         "21526846f3847c2853aa4e7c89c4ec70d276f2dade0f8e2ec48d2e833f9b6345"),
+        (["--q", "47", "--n", "1", "--widths"], "text", 1402,
+         "a681ded998fb73a2eb26951675104d9a8fa6e9900b785ae6c502d00fe7c3cf07"),
+        (["--q", "47", "--n", "1", "--widths"], "json", 3972,
+         "fa8744bd09de3ad95b7bc6a149f6959f65b7df9cfffb131b396227b1c919aeca"),
+        (["--q", "60", "--n", "60"], "text", 22552,
+         "5e5fcee2e5cbb7605d6d0ac043dcf5b4b4591f7495c7e81e7aceb12fe560a7f5"),
+        (["--q", "60", "--n", "60"], "json", 69868,
+         "a7e5059f0f4a0881c44cdc4c3f8ac7bf84c35cdb278965746c03750d85e50dfb"),
+        (["--q", "60", "--n", "60", "--widths"], "text", 34072,
+         "5554dafd34c0259b2f47eb6e34cbc1a4230d1200514c94c9e1d7d2963d0ea41b"),
+        (["--q", "60", "--n", "60", "--widths"], "json", 96364,
+         "99e22ad6ad3d96b5e11161361578a72a2dda9cb5e305020cac35b8c3f5278770"),
     ]
 
     @pytest.mark.parametrize("argv,fmt,size,digest", PINNED)
@@ -548,6 +574,22 @@ class TestParserReuse:
         assert status == 0 and text == "g_8 = 5\n"
 
 
+class TestSuiteFault:
+    # a ValueError raised inside a suite is a fault of the suite, not of the
+    # flags, which are all checked before the first suite runs
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_exits_4_naming_the_suite(self, capsys, monkeypatch, fmt):
+        from modcurve import cli
+
+        def boom(q_max, seed):
+            raise ValueError("level q = 0 must be at least 1")
+        monkeypatch.setitem(cli.SUITES, "table2", ("golden", boom, None, None))
+        status, out, err = run(capsys, "--format", fmt, "verify", "--tables", "1", "2")
+        assert status == 4 and out == ""
+        assert err == ("internal error: RuntimeError: suite table2: "
+                       "level q = 0 must be at least 1\n")
+
+
 class TestInternalError:
     @pytest.mark.parametrize("exc", [RuntimeError("degree guard"),
                                      ZeroDivisionError("division by zero"),
@@ -643,14 +685,21 @@ class TestJsonRendering:
     """--format json prints exactly the bytes of json.dumps(doc, indent=2)."""
 
     @pytest.mark.parametrize("argv", JSON_ARGVS, ids=" ".join)
-    def test_bytes_are_indent_2(self, capsys, argv):
+    def test_bytes_are_indent_2(self, capsys, monkeypatch, argv):
+        # against the document the handler returned: a round trip of the
+        # printed text would pass a renderer that writes {} as []
+        from modcurve import cli
+        name, docs = "cmd_" + argv[0], []
+        handler = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda args: docs.append(handler(args)) or docs[0])
         status, out, err = run(capsys, "--format", "json", *argv)
         assert (status, err) == (0, "")
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert out == json.dumps(docs[0][0], indent=2) + "\n"
 
     @settings(max_examples=300, deadline=None)
     @given(TREES)
     @example(Pair("\u00e9", ({}, [])))  # a tuple, a non-ASCII str, an empty dict and list
+    @example([True, False, None, 0, 1])  # the literals, and the ints equal to two of them
     def test_renderer_is_indent_2(self, tree):
         assert _render_json(tree) == json.dumps(tree, indent=2)
 

@@ -11,9 +11,9 @@ from modcurve.cusps import (class_to_cusp, complete_to_unimodular, cusp_action,
                             cusp_canonical, cusp_class_action, cusp_str,
                             enumerate_cusps, find_equivalence_witness,
                             gamma_qn_member, h_formula, h_n_formula,
-                            orbit_width_sum, orbit_rep, tau_orbits,
-                            width, width_bruteforce, width_distribution,
-                            width_tally)
+                            orbit_width_sum, orbit_rep, orbit_widths,
+                            tau_orbits, width, width_bruteforce,
+                            width_distribution, width_tally)
 from modcurve.psl import r_n_formula
 
 
@@ -379,6 +379,30 @@ class TestOrbitWidthSums:
         for n in divisors(q):
             for orbit in tau_orbits(q, n):
                 assert orbit_width_sum_check(q, n, orbit)
+
+
+class TestOrbitWidths:
+    @pytest.mark.parametrize("q", range(3, 61))
+    def test_matches_width_at_each_rep(self, q):
+        for n in divisors(q):
+            orbits = tau_orbits(q, n)
+            reps = [class_to_cusp(q, o[0]) for o in orbits]
+            assert orbit_widths(q, n, orbits) == [(c, width(q, n, c)) for c in reps]
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_scan_below_level5(self, q):
+        # the closed form fails at level 4, so the helper must scan there too
+        for n in divisors(q):
+            pairs = orbit_widths(q, n, tau_orbits(q, n))
+            assert pairs == [(c, width_bruteforce(q, n, c)) for c, _ in pairs]
+
+    @pytest.mark.parametrize("q,n", [(8, 3), (8, 0), (12, 24), (0, 1)])
+    def test_bad_step_raises_before_reading_orbits(self, q, n):
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("orbits read before the step check")
+        with pytest.raises(ValueError, match="must"):
+            orbit_widths(q, n, Unread())
 
 
 class TestClassActionCompat:
