@@ -23,7 +23,9 @@ least members are generated, b from one list per subset of lams fixing a,
 built once per call, and c and d as two progressions for non-unit a (a
 row with gcd(a, b, q) > 1 is empty); the last eight (level, quotient) sets are
 cached as sorted tuples, enumerate_psl hands out the sign-quotient tuple
-itself, and scalar_units caches each level's scalars as a tuple.
+itself, and scalar_units caches each level's scalars as a tuple.  The
+transporter search completes only the least rows (a, b) whose image of c1
+can start like c2's class, so it builds and caches no group.
 Enumeration and the scalar list are guarded at q <= 40 (|SL| grows like q^3).
 Orders walk the powers of g = (a, b; c, d) by Cayley-Hamilton, g^2 = t*g - I
 with t = a + d: g^k = s_k*g - s_(k-1)*I for s_0 = 0, s_1 = 1,
@@ -59,14 +61,20 @@ def _check_enum(q: int) -> None:
 def _least(x: int, fix: tuple[int, ...], q: int) -> tuple[int, ...] | None:
     """None when some lam in fix moves x below itself, else the lams that
     fix x: only those can still tie with the identity on later entries."""
-    ys = [lam * x % q for lam in fix]
-    return None if min(ys) < x else tuple(lam for lam, y in zip(fix, ys) if y == x)
+    fixing = []
+    for lam in fix:
+        y = lam * x % q
+        if y < x:
+            return None
+        if y == x:
+            fixing.append(lam)
+    return tuple(fixing)
 
 
-@lru_cache(maxsize=8)
-def _reps(q: int, lams: tuple[int, ...]) -> tuple[Mat, ...]:
+def _least_members(q: int, lams: tuple[int, ...], row=None) -> list[Mat]:
     """The lexicographically least member of each class {lam * m : lam in
-    lams} of SL(2, Z/qZ), in lexicographic order, solving a*d = 1 + b*c.
+    lams} of SL(2, Z/qZ), in lexicographic order, solving a*d = 1 + b*c;
+    with row given, only the members of the least rows (a, b) it accepts.
 
     Only a and b are compared, b only against the lams fixing a: a lam
     fixing a and b has (lam - 1)(a*d - b*c) = 0, so lam = 1 and c, d are free.
@@ -74,6 +82,7 @@ def _reps(q: int, lams: tuple[int, ...]) -> tuple[Mat, ...]:
     b-list is built once per call (at most two for the sign quotient).
     For g = gcd(a, q) > 1 the row is empty if gcd(b, g) > 1, else c = -1/b
     mod g in steps of g and d = (1 + b*c)/g * (a/g)^-1 mod q/g in steps of q/g.
+    Uncached, so the transporter search, which passes a row filter, caches no group.
     """
     _check_enum(q)
     out, blists = [], {}
@@ -86,13 +95,19 @@ def _reps(q: int, lams: tuple[int, ...]) -> tuple[Mat, ...]:
         g = math.gcd(a, q)
         qg = q // g
         ainv = pow(a // g, -1, qg)
-        for b in blists[fa]:
+        for b in (blists[fa] if row is None else [b for b in blists[fa] if row(a, b)]):
             if g == 1:  # a unit: d is unique
                 out += [(a, b, c, (1 + b * c) * ainv % q) for c in range(q)]
             elif math.gcd(b, g) == 1:  # else g never divides 1 + b*c: an empty row
                 out += [(a, b, c, d) for c in range(-pow(b, -1, g) % g, q, g)
                         for d in range((1 + b * c) // g * ainv % qg, q, qg)]
-    return tuple(out)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _reps(q: int, lams: tuple[int, ...]) -> tuple[Mat, ...]:
+    """_least_members of the whole group, for the last eight (q, lams) pairs."""
+    return tuple(_least_members(q, lams))
 
 
 def _signs(q: int) -> tuple[int, ...]:
@@ -240,13 +255,16 @@ def maps_between_cusps(q: int, c1: tuple[int, int], c2: tuple[int, int]) -> list
 
     Both must be canonical level-q classes: coprime to q and the lesser of
     +-(x, z) mod q, so fixed by the identity's class action.  Then an image
-    lands in c2's class exactly when it is c2 or -c2 mod q; the image's
-    second entry is built only when its first is that of c2 or -c2."""
+    lands in c2's class exactly when it is c2 or -c2 mod q.  The image's
+    first entry a*x + b*z is shared by a whole least row (a, b), so only the
+    rows where it is that of c2 or -c2 are completed and their second
+    entries tested: the search builds and caches no group."""
     check_step(q, 1, 2)
     for cls in (c1, c2):
         if math.gcd(*cls, q) != 1 or cusp_class_action(q, (1, 0, 0, 1), cls) != cls:
             raise ValueError(f"{cls} is not a canonical level-{q} cusp class")
     (x, z), (u, w) = c1, c2
     firsts, targets = (u, -u % q), (c2, (-u % q, -w % q))
-    return [(a, b, c, d) for a, b, c, d in _reps(q, _signs(q))
-            if (y := (a * x + b * z) % q) in firsts and (y, (c * x + d * z) % q) in targets]
+    members = _least_members(q, _signs(q), lambda a, b: (a * x + b * z) % q in firsts)
+    return [(a, b, c, d) for a, b, c, d in members
+            if ((a * x + b * z) % q, (c * x + d * z) % q) in targets]

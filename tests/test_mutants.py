@@ -1,8 +1,9 @@
 """The committed mutant list stays applicable as src/ changes: each old
 string occurs exactly once in its file, or at least k times where the file is
 written file#k, and each named test file exists.
-tools/mutants.py runs the list itself; its three verdicts are checked here
-on one mutant each."""
+tools/mutants.py runs the list itself; its four verdicts are checked here
+on one mutant each, and the collects marker against a run that stops at
+collection."""
 
 import importlib.util
 from pathlib import Path
@@ -23,7 +24,7 @@ def test_every_listed_mutant_applies_once():
     runner = load_runner()
     mutants = runner.read_list(ROOT / "tests" / "data" / "mutants.txt")
     assert mutants
-    for file, k, old, new, tests in mutants:
+    for file, k, old, new, tests, _collects in mutants:
         assert old != new, old
         assert runner.apply((ROOT / file).read_text(), old, new, k) is not None, (file, k, old)
         for test in tests:
@@ -52,6 +53,16 @@ def test_a_missing_occurrence_is_rejected(tmp_path, capsys, k):
     assert f"has no occurrence {k}" in capsys.readouterr().err
 
 
+def test_the_collects_marker_parses(tmp_path):
+    listed = tmp_path / "mutants.txt"
+    listed.write_text(f"collects src/modcurve/arith.py {COMMENT!r} '#' tests/test_arith.py\n"
+                      f"src/modcurve/arith.py {COMMENT!r} '#' tests/test_arith.py\n")
+    assert [m[-1] for m in load_runner().read_list(listed)] == [True, False]
+    # the rotation_number line pins that test_curve and test_acceptance collect
+    listed = load_runner().read_list(ROOT / "tests" / "data" / "mutants.txt")
+    assert [m[-1] for m in listed if m[2] == "(w * w) % g"] == [True]
+
+
 def test_the_kth_occurrence_is_replaced():
     apply = load_runner().apply
     assert [apply("a-a-a", "a", "b", k) for k in (1, 2, 3)] == ["b-a-a", "a-b-a", "a-a-b"]
@@ -69,6 +80,7 @@ BRACKET = 'f"({c})"'
     (BRACKET, 'f"{c}"', None, "KILLED"),
     (COMMENT, "# only constants compare equal across rings", None, "SURVIVED"),
     (BRACKET, 'f"{c}"', 0.01, "TIMEOUT"),  # pytest cannot start in 10 ms
+    (COMMENT, COMMENT[2:], None, "COLLECTION"),  # arith.py no longer parses
 ])
 def test_verdicts(old, new, timeout, verdict):
     runner = load_runner()
@@ -76,3 +88,18 @@ def test_verdicts(old, new, timeout, verdict):
     got = runner.run("src/modcurve/arith.py", 1, old, new, [PRINTER_TEST],
                      timeout or runner.TIMEOUT)
     assert got == verdict
+
+
+def test_a_file_that_fails_to_import_is_reported_apart():
+    # named as a file, pytest exits 2; named by node id (test_verdicts), it exits 4
+    runner = load_runner()
+    got = runner.run("src/modcurve/arith.py", 1, COMMENT, COMMENT[2:], ["tests/test_arith.py"],
+                     runner.TIMEOUT)
+    assert got == "COLLECTION"
+
+
+def test_a_collection_error_kills_only_an_unmarked_line():
+    killed = load_runner().killed
+    assert killed("COLLECTION", collects=False) and not killed("COLLECTION", collects=True)
+    assert killed("KILLED", collects=True) and killed("KILLED", collects=False)
+    assert not any(killed(v, c) for v in ("SURVIVED", "TIMEOUT") for c in (False, True))

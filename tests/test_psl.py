@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from modcurve import cli, psl
 from modcurve.cusps import (cusp_action, cusp_canonical, cusp_class_action,
-                            enumerate_cusps, gamma_qn_member)
+                            enumerate_cusps, gamma_qn_member, h_formula)
 from modcurve.genus import genus_q, hurwitz_deficiency
 from modcurve.psl import (center, element_order, enumerate_psl,
                           maps_between_cusps,
@@ -511,6 +512,38 @@ class TestTransporters:
         c1, c2 = (data.draw(st.sampled_from(enumerate_cusps(q))) for _ in range(2))
         assert maps_between_cusps(q, c1, c2) == sorted(
             {psl_canon(q, g) for g in enumerate_sl(q) if cusp_class_action(q, g, c1) == c2})
+
+    @pytest.mark.parametrize("q", range(3, 41))
+    def test_equals_scan_of_the_group(self, q):
+        # every class pair up to level 8, then 20 seeded pairs per level with
+        # c1 = infinity among them; each c1's images are read off one scan
+        classes = enumerate_cusps(q)
+        pairs = [(c1, c2) for c1 in classes for c2 in classes]
+        if q > 8:
+            rng = random.Random(q)
+            pairs = [((1, 0), rng.choice(classes))] + rng.sample(pairs, 19)
+        scans = {}
+        for c1, c2 in pairs:
+            if c1 not in scans:
+                scans[c1] = {}
+                for g in enumerate_psl(q):
+                    scans[c1].setdefault(cusp_class_action(q, g, c1), []).append(g)
+            movers = maps_between_cusps(q, c1, c2)
+            assert movers == scans[c1][c2], (c1, c2)
+            assert len(movers) == r_formula(q) // h_formula(q)
+
+    def test_builds_no_group(self):
+        psl._reps.cache_clear()
+        movers = maps_between_cusps(33, (1, 0), cusp_canonical(33, (1, 3)))
+        assert len(movers) == 33 and psl._reps.cache_info().misses == 0
+
+    @pytest.mark.parametrize("q", [41, 10**9])
+    def test_guard_before_any_row(self, q, monkeypatch):
+        def no_row(*_):
+            raise AssertionError("a row was built")
+        monkeypatch.setattr(psl, "_least", no_row)
+        with pytest.raises(ValueError, match="enumeration supports 2 <= q <= 40"):
+            maps_between_cusps(q, (1, 0), (1, 1))
 
     @pytest.mark.parametrize("cls", [(5, 0), (2, 4), (8, 1), (-1, 1)])
     def test_rejects_non_canonical_classes(self, cls):
