@@ -1,8 +1,7 @@
 """The genus-5 canonical model of the level-8 curve in P^4.
 
-The curve y^8 = x^2 (x - 1)(x - a) embeds by the holomorphic differentials
-[1/y^3, x/y^5, x/y^6, x(x-1)/y^7, x/y^7]; its image is cut out by three
-quadrics
+The curve y^8 = x^2 (x - 1)(x - a) embeds by holomorphic_basis(octic_family()),
+which embed_point and deck_matrix read; its image is cut out by three quadrics
 
     Q1 = z3^2 - z2 z5
     Q2 = z2^2 - z1 (z4 + z5)
@@ -41,9 +40,12 @@ the other's sorted keys, and Poly by a constant operand on either side.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import prod
 from typing import NamedTuple
 
 from .arith import Cyclotomic, ExactRing, show_sum
+from .curve import holomorphic_basis, octic_family
 from .cusps import cusp_class_action, enumerate_cusps
 from .genus import euler_genus
 from .poly import Poly, rational_roots
@@ -81,16 +83,19 @@ def quadric_residuals(a, point) -> tuple:
     return tuple(eval_quadric(q, point) for q in quadric_forms(a))
 
 
+@cache
+def _octic_basis() -> tuple:  # on first use: at import, a basis fault would break every command
+    return octic_family().branches, tuple(holomorphic_basis(octic_family()))
+
+
 def embed_point(x, y) -> tuple:
-    """Affine curve point (x, y), y != 0, into P^4."""
+    """Affine curve point (x, y), y != 0, into P^4 by holomorphic_basis(octic_family())."""
     if y == 0:
         raise ValueError("the embedding formula needs y != 0; "
                          "use the tabulated special-point images")
-    y3 = y**3
-    y5 = y3 * y * y
-    y6 = y5 * y
-    y7 = y6 * y
-    return (1 / y3, x / y5, x / y6, x * (x - 1) / y7, x / y7)
+    branches, basis = _octic_basis()
+    return tuple(prod((x - v) ** e for (v, _), e in zip(branches, m.alphas) if e) / y ** m.gamma
+                 for m in basis)
 
 
 def image_of_one():
@@ -177,16 +182,10 @@ def sigma_matrix(a, eta3: Cyclotomic):
 
 
 def deck_matrix(zeta: Cyclotomic):
-    """Projective action of the deck transformation on the embedded curve:
-    coordinates scale by (z^4, z^2, z, 1, 1) for z an 8th root of unity."""
-    z2 = zeta * zeta
-    return (
-        (zeta * z2 * zeta, 0, 0, 0, 0),
-        (0, z2, 0, 0, 0),
-        (0, 0, zeta, 0, 0),
-        (0, 0, 0, 1, 0),
-        (0, 0, 0, 0, 1),
-    )
+    """y -> zeta*y as diag(zeta^(gamma_max - gamma)) on holomorphic_basis(octic_family())."""
+    gammas = [m.gamma for m in _octic_basis()[1]]
+    diag = [prod([zeta] * (max(gammas) - g)) for g in gammas]  # prod([]) is the int 1
+    return tuple((0,) * i + (d,) + (0,) * (4 - i) for i, d in enumerate(diag))
 
 
 def preserves_ideal(m, a) -> bool:

@@ -111,6 +111,20 @@ def test_deck_check_catches_a_wrong_scaling(monkeypatch):
     assert failed_checks("canonical") == {"deck matrices preserve the ideal": "2"}
 
 
+def test_deck_check_sees_the_basis(monkeypatch):
+    # deck_matrix reads its scaling off the basis: raise gamma 6 to 7 there
+    # and only the two roots with zeta^2 = 1 still preserve the ideal
+    def raised(c):
+        return [m._replace(gamma=m.gamma + (m.gamma == 6)) for m in holomorphic_basis(c)]
+
+    monkeypatch.setattr(canonical, "holomorphic_basis", raised)
+    canonical._octic_basis.cache_clear()
+    try:
+        assert failed_checks("canonical") == {"deck matrices preserve the ideal": "2"}
+    finally:
+        canonical._octic_basis.cache_clear()
+
+
 @pytest.mark.parametrize("old, new", [
     # transporters to the exponent-2 orbit: still eight, but the wrong ones
     ("maps_between_cusps(8, one[0], a[0])",

@@ -21,6 +21,7 @@ from modcurve.canonical import (EliminationError, MPoly, _at_root, _expect,
                                 sigma_count, sigma_preserves_ideal,
                                 transform_quadric)
 from modcurve.cli import main
+from modcurve.curve import holomorphic_basis, octic_family, order_vector
 from modcurve.poly import Poly
 
 
@@ -148,6 +149,68 @@ class TestEmbedding:
     def test_residuals_need_a_point_of_p4(self):
         with pytest.raises(ValueError, match="points live in P\\^4"):
             quadric_residuals(-1, (1, 0, 0, 1))
+
+
+def typed_deck(zeta):
+    """The deck matrix as once typed: diag(zeta^4, zeta^2, zeta, 1, 1)."""
+    diag = (zeta * zeta * zeta * zeta, zeta * zeta, zeta, 1, 1)
+    return tuple(tuple(d if i == j else 0 for j in range(5)) for i, d in enumerate(diag))
+
+
+def typed_embedding(x, y) -> tuple:
+    """The embedding as once typed: (1/y^3, x/y^5, x/y^6, x(x-1)/y^7, x/y^7)."""
+    return (1 / y**3, x / y**5, x / y**6, x * (x - 1) / y**7, x / y**7)
+
+
+class TestBasisReadings:
+    """deck_matrix and embed_point read holomorphic_basis(octic_family());
+    the tables they once typed are the references here."""
+
+    @pytest.mark.parametrize("j", range(8))
+    def test_deck_matrix_is_the_typed_diagonal(self, j):
+        m = deck_matrix(Cyclotomic.root(8, j))
+        assert m == typed_deck(Cyclotomic.root(8, j))
+        # zeta^0 stays the int 1, so those entries pull back as ints
+        assert type(m[3][3]) is type(m[4][4]) is int
+
+    @pytest.mark.parametrize("x, y", [(Fraction(3), Fraction(2)),
+                                      (Fraction(-1, 2), Fraction(5, 3)),
+                                      (Fraction(7, 4), Fraction(-2, 9)),
+                                      (Fraction(1), Fraction(1, 3))])
+    def test_embedding_is_exact_at_rational_points(self, x, y):
+        got = embed_point(x, y)
+        assert got == typed_embedding(x, y)
+        assert all(type(z) is Fraction for z in got)
+
+    def test_embedding_at_complex_points(self):
+        rng = random.Random(1)
+        for _ in range(50):
+            x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            y = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
+            for got, want in zip(embed_point(x, y), typed_embedding(x, y)):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("y", [0, Fraction(0), 0j])
+    def test_y_zero_keeps_its_message(self, y):
+        with pytest.raises(ValueError, match=re.escape(
+                "the embedding formula needs y != 0; use the tabulated special-point images")):
+            embed_point(Fraction(2), y)
+
+    # fibers of octic_family() in order_vector's order: x = 0, 1, a, then infinity;
+    # the coordinates are 1-based positions in the basis
+    @pytest.mark.parametrize("fiber, support", [(1, {5}), (2, {4, 5}), (0, {1, 4, 5}),
+                                                (3, {1, 2, 4})],
+                             ids=["one", "a", "zero", "infinity"])
+    def test_special_images_are_the_least_order_elements(self, fiber, support):
+        # a point's image keeps the coordinates whose differential vanishes
+        # least there; the order at one point of a fiber holds at all of them
+        images = {0: images_of_zero(Poly.x()), 1: [image_of_one()],
+                  2: [image_of_a(Poly.x())], 3: images_of_infinity(GAUSS_I)}[fiber]
+        family = octic_family()
+        orders = [order_vector(family, m)[fiber] for m in holomorphic_basis(family)]
+        assert {i + 1 for i, o in enumerate(orders) if o == min(orders)} == support
+        for point in images:
+            assert {i + 1 for i, z in enumerate(point) if not z == 0} == support
 
 
 class TestSigma:
