@@ -21,15 +21,16 @@ corresponding cusp classes.
 Ideal membership never needs Groebner machinery: the ideal is generated in
 degree 2 and pullbacks of quadrics are quadrics, so membership is a linear
 condition on the 15 quadratic-monomial coefficients with the three square
-terms forcing the multipliers.  The elimination pulls each quadric back
-once, when its stage starts, from the entries solved by then, and
-substitutes each later entry into the remainders taken so far, which
-commutes with pullback and reduction: both are polynomial and no form holds
-an entry.  Each solved entry is pinned by the exact terms of one coefficient,
-its step named from that coefficient's quadric and monomial, its relation the
-step's text.  Zero and equality tests compare the canonical term dicts; ints
-stay int, and an integral Fraction enters as an int (_as_int): the sigma test's
-parameter, and the root a = -1, so the elimination runs on ints after it.
+terms forcing the multipliers.  The elimination runs in one ring, MPoly:
+polynomials over Q in the matrix entries, with a as one more variable.  It
+pulls each quadric back once, when its stage starts, from the entries solved
+by then, and substitutes each later entry into the remainders taken so far,
+which commutes with pullback and reduction: both are polynomial and no form
+holds an entry.  Each solved entry is pinned by the exact terms of one
+coefficient, its step named from that coefficient's quadric and monomial, its
+relation the step's text.  Zero and equality tests compare the canonical term
+dicts; ints stay int, and an integral Fraction enters as an int (_as_int): the
+sigma test's parameter, and the root a = -1, so its substitution leaves ints.
 preserves_ideal reads each row's nonzero entries once for all three pullbacks.
 Scalar rules: a product by 1 is the (immutable) operand itself; MPoly and
 Cyclotomic (at every c, so GaussRational too) scale each coefficient by any
@@ -215,55 +216,49 @@ def sigma_family(a=-1) -> list:
 
 
 # ---------------------------------------------------------------------------
-# multivariate polynomials in the matrix entries, over Q[a]
+# multivariate polynomials over Q in the matrix entries and a
 # ---------------------------------------------------------------------------
 
-_A = Poly.x()
-
-
 class MPoly(ExactRing):
-    """Polynomial in the unknown matrix entries with Q[a] coefficients.
+    """Polynomial over Q in the unknown matrix entries and the parameter a.
 
-    Terms map sorted variable-name tuples to Poly coefficients in a, printed
-    expanded, highest power of a first.  +, unary -, * and == are defined
-    here, in ExactRing's dispatch order; a Poly operand coerces to a constant.
+    Terms map sorted variable-name tuples, "a" among the names, to nonzero int
+    or Fraction coefficients, printed by entries, then highest power of a
+    first.  +, unary -, * and == are defined here, in ExactRing's dispatch order.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
         clean = {}
-        for key, poly in terms.items():
+        for key, c in terms.items():
             if not (isinstance(key, tuple) and all(isinstance(v, str) for v in key)):
                 raise TypeError(f"a monomial is a tuple of names, got {key!r}")
-            if not isinstance(poly, Poly):
-                poly = Poly.const(poly if isinstance(poly, int) else Fraction(poly))
+            c = c if isinstance(c, int) else Fraction(c)
             key = tuple(sorted(key))
-            clean[key] = clean[key] + poly if key in clean else poly
-        object.__setattr__(self, "terms",
-                           {k: p for k, p in clean.items() if not p.is_zero()})
+            clean[key] = clean[key] + c if key in clean else c
+        object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c})
 
     @classmethod
     def _canonical(cls, terms: dict) -> "MPoly":
-        """Wrap terms that are already canonical: sorted keys, no zero Poly."""
+        """Wrap terms that are already canonical: sorted keys, no zero coefficient."""
         out = object.__new__(cls)
         object.__setattr__(out, "terms", terms)
         return out
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
-        return cls._canonical({(name,): Poly.const(1)})
+        return cls._canonical({(name,): 1})
 
     @classmethod
     def const(cls, value) -> "MPoly":
-        if not isinstance(value, Poly):
-            value = Poly.const(value if isinstance(value, int) else Fraction(value))
-        return cls._canonical({(): value} if value.coeffs else {})
+        value = value if isinstance(value, int) else Fraction(value)
+        return cls._canonical({(): value} if value else {})
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
             return other
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Fraction)):
             return MPoly.const(other)
         return None
 
@@ -272,12 +267,12 @@ class MPoly(ExactRing):
         if o is None:
             return NotImplemented
         out = dict(self.terms)
-        for key, poly in o.terms.items():
-            out[key] = out[key] + poly if key in out else poly
-        return MPoly._canonical({k: p for k, p in out.items() if not p.is_zero()})
+        for key, c in o.terms.items():
+            out[key] = out[key] + c if key in out else c
+        return MPoly._canonical({k: c for k, c in out.items() if c})
 
     def __neg__(self):
-        return MPoly._canonical({k: -p for k, p in self.terms.items()})
+        return MPoly._canonical({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, MPoly):
@@ -285,59 +280,47 @@ class MPoly(ExactRing):
         elif isinstance(other, (int, Fraction)):
             if other == 1:
                 return self
-            return MPoly._canonical({k: p * other for k, p in self.terms.items()}
+            return MPoly._canonical({k: c * other for k, c in self.terms.items()}
                                     if other else {})
         elif (o := self._coerce(other)) is None:
             return NotImplemented
         for x, y in ((o, self), (self, o)):
             if x.terms.keys() == {()}:  # a constant scales y's sorted keys
-                c = x.terms[()]
-                return MPoly._canonical({k: r for k, p in y.terms.items()
-                                         if not (r := p * c).is_zero()})
+                return y * x.terms[()]
         out: dict = {}
-        for k1, p1 in self.terms.items():
-            for k2, p2 in o.terms.items():
+        for k1, c1 in self.terms.items():
+            for k2, c2 in o.terms.items():
                 key = tuple(sorted(k1 + k2))
-                out[key] = out[key] + p1 * p2 if key in out else p1 * p2
-        return MPoly._canonical({k: p for k, p in out.items() if not p.is_zero()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+        return MPoly._canonical({k: c for k, c in out.items() if c})
 
     def __eq__(self, other):
         if isinstance(other, MPoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)) and other == 0:
-            return not self.terms
-        o = self._coerce(other)
-        return NotImplemented if o is None else self.terms == o.terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == ({(): other} if other else {})
+        return NotImplemented
 
     def __hash__(self):
-        # a constant equals its Poly constant, so it must hash like it
+        # a constant equals its scalar, so it must hash like it
         if self.terms.keys() <= {()}:
             return hash(self.terms.get((), 0))
-        return hash(frozenset((k, p.coeffs) for k, p in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def subs(self, name: str, value: "MPoly") -> "MPoly":
-        """Substitute value for the variable name (a ring map fixing Q[a])."""
+        """Substitute value for the variable name (a ring map fixing Q)."""
         if not (held := [key for key in self.terms if name in key]):
             return self
-        out = MPoly._canonical({k: p for k, p in self.terms.items() if name not in k})
+        out = MPoly._canonical({k: c for k, c in self.terms.items() if name not in k})
         if value.terms:  # a zero value drops every term that holds name
             for key in held:
                 rest = tuple(k for k in key if k != name)
                 out = out + MPoly._canonical({rest: self.terms[key]}) * value ** key.count(name)
         return out
 
-    def subs_a(self, a_value: Fraction) -> "MPoly":
-        """Evaluate every coefficient at a = a_value, under the int rule."""
-        a_value = _as_int(a_value)
-        return MPoly._canonical({k: Poly.const(v) for k, p in self.terms.items()
-                                 if not (v := p(a_value)) == 0})
-
-    def __repr__(self):
-        return show_sum([(p.coeffs[i], ("a",) * i + key) for key, p in sorted(self.terms.items())
-                         for i in range(p.degree, -1, -1)])
+    def __repr__(self):  # by the entries, then the highest power of a first
+        order = sorted(self.terms, key=lambda k: ([n for n in k if n != "a"], -k.count("a")))
+        return show_sum([(self.terms[k], k) for k in order])
 
 
 class EliminationResult(NamedTuple):
@@ -361,15 +344,15 @@ def _expect(cond: bool, step: str):
 
 
 def _at_root(mp: MPoly, j: int, step: str) -> Cyclotomic:
-    """The ring map c33 -> t^j into Z[t]/(t^8 - 1), on an MPoly in c33 alone
-    with constant coefficients; any other term fails step.  At j = 1 its
+    """The ring map c33 -> t^j into Z[t]/(t^8 - 1), on an MPoly in c33 alone;
+    any other term, one that holds a included, fails step.  At j = 1 its
     kernel is (c33^8 - 1), so a zero image is vanishing modulo that octic.
-    Each term c33^k adds its constant at index j*k mod 8 of one list."""
+    Each term c33^k adds its coefficient at index j*k mod 8 of one list."""
     out = [0] * 8
-    for key, poly in mp.terms.items():
-        _expect(set(key) <= {"c33"} and poly.degree == 0, step)
+    for key, c in mp.terms.items():
+        _expect(set(key) <= {"c33"}, step)
         k = j * len(key) % 8
-        out[k] = out[k] + poly.coeffs[0]
+        out[k] = out[k] + c
     return Cyclotomic(8, out)
 
 
@@ -386,11 +369,11 @@ def elimination_solve() -> EliminationResult:
     Each quadric is pulled back once, when its stage starts, from the
     entries known then: Q1 after the linear stage, Q2 after c23, c53 and
     c22, Q3 after c11 and the root a, still symbolic in a.  Each later entry
-    is substituted into the remainders taken so far.  a is the one rational
-    root of the z1*z5 coefficient, and subs_a then substitutes it.
-    The reduction's multipliers are the z3^2, z2^2, z1^2 coefficients and no
-    form holds an entry or another form's square, so both ring maps commute
-    with pullback and reduction.  Every step asserts the shape of the
+    is substituted into the remainders taken so far, and so is a, the one
+    rational root of the z1*z5 coefficient read off its c33^4 terms' powers
+    of a.  The reduction's multipliers are the z3^2, z2^2, z1^2 coefficients
+    and no form holds an entry or another form's square, so each substitution
+    commutes with pullback and reduction.  Every step asserts the shape of the
     constraint it consumes, so any divergence points at the exact step; pin
     checks each entry's coefficient term by term, named from the key it reads.
     The octic check and the eight-matrix family both read entries through
@@ -427,7 +410,7 @@ def elimination_solve() -> EliminationResult:
         _expect(rems[k].get(key, zero).terms == shape, f"Q{k + 1}: {mono(key)}")
         setk(name, value, f"Q{k + 1} pullback, {mono(key)} coefficient{why}")
 
-    a_sym, c33 = MPoly.const(_A), MPoly.var("c33")
+    a_sym, c33 = MPoly.var("a"), MPoly.var("c33")
     forms = quadric_forms(a_sym)
 
     # image of [0,0,0,0,1] is [0,0,0,a-1,1], scaled to lambda = 1
@@ -437,11 +420,12 @@ def elimination_solve() -> EliminationResult:
     # image of [0,0,0,a-1,1] is [0,0,0,0,1]; rows 1..3 give (a-1)*ci4 = 0
     for row in (1, 2, 3):
         expr = (a_sym - 1) * entry(row, 4) + entry(row, 5)
-        _expect(expr.terms == {(f"c{row}4",): _A - 1}, "columns-4 vanishing")
+        _expect(expr.terms == {("a", f"c{row}4"): 1, (f"c{row}4",): -1}, "columns-4 vanishing")
         setk(f"c{row}4", 0, "image of the x=a point, a != 1")
     expr = (a_sym - 1) * entry(4, 4) + entry(4, 5)
     # (a-1)*c44 + (a-1) = 0
-    _expect(expr.terms == {("c44",): _A - 1, (): _A - 1}, "c44 determination")
+    _expect(expr.terms == {("a", "c44"): 1, ("c44",): -1, ("a",): 1, (): -1},
+            "c44 determination")
     setk("c44", -1, "image of the x=a point, a != 1")
 
     # the four infinity images [1, e, 0, d, 0] keep z3 = z5 = 0
@@ -477,16 +461,18 @@ def elimination_solve() -> EliminationResult:
 
     # second quadric pullback
     pull_back()
-    pin(1, (2, 4), {("c13",): -_A}, "c13", 0, ", a != 0")
-    pin(1, (1, 4), {("c12",): -_A}, "c12", 0, ", a != 0")
+    pin(1, (2, 4), {("a", "c13"): -1}, "c13", 0, ", a != 0")
+    pin(1, (1, 4), {("a", "c12"): -1}, "c12", 0, ", a != 0")
     assumptions.append("c11 != 0 (row 1 would vanish)")
     pin(1, (0, 1), {("c11", "c42"): -1}, "c42", 0, ", c11 != 0")
     pin(1, (0, 2), {("c11", "c43"): -1}, "c43", 0, ", c11 != 0")
     pin(1, (3, 3), {("c11", "c41"): -1}, "c41", 0, ", c11 != 0")
     pin(1, (0, 3), {("c11",): 1, ("c33",) * 4: 1}, "c11", -(c33 ** 4))
     z15, eq = mono((0, 4)), rems[1].get((0, 4), zero)
-    _expect(set(eq.terms) == {("c33",) * 4}, f"Q2: {z15}")
-    coeff = eq.terms[("c33",) * 4]
+    powers = {key.count("a"): c for key, c in eq.terms.items()}  # c33^4 * a^i terms by i
+    _expect(bool(powers) and eq.terms.keys() == {("a",) * i + ("c33",) * 4 for i in powers},
+            f"Q2: {z15}")
+    coeff = Poly([powers.get(i, 0) for i in range(max(powers) + 1)])
     # c33 != 0, so the coefficient must vanish; linear in a, it has one root
     _expect(coeff.degree == 1, f"Q2: {z15} linear in a")
     (a_value,) = rational_roots(coeff)
@@ -495,7 +481,8 @@ def elimination_solve() -> EliminationResult:
     pull_back()  # Q3, still symbolic in a
 
     # both pullbacks at the root must sit in the span
-    at_a = [map_quadric(r, lambda c: c.subs_a(a_value)) for r in rems]
+    root = MPoly.const(_as_int(a_value))
+    at_a = [map_quadric(r, lambda c: c.subs("a", root)) for r in rems]
     _expect(not at_a[0], f"Q1 pullback at a = {a_value}")
     _expect(not at_a[1], f"Q2 pullback at a = {a_value}")
 
@@ -507,10 +494,10 @@ def elimination_solve() -> EliminationResult:
         step = f"Q3 remainder at {key}"
         _expect(_at_root(val, 1, step) == 0, step)
 
-    entries = {f"c{i}{j}": entry(i, j).subs_a(a_value)
+    entries = {f"c{i}{j}": entry(i, j).subs("a", root)
                for i in range(1, 6) for j in range(1, 6)}
     # nonzero solved entries: powers of c33, lowest first, then constants by name
-    deg = {name: max(map(len, e.terms)) for name, e in known.items() if e.terms}
+    deg = {name: max(k.count("c33") for k in e.terms) for name, e in known.items() if e.terms}
     relations = [shown[n] for n in sorted(deg, key=lambda n: (not deg[n], deg[n], n))] + [octic]
     step = "family entries depend on c33 only"
     # a constant entry has one image at every root, read once and shared

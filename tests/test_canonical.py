@@ -40,28 +40,34 @@ def mat_mul5(m1, m2):
 
 SCALARS = st.one_of(st.integers(-3, 3),
                     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
-POLYS = st.lists(SCALARS, max_size=3).map(Poly)
-MONOS = st.sampled_from([(), ("c11",), ("c11", "c22"), ("c22", "c11"), ("c33",) * 3])
-MPOLYS = st.dictionaries(MONOS, st.one_of(SCALARS, POLYS), max_size=3).map(MPoly)
+MONOS = st.sampled_from([(), ("c11",), ("c11", "c22"), ("c22", "c11"), ("c33",) * 3,
+                         ("a",), ("c11", "a"), ("a", "a", "c33")])
+MPOLYS = st.dictionaries(MONOS, SCALARS, max_size=3).map(MPoly)
+
+
+@functools.cache
+def var(name: str) -> MPoly:
+    """MPoly.var(name), built on first use, so that a broken MPoly fails the
+    tests that read it, not the collection of this file."""
+    return MPoly.var(name)
 
 
 def retyped(m: MPoly) -> MPoly:
     """The same polynomial with int and integral Fraction coefficients swapped."""
-    return MPoly({k: Poly([Fraction(c) if isinstance(c, int)
-                           else int(c) if c.denominator == 1 else c
-                           for c in p.coeffs]) for k, p in m.terms.items()})
+    return MPoly({k: Fraction(c) if isinstance(c, int) else int(c) if c.denominator == 1 else c
+                  for k, c in m.terms.items()})
 
 
 def coefficients(m: MPoly) -> list:
-    return [c for p in m.terms.values() for c in p.coeffs]
+    return list(m.terms.values())
 
 
 def subs_by_definition(m: MPoly, name: str, value: MPoly) -> MPoly:
     """Term by term: each name^k becomes value^k."""
     out = MPoly({})
-    for key, poly in m.terms.items():
+    for key, c in m.terms.items():
         rest = tuple(k for k in key if k != name)
-        out = out + MPoly({rest: poly}) * value ** key.count(name)
+        out = out + MPoly({rest: c}) * value ** key.count(name)
     return out
 
 
@@ -317,6 +323,12 @@ class TestElimination:
         assert "c33^8 = 1" in res.relations
         assert "a != 1" in res.assumptions
 
+    def test_relations_print_entries_then_highest_power_of_a(self):
+        res = elimination_solve()
+        assert res.relations == ["c22 = c33^2", "c11 = -c33^4", "c44 = -1", "c45 = a - 1",
+                                 "c55 = 1", "c33^8 = 1"]
+        assert "c45 = a - 1  [image of the x=1 point]" in res.steps
+
     def test_relations_hold(self):
         # the printer's relations, read back as equations: the entry relations
         # hold as polynomials in c33 against the solved entries, and c33^8 = 1
@@ -360,17 +372,17 @@ class TestElimination:
             elimination_solve()
 
     def test_constant_entry_in_a_fails_the_family_step(self, monkeypatch):
-        # c45 = a - 1 comes out of subs_a as the constant a: the entry is read
-        # once for all eight roots, and still through the shape check
-        subs_a = MPoly.subs_a
-        monkeypatch.setattr(MPoly, "subs_a", lambda mp, a: MPoly.const(Poly.x())
-                            if mp == MPoly.const(Poly.x() - 1) else subs_a(mp, a))
+        # c45 = a - 1 comes out of the root substitution as a: the entry still
+        # holds a, and the family's shape check rejects it
+        subs = MPoly.subs
+        monkeypatch.setattr(MPoly, "subs", lambda mp, name, value: var("a")
+                            if name == "a" and mp == var("a") - 1 else subs(mp, name, value))
         with pytest.raises(EliminationError, match="family entries depend on c33 only$"):
             elimination_solve()
 
     def test_entries_vanishing_pattern(self):
         res = elimination_solve()
-        nonzero = {name for name, e in res.entries.items() if not e.is_zero()}
+        nonzero = {name for name, e in res.entries.items() if e != 0}
         assert nonzero == {"c11", "c22", "c33", "c44", "c45", "c55"}
         assert res.entries["c45"] == -2
         assert res.entries["c44"] == -1
@@ -433,28 +445,27 @@ class TestPrintedQuadrics:
 
 
 class TestOcticCheck:
-    C33 = MPoly.var("c33")
-
     @pytest.mark.parametrize("j", range(8))
     def test_octic_relation_is_the_kernel(self, j):
-        assert _at_root(self.C33 ** 8 - 1, j, "step") == 0
+        assert _at_root(var("c33") ** 8 - 1, j, "step") == 0
 
     @pytest.mark.parametrize("j, k", [(j, k) for j in range(8) for k in range(12)])
     def test_powers_go_to_powers(self, j, k):
-        assert _at_root(self.C33 ** k, j, "step") == Cyclotomic.root(8, j * k % 8)
+        assert _at_root(var("c33") ** k, j, "step") == Cyclotomic.root(8, j * k % 8)
 
     def test_sums_and_rational_coefficients(self):
-        mp = Fraction(1, 2) * self.C33 ** 3 - 3 * self.C33 + 2
+        mp = Fraction(1, 2) * var("c33") ** 3 - 3 * var("c33") + 2
         t = Cyclotomic.root(8, 2)
         assert _at_root(mp, 2, "step") == Fraction(1, 2) * t ** 3 - 3 * t + 2
 
-    @pytest.mark.parametrize("mp", [MPoly.var("c22") * MPoly.var("c33"),
-                                    MPoly.var("c11"),
-                                    MPoly({("c33",): Poly([1, 1])}),
-                                    MPoly.const(Poly.x())])
+    # terms, built into an MPoly by the test: c22*c33, c11, (a + 1)*c33 and a
+    @pytest.mark.parametrize("mp", [{("c22", "c33"): 1},
+                                    {("c11",): 1},
+                                    {("c33",): 1, ("a", "c33"): 1},
+                                    {("a",): 1}])
     def test_foreign_terms_fail_the_step(self, mp):
         with pytest.raises(EliminationError, match="at: named step$"):
-            _at_root(mp + self.C33, 1, "named step")
+            _at_root(MPoly(mp) + var("c33"), 1, "named step")
 
     @pytest.mark.parametrize("k, key", [(2, "(4, 4)"), (3, "(3, 4)"), (-1, "(3, 4)")])
     def test_scaled_q3_fails_the_remainder(self, monkeypatch, capsys, k, key):
@@ -474,9 +485,9 @@ class TestOcticCheck:
 def at_root_reference(mp: MPoly, j: int, step: str) -> Cyclotomic:
     """The ring map term by term: a scalar, a root, a product and a sum each."""
     out = Cyclotomic.scalar(8, 0)
-    for key, poly in mp.terms.items():
-        _expect(set(key) <= {"c33"} and poly.degree == 0, step)
-        out = out + poly(0) * Cyclotomic.root(8, j * len(key))
+    for key, c in mp.terms.items():
+        _expect(set(key) <= {"c33"}, step)
+        out = out + c * Cyclotomic.root(8, j * len(key))
     return out
 
 
@@ -489,8 +500,9 @@ def outcome(fn, *args):
 
 C33_MONOS = st.integers(0, 11).map(lambda k: ("c33",) * k)
 C33_ONLY = st.dictionaries(C33_MONOS, SCALARS, max_size=6).map(MPoly)
-FOREIGN = st.dictionaries(st.one_of(C33_MONOS, st.sampled_from([("c22",), ("c22", "c33")])),
-                          st.one_of(SCALARS, POLYS), max_size=4).map(MPoly)
+FOREIGN = st.dictionaries(st.one_of(C33_MONOS, st.sampled_from([("c22",), ("c22", "c33"),
+                                                                  ("a",), ("a", "c33")])),
+                          SCALARS, max_size=4).map(MPoly)
 
 
 class TestAtRootReference:
@@ -515,12 +527,16 @@ class TestCrossChecks:
 
 
 class TestMPoly:
-    def test_constant_hashes_like_its_poly(self):
+    # the constants are the int and Fraction scalars; a is the variable "a",
+    # so a Poly in a is no MPoly operand
+    def test_constant_hashes_like_its_scalar(self):
         assert MPoly.const(3) == 3 and hash(MPoly.const(3)) == hash(3)
         assert MPoly({}) == 0 and hash(MPoly({})) == hash(0)
-        x = Poly.x()
-        assert MPoly.const(x) == x and hash(MPoly.const(x)) == hash(x)
-        assert len({MPoly.const(3), Poly.const(3), 3, MPoly({(): Fraction(3)})}) == 1
+        half = Fraction(1, 2)
+        assert MPoly.const(half) == half and hash(MPoly.const(half)) == hash(half)
+        assert len({MPoly.const(3), Fraction(3), 3, MPoly({(): Fraction(3)})}) == 1
+        with pytest.raises(TypeError):
+            MPoly.var("a") + Poly.x()
 
     # sorted as a sequence, the string "c11" would become the monomial ('1', '1', 'c')
     @pytest.mark.parametrize("key", ["c11", ("c11", 1), 5])
@@ -530,7 +546,7 @@ class TestMPoly:
 
     def test_keys_equal_up_to_order_add_up(self):
         m = MPoly({("c11", "c22"): 1, ("c22", "c11"): Fraction(1, 2)})
-        assert m.terms == {("c11", "c22"): Poly.const(Fraction(3, 2))}
+        assert m.terms == {("c11", "c22"): Fraction(3, 2)}
         assert MPoly({("c22", "c11"): 2, ("c11", "c22"): -2}) == 0
 
     # the fast equality and zero paths and the canonical-dict results
@@ -544,12 +560,12 @@ class TestMPoly:
         if x == y:
             assert hash(x) == hash(y)
 
-    @given(MPOLYS, st.one_of(SCALARS, POLYS), st.booleans())
+    @given(MPOLYS, SCALARS, st.booleans())
     def test_eq_constant_is_definition(self, x, c, same):
         if same:
             x = retyped(MPoly.const(c))
         assert (x == c) == all(v == 0 for v in coefficients(x - c))
-        assert (x == 0) == (x.is_zero() or all(v == 0 for v in coefficients(x)))
+        assert (x == 0) == (not x.terms or all(v == 0 for v in coefficients(x)))
         if x == c:
             assert hash(x) == hash(c)
 
@@ -557,10 +573,10 @@ class TestMPoly:
     def test_results_are_canonical(self, x, y):
         for r in (x + y, x - y, x * y, -x, x ** 2):
             assert all(list(k) == sorted(k) for k in r.terms)
-            assert not any(p.is_zero() for p in r.terms.values())
+            assert all(type(c) in (int, Fraction) and c != 0 for c in r.terms.values())
             assert r.terms == MPoly(dict(r.terms)).terms
 
-    # the scalar path scales each Poly term; it must give the product by
+    # the scalar path scales each coefficient; it must give the product by
     # MPoly.const, stay canonical, and return the operand itself for 1
     @given(MPOLYS, st.one_of(st.sampled_from([0, 1, Fraction(0), Fraction(1)]), SCALARS))
     def test_scalar_product_is_the_const_product(self, x, s):
@@ -568,11 +584,11 @@ class TestMPoly:
         for got in (x * s, s * x):
             assert got == general and got.terms == general.terms
             assert all(list(k) == sorted(k) for k in got.terms)
-            assert not any(p.is_zero() for p in got.terms.values())
+            assert all(c != 0 for c in got.terms.values())
         if s == 1:
             assert x * s is x and s * x is x
 
-    @given(MPOLYS, MPOLYS, st.sampled_from(["c11", "c22", "c33"]), MPOLYS)
+    @given(MPOLYS, MPOLYS, st.sampled_from(["a", "c11", "c22", "c33"]), MPOLYS)
     def test_subs_is_ring_map(self, x, y, name, value):
         def s(p):
             return p.subs(name, value)
@@ -582,20 +598,23 @@ class TestMPoly:
         assert s(x) == subs_by_definition(x, name, value)
         assert s(x).terms == MPoly(dict(s(x).terms)).terms
 
-    @given(MPOLYS, st.sampled_from(["c11", "c22", "c33"]))
+    @given(MPOLYS, st.sampled_from(["a", "c11", "c22", "c33"]))
     def test_subs_zero_drops_the_name(self, x, name):
-        dropped = MPoly({k: p for k, p in x.terms.items() if name not in k})
+        dropped = MPoly({k: c for k, c in x.terms.items() if name not in k})
         assert x.subs(name, MPoly({})) == dropped
         assert x.subs(name, MPoly.const(Fraction(0))) == dropped
 
-    # an integral Fraction a is evaluated as an int: the same polynomial, with
-    # the same hash, as evaluating with Fraction arithmetic, and int-valued
-    # wherever every coefficient is an int
+    # the root a enters as the elimination puts it in, an integral Fraction as
+    # an int: the same polynomial, with the same hash, as evaluating with
+    # Fraction arithmetic, and int-valued wherever every coefficient is an int
     @given(MPOLYS, st.integers(-3, 3))
     def test_subs_a_at_an_integral_fraction(self, x, k):
-        got = x.subs_a(Fraction(k))
-        ref = MPoly({key: sum(Fraction(c) * Fraction(k) ** i for i, c in enumerate(p.coeffs))
-                     for key, p in x.terms.items()})
+        got = x.subs("a", MPoly.const(canonical._as_int(Fraction(k))))
+        ref = {}
+        for key, c in x.terms.items():
+            rest = tuple(n for n in key if n != "a")
+            ref[rest] = ref.get(rest, 0) + Fraction(c) * Fraction(k) ** key.count("a")
+        ref = MPoly(ref)
         assert got == ref and got.terms == ref.terms and hash(got) == hash(ref)
         assert got.terms == MPoly(dict(got.terms)).terms
         if all(isinstance(c, int) for c in coefficients(x)):
@@ -603,13 +622,11 @@ class TestMPoly:
 
     @given(MPOLYS, MPOLYS, SCALARS)
     def test_subs_a_is_ring_map(self, x, y, a):
-        assert (x + y).subs_a(a) == x.subs_a(a) + y.subs_a(a)
-        assert (x * y).subs_a(a) == x.subs_a(a) * y.subs_a(a)
-        assert all(p.degree < 1 for p in x.subs_a(a).terms.values())
-
-
-A = MPoly.const(Poly.x())
-C33 = MPoly.var("c33")
+        def s(p):
+            return p.subs("a", MPoly.const(a))
+        assert s(x + y) == s(x) + s(y)
+        assert s(x * y) == s(x) * s(y)
+        assert not any("a" in k for k in s(x).terms)
 
 
 @functools.cache
@@ -618,11 +635,11 @@ def elimination_order() -> tuple[list, list]:
     stage fixed by the branch-point images, then the entries solved from
     pullback coefficients.  Built on first use, so a broken MPoly product
     fails the tests that read them, not the collection of this file."""
-    linear = [("c15", 0), ("c25", 0), ("c35", 0), ("c45", A - 1), ("c55", 1),
+    linear = [("c15", 0), ("c25", 0), ("c35", 0), ("c45", var("a") - 1), ("c55", 1),
               ("c14", 0), ("c24", 0), ("c34", 0), ("c44", -1), ("c31", 0),
               ("c32", 0), ("c52", 0), ("c51", 0), ("c54", 0), ("c21", 0)]
-    solved = [("c23", 0), ("c53", 0), ("c22", C33 ** 2), ("c13", 0), ("c12", 0),
-              ("c42", 0), ("c43", 0), ("c41", 0), ("c11", -C33 ** 4)]
+    solved = [("c23", 0), ("c53", 0), ("c22", var("c33") ** 2), ("c13", 0), ("c12", 0),
+              ("c42", 0), ("c43", 0), ("c41", 0), ("c11", -var("c33") ** 4)]
     return linear, solved
 
 
@@ -647,10 +664,11 @@ def rebuilt_remainder(known: dict, index: int, a=None):
     """The reference: rebuild the symbolic matrix and the whole pullback,
     with every entry evaluated at a first when a is given."""
     m = matrix_of(known)
-    forms = quadric_forms(A)
+    forms = quadric_forms(var("a"))
     if a is not None:
-        m = tuple(tuple(e.subs_a(a) for e in row) for row in m)
-        forms = quadric_forms(MPoly.const(Poly.const(a)))
+        root = MPoly.const(a)
+        m = tuple(tuple(e.subs("a", root) for e in row) for row in m)
+        forms = quadric_forms(root)
     return reduce_by_span(transform_quadric(forms[index], m), forms)
 
 
@@ -663,7 +681,7 @@ def recorder(log: list, fn):
 
 FREE = ["c11", "c12", "c13", "c22", "c23", "c33", "c41", "c42", "c43", "c53"]
 VALUES = st.one_of(st.just(0), SCALARS,
-                   st.builds(lambda sign, k: sign * C33 ** k,
+                   st.builds(lambda sign, k: sign * var("c33") ** k,
                              st.sampled_from([1, -1]), st.integers(1, 4)))
 
 
@@ -673,7 +691,7 @@ class TestPullBackOnce:
         res = elimination_solve()
         order = [m.group(1) for m in map(re.compile(r"(c\d\d) = ").match, res.steps) if m]
         assert order == [name for name, _ in linear + solved]
-        assert all(res.entries[name] == as_mpoly(v).subs_a(-1)
+        assert all(res.entries[name] == as_mpoly(v).subs("a", MPoly.const(-1))
                    for name, v in linear + solved)
 
     def test_pulls_back_once_per_quadric(self, monkeypatch):
@@ -692,7 +710,7 @@ class TestPullBackOnce:
         monkeypatch.setattr(canonical, "transform_quadric",
                             lambda q, m: calls.append((q, m)) or transform(q, m))
         elimination_solve()
-        assert [q for q, _ in calls] == quadric_forms(A)
+        assert [q for q, _ in calls] == quadric_forms(var("a"))
         for (_, m), s in zip(calls, STAGES, strict=True):
             known = {name: as_mpoly(v) for name, v in linear + solved[:s]}
             assert m == matrix_of(known), s
@@ -727,7 +745,7 @@ class TestPullBackOnce:
     @given(st.lists(st.tuples(st.sampled_from(FREE), VALUES), max_size=5),
            st.one_of(st.none(), SCALARS))
     def test_substitution_commutes_with_pullback(self, assignments, a):
-        forms = quadric_forms(A)
+        forms = quadric_forms(var("a"))
         m = matrix_of({name: as_mpoly(v) for name, v in elimination_order()[0]})
         rems = [reduce_by_span(transform_quadric(q, m), forms) for q in forms]
         for name, value in assignments:
@@ -735,9 +753,10 @@ class TestPullBackOnce:
             m = tuple(tuple(e.subs(name, value) for e in row) for row in m)
             rems = [map_quadric(r, lambda c: c.subs(name, value)) for r in rems]
         if a is not None:
-            m = tuple(tuple(e.subs_a(a) for e in row) for row in m)
-            forms = quadric_forms(MPoly.const(Poly.const(a)))
-            rems = [map_quadric(r, lambda c: c.subs_a(a)) for r in rems]
+            root = MPoly.const(a)
+            m = tuple(tuple(e.subs("a", root) for e in row) for row in m)
+            forms = quadric_forms(root)
+            rems = [map_quadric(r, lambda c: c.subs("a", root)) for r in rems]
         assert rems == [reduce_by_span(transform_quadric(q, m), forms) for q in forms]
 
 
@@ -768,8 +787,8 @@ class TestDispatchOrder:
         lambda: (GaussRational(1, 2), GAUSS_I),
         lambda: (Poly([1, Fraction(2, 3)]), Poly([0, -1, 4])),
         lambda: (Poly([Cyclotomic.root(8, 1), 1]), Poly([Cyclotomic.root(8, 2)])),
-        lambda: (MPoly({("c11",): Poly.x(), (): 2}), MPoly.var("c22") - Fraction(1, 3)),
-        lambda: (MPoly.const(Poly.x()), MPoly.var("c33")),
+        lambda: (MPoly({("a", "c11"): 1, (): 2}), MPoly.var("c22") - Fraction(1, 3)),
+        lambda: (MPoly.const(Fraction(2, 3)), MPoly.var("c33")),
     ], ids=["cyclotomic", "gauss", "poly", "poly-over-cyclotomic", "mpoly", "mpoly-const"])
     def test_same_ring_operators(self, monkeypatch, pair):
         x, y = pair()
