@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
@@ -38,8 +39,8 @@ from . import canonical as canon
 from .cusps import (check_cusp, class_to_cusp, cusp_action, cusp_canonical,
                     cusp_class_action, enumerate_cusps,
                     find_equivalence_witness, gamma_qn_member, h_formula,
-                    h_n_formula, orbit_rep, orbit_widths, tau_orbits, width,
-                    width_bruteforce, width_distribution, width_tally)
+                    h_n_formula, orbit_widths, tau_orbits, width_bruteforce,
+                    width_distribution)
 from .curve import (BranchPoint, InfinityPoint, Monomial, SemiHyperellipticCurve,
                     differential_order, octic_family, octic_model,
                     octic_to_quartic_maps, quartic_model, solve_branch_constant,
@@ -188,14 +189,14 @@ def _oracles(q_max: int, _seed: int) -> list[dict]:
             orbits = tau_orbits(q, n)
             cusp_checks.append(make_check(f"orbit count q={q} n={n}",
                                           h_n_formula(q, n), len(orbits)))
-            reps = [class_to_cusp(q, orbit_rep(orbit)) for orbit in orbits]
-            mismatch = sum(width(q, n, c) != width_bruteforce(q, n, c) for c in reps)
+            pairs = orbit_widths(q, n, orbits)  # the list `cusps --widths` prints
+            mismatch = sum(w != width_bruteforce(q, n, c) for c, w in pairs)
             cusp_checks.append(bool_check(f"widths q={q} n={n}", mismatch == 0,
                                           f"{mismatch} mismatches"))
-            tally = width_tally(q, n, orbits)
             cusp_checks.append(make_check(f"width sum q={q} n={n}", r_n_formula(q, n),
-                                          sum(w * k for w, k in tally.items())))
+                                          sum(w for _, w in pairs)))
             dist = width_distribution(q, n)
+            tally = dict(Counter(w for _, w in pairs))
             cusp_checks.append(bool_check(f"width distribution q={q} n={n}",
                                           dist == tally, f"{dist} != {tally}"))
     return counts + orders + cusp_checks
@@ -310,7 +311,8 @@ def cmd_cusps(args) -> tuple[dict, list[str], int]:
     orbits = tau_orbits(q, n)
     rows = []
     lines = [f"{len(orbits)} translation orbits at level {q}, step {n}"]
-    for orbit, ((x, z), w) in zip(orbits, orbit_widths(q, n, orbits)):
+    pairs = orbit_widths(q, n, orbits)
+    for orbit, ((x, z), w) in zip(orbits, pairs):
         row = {"rep": f"{x}/{z}", "size": str(len(orbit))}
         if args.widths:
             row["width"] = str(w)
@@ -318,11 +320,11 @@ def cmd_cusps(args) -> tuple[dict, list[str], int]:
     if args.format == "text":  # one line per orbit, built only when printed
         lines += ["  " + "  ".join(f"{k}={v}" for k, v in row.items()) for row in rows]
     result = {"orbits": rows}
-    if q <= 4 and args.widths:
+    if q <= 4 and (args.widths or args.distribution):
         result["note"] = "widths from the congruence scan: the closed form needs q >= 5"
         lines.append(result["note"])
     if args.distribution:
-        dist = width_distribution(q, n) if q >= 5 else width_tally(q, n, orbits)
+        dist = width_distribution(q, n) if q >= 5 else Counter(w for _, w in pairs)
         result["distribution"] = {str(k): str(v) for k, v in sorted(dist.items())}
         lines.append("width distribution: "
                      + ", ".join(f"{k}:{v}" for k, v in sorted(dist.items())))

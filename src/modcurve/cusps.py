@@ -17,13 +17,13 @@ The width of x/z for the intermediate group of level q and step n is
 q / gcd(q/n, z) once q >= 5; below that only the brute-force congruence
 scan is trustworthy, so width() delegates to it there.  orbit_widths lifts
 each orbit's least class and takes its width through the statement width()
-runs after its checks, with the level and step checked once per call.
+runs after its checks, with the level and step checked once per call: the one
+orbit width list, which `cusps --widths` prints and `verify --oracles` checks.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -269,12 +269,6 @@ def width_distribution(q: int, n: int) -> dict[int, int]:
             cnt *= n3(pi, ri, j)
         out[w] = exact_int(cnt, f"orbit count of width {w}")
     return dict(sorted(out.items()))
-
-
-def width_tally(q: int, n: int, orbits: list[tuple[ClassPair, ...]]) -> dict[int, int]:
-    """Map width -> number of the given translation orbits with that width,
-    each orbit's width taken at its representative."""
-    return dict(Counter(w for _, w in orbit_widths(q, n, orbits)))
 
 
 def orbit_width_sum(q: int, n: int) -> int:

@@ -16,16 +16,18 @@ from functools import lru_cache
 
 import pytest
 
-from modcurve import canonical, cli
+from modcurve import canonical, cli, cusps
+from modcurve.arith import divisors
 from modcurve.cli import SUITES, run_suite
 from modcurve.curve import (SemiHyperellipticCurve,
                             holomorphic_basis, octic_family, order_vector,
                             solve_branch_constant)
-from modcurve.cusps import find_equivalence_witness
+from modcurve.cusps import find_equivalence_witness, orbit_widths, tau_orbits
 from modcurve.equation import (build_equation, equation_string,
                                normalize_with_convention, rotation_table,
                                substitute_label)
 from modcurve.genus import genus_prime_quotient, genus_q, genus_qn, hurwitz_deficiency
+from modcurve.psl import r_n_formula
 from test_curve import divisor_degree
 
 
@@ -92,6 +94,31 @@ def test_witness_check_catches_search_mutants(monkeypatch, old, new):
     monkeypatch.setattr(cli, "find_equivalence_witness",
                         mutant(find_equivalence_witness, old, new))
     assert list(failed_checks("oracles")) == [f"witnesses q={q}" for q in range(5, 13)]
+
+
+def test_width_checks_read_the_printed_list(monkeypatch):
+    # verify checks the one orbit width list `cusps --widths` prints: one
+    # wrong width there fails its (q, n)'s three width checks and no other
+    def one_wrong(q, n, orbits):
+        pairs = orbit_widths(q, n, orbits)
+        if (q, n) == (8, 2):
+            (c, w), *rest = pairs
+            pairs = [(c, w + 1), *rest]
+        return pairs
+
+    monkeypatch.setattr(cli, "orbit_widths", one_wrong)
+    failed = failed_checks("oracles")
+    assert list(failed) == [f"{check} q=8 n=2"
+                            for check in ("widths", "width sum", "width distribution")]
+    assert failed["widths q=8 n=2"] == "1 mismatches"
+    assert failed["width sum q=8 n=2"] == str(r_n_formula(8, 2) + 1)
+
+
+def test_each_width_is_taken_once(monkeypatch):
+    calls, take = [], cusps._width
+    monkeypatch.setattr(cusps, "_width", lambda q, n, c: calls.append(c) or take(q, n, c))
+    run_suite("oracles", q_max=12, seed=0)
+    assert len(calls) == sum(len(tau_orbits(q, n)) for q in range(5, 13) for n in divisors(q))
 
 
 def test_special_point_check_catches_a_wrong_image(monkeypatch):

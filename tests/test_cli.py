@@ -103,6 +103,18 @@ class TestCuspsCommand:
         status, out, _ = run(capsys, "cusps", "--q", "4", "--n", "1", "--widths")
         assert status == 0 and "congruence scan" in out
 
+    @pytest.mark.parametrize("q,n,noted", [("4", "2", True), ("3", "1", True),
+                                           ("5", "1", False)])
+    def test_scan_note_with_distribution_alone(self, capsys, q, n, noted):
+        # below level 5 the distribution is the tally of the scanned widths,
+        # so it carries the scan note even when the widths are not printed
+        note = "widths from the congruence scan: the closed form needs q >= 5"
+        argv = ["cusps", "--q", q, "--n", n, "--distribution"]
+        status, out, _ = run(capsys, *argv)
+        assert status == 0 and (note in out.splitlines()) == noted
+        status, out, _ = run(capsys, "--format", "json", *argv)
+        assert status == 0 and json.loads(out)["result"].get("note") == (note if noted else None)
+
     def test_full_level(self, capsys):
         status, out, _ = run(capsys, "cusps", "--q", "8", "--n", "8", "--widths")
         assert status == 0 and out.count("width=8") == 24

@@ -13,7 +13,7 @@ from modcurve.cusps import (class_to_cusp, complete_to_unimodular, cusp_action,
                             gamma_qn_member, h_formula, h_n_formula,
                             orbit_width_sum, orbit_rep, orbit_widths,
                             tau_orbits, width, width_bruteforce,
-                            width_distribution, width_tally)
+                            width_distribution)
 from modcurve.psl import r_n_formula
 
 
@@ -342,7 +342,7 @@ class TestWidthDistribution:
             orbits = tau_orbits(q, n)
             brute = Counter(width_bruteforce(q, n, class_to_cusp(q, orbit_rep(o)))
                             for o in orbits)
-            tally = width_tally(q, n, orbits)
+            tally = Counter(w for _, w in orbit_widths(q, n, orbits))
             assert tally == brute
             if q >= 5:
                 assert tally == width_distribution(q, n)
