@@ -71,7 +71,7 @@ def check_step(q: int, n: int, least: int = 1) -> None:
 
 
 def mat_mul2(m1: tuple, m2: tuple) -> tuple:
-    """2x2 product over any commutative ring (int, Fraction, Poly)."""
+    """2x2 product over any commutative ring (int, Fraction, MPoly)."""
     a, b, c, d = m1
     e, f, g, h = m2
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
@@ -126,20 +126,18 @@ def n3(p_i: int, r_i: int, j: int) -> Fraction:
 
 
 def show_sum(terms) -> str:
-    """The one printer of the exact rings: (coefficient, names) terms in print
-    order, a repeated name as a power (c33^2).  Zero terms drop out, a rational
-    sign joins the sum, a unit is not written, other coefficients are bracketed."""
+    """The one printer of the exact rings: (rational coefficient, names) terms
+    in print order, a repeated name as a power (c33^2).  Zero terms drop out,
+    a coefficient's sign joins the sum, and a unit is not written."""
     text = ""
     for c, names in terms:
         if c == 0:
             continue
-        rational = isinstance(c, (int, Fraction))
         factors = [n if names.count(n) == 1 else f"{n}^{names.count(n)}"
                    for n in dict.fromkeys(names)]
-        coef = str(abs(c)) if rational else f"({c})"
-        if coef != "1" or not factors:
-            factors.insert(0, coef)
-        if rational and c < 0:
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        if c < 0:
             text += " - " if text else "-"
         elif text:
             text += " + "
@@ -149,8 +147,8 @@ def show_sum(terms) -> str:
 
 class ExactRing:
     """Ring rules shared by the exact commutative rings (Cyclotomic and its
-    subclasses such as GaussRational, poly.Poly, canonical.MPoly, each printed
-    by show_sum): immutability, subtraction, reflected operators and powers.
+    subclasses such as GaussRational, and poly.MPoly, each printed by
+    show_sum): immutability, subtraction, reflected operators and powers.
 
     A subclass supplies _coerce (its own elements and the scalars it
     accepts, else None), +, unary -, *, == and __hash__.  Its +, * and ==

@@ -21,8 +21,8 @@ corresponding cusp classes.
 Ideal membership never needs Groebner machinery: the ideal is generated in
 degree 2 and pullbacks of quadrics are quadrics, so membership is a linear
 condition on the 15 quadratic-monomial coefficients with the three square
-terms forcing the multipliers.  The elimination runs in one ring, MPoly:
-polynomials over Q in the matrix entries, with a as one more variable.  It
+terms forcing the multipliers.  The elimination runs in poly.MPoly, the one
+polynomial ring, over Q in the matrix entries with a as one more variable.  It
 pulls each quadric back once, when its stage starts, from the entries solved
 by then, and substitutes each later entry into the remainders taken so far,
 which commutes with pullback and reduction: both are polynomial and no form
@@ -32,10 +32,6 @@ relation the step's text.  Zero and equality tests compare the canonical term
 dicts; ints stay int, and an integral Fraction enters as an int (_as_int): the
 sigma test's parameter, and the root a = -1, so its substitution leaves ints.
 preserves_ideal reads each row's nonzero entries once for all three pullbacks.
-Scalar rules: a product by 1 is the (immutable) operand itself; MPoly and
-Cyclotomic (at every c, so GaussRational too) scale each coefficient by any
-other int or Fraction directly, MPoly by a constant MPoly as well, keeping
-the other's sorted keys, and Poly by a constant operand on either side.
 """
 
 from __future__ import annotations
@@ -45,11 +41,11 @@ from functools import cache
 from math import prod
 from typing import NamedTuple
 
-from .arith import Cyclotomic, ExactRing, show_sum
+from .arith import Cyclotomic
 from .curve import holomorphic_basis, octic_family
 from .cusps import cusp_class_action, enumerate_cusps
 from .genus import euler_genus
-from .poly import Poly, rational_roots
+from .poly import MPoly, rational_roots
 from .psl import center, r_formula, sign_center
 
 QuadMono = tuple[int, int]  # (i, j) with i <= j, 0-indexed coordinates
@@ -215,114 +211,6 @@ def sigma_family(a=-1) -> list:
     return [sigma_matrix(a, Cyclotomic.root(8, j)) for j in range(8)]
 
 
-# ---------------------------------------------------------------------------
-# multivariate polynomials over Q in the matrix entries and a
-# ---------------------------------------------------------------------------
-
-class MPoly(ExactRing):
-    """Polynomial over Q in the unknown matrix entries and the parameter a.
-
-    Terms map sorted variable-name tuples, "a" among the names, to nonzero int
-    or Fraction coefficients, printed by entries, then highest power of a
-    first.  +, unary -, * and == are defined here, in ExactRing's dispatch order.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        clean = {}
-        for key, c in terms.items():
-            if not (isinstance(key, tuple) and all(isinstance(v, str) for v in key)):
-                raise TypeError(f"a monomial is a tuple of names, got {key!r}")
-            c = c if isinstance(c, int) else Fraction(c)
-            key = tuple(sorted(key))
-            clean[key] = clean[key] + c if key in clean else c
-        object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c})
-
-    @classmethod
-    def _canonical(cls, terms: dict) -> "MPoly":
-        """Wrap terms that are already canonical: sorted keys, no zero coefficient."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    @classmethod
-    def var(cls, name: str) -> "MPoly":
-        return cls._canonical({(name,): 1})
-
-    @classmethod
-    def const(cls, value) -> "MPoly":
-        value = value if isinstance(value, int) else Fraction(value)
-        return cls._canonical({(): value} if value else {})
-
-    def _coerce(self, other):
-        if isinstance(other, MPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MPoly.const(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in o.terms.items():
-            out[key] = out[key] + c if key in out else c
-        return MPoly._canonical({k: c for k, c in out.items() if c})
-
-    def __neg__(self):
-        return MPoly._canonical({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, MPoly):
-            o = other
-        elif isinstance(other, (int, Fraction)):
-            if other == 1:
-                return self
-            return MPoly._canonical({k: c * other for k, c in self.terms.items()}
-                                    if other else {})
-        elif (o := self._coerce(other)) is None:
-            return NotImplemented
-        for x, y in ((o, self), (self, o)):
-            if x.terms.keys() == {()}:  # a constant scales y's sorted keys
-                return y * x.terms[()]
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in o.terms.items():
-                key = tuple(sorted(k1 + k2))
-                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
-        return MPoly._canonical({k: c for k, c in out.items() if c})
-
-    def __eq__(self, other):
-        if isinstance(other, MPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == ({(): other} if other else {})
-        return NotImplemented
-
-    def __hash__(self):
-        # a constant equals its scalar, so it must hash like it
-        if self.terms.keys() <= {()}:
-            return hash(self.terms.get((), 0))
-        return hash(frozenset(self.terms.items()))
-
-    def subs(self, name: str, value: "MPoly") -> "MPoly":
-        """Substitute value for the variable name (a ring map fixing Q)."""
-        if not (held := [key for key in self.terms if name in key]):
-            return self
-        out = MPoly._canonical({k: c for k, c in self.terms.items() if name not in k})
-        if value.terms:  # a zero value drops every term that holds name
-            for key in held:
-                rest = tuple(k for k in key if k != name)
-                out = out + MPoly._canonical({rest: self.terms[key]}) * value ** key.count(name)
-        return out
-
-    def __repr__(self):  # by the entries, then the highest power of a first
-        order = sorted(self.terms, key=lambda k: ([n for n in k if n != "a"], -k.count("a")))
-        return show_sum([(self.terms[k], k) for k in order])
-
-
 class EliminationResult(NamedTuple):
     """Outcome of replaying the projective-automorphism constraint chain."""
 
@@ -350,7 +238,7 @@ def _at_root(mp: MPoly, j: int, step: str) -> Cyclotomic:
     Each term c33^k adds its coefficient at index j*k mod 8 of one list."""
     out = [0] * 8
     for key, c in mp.terms.items():
-        _expect(set(key) <= {"c33"}, step)
+        _expect(key.count("c33") == len(key), step)
         k = j * len(key) % 8
         out[k] = out[k] + c
     return Cyclotomic(8, out)
@@ -472,10 +360,10 @@ def elimination_solve() -> EliminationResult:
     powers = {key.count("a"): c for key, c in eq.terms.items()}  # c33^4 * a^i terms by i
     _expect(bool(powers) and eq.terms.keys() == {("a",) * i + ("c33",) * 4 for i in powers},
             f"Q2: {z15}")
-    coeff = Poly([powers.get(i, 0) for i in range(max(powers) + 1)])
+    coeffs = [powers.get(i, 0) for i in range(max(powers) + 1)]
     # c33 != 0, so the coefficient must vanish; linear in a, it has one root
-    _expect(coeff.degree == 1, f"Q2: {z15} linear in a")
-    (a_value,) = rational_roots(coeff)
+    _expect(len(coeffs) == 2, f"Q2: {z15} linear in a")
+    (a_value,) = rational_roots(coeffs)
     _expect(a_value not in (0, 1), "a != 0, a != 1")
     steps.append(f"a = {a_value}  [Q2 pullback, {z15} coefficient, c33 != 0]")
     pull_back()  # Q3, still symbolic in a
@@ -503,8 +391,7 @@ def elimination_solve() -> EliminationResult:
     # a constant entry has one image at every root, read once and shared
     images = [[_at_root(e, 0, step)] * 8 if e.terms.keys() <= {()}
               else [_at_root(e, j, step) for j in range(8)] for e in entries.values()]
-    family = [tuple(tuple(im[j] for im in images[r:r + 5]) for r in range(0, 25, 5))
-              for j in range(8)]
+    family = [tuple(col[r:r + 5] for r in range(0, 25, 5)) for col in zip(*images)]
 
     return EliminationResult(a=a_value, assumptions=assumptions,
                              relations=relations, steps=steps,

@@ -52,7 +52,7 @@ from .equation import (SemiHyperellipticEquation, build_equation,
 from .genus import (genus_prime_quotient, genus_q, genus_qn, hurwitz_deficiency,
                     is_semihyperelliptic_level)
 from .golden import golden
-from .poly import Poly
+from .poly import MPoly
 from .psl import (ENUM_GUARD, center, element_order, enumerate_psl,
                   maps_between_cusps, max_element_order, max_order_formula,
                   r_formula, r_n_formula, type_classify)
@@ -225,7 +225,7 @@ def _canonical(_q_max: int, _seed: int) -> list[dict]:
     checks.append(bool_check("family matches elimination",
                              res.family == canon.sigma_family(-1)))
     checks.append(bool_check("automorphism count crosscheck", len(movers) == sigma == 8))
-    a = s = Poly.x()  # the parameter, and a square root of it for the zero images
+    a = s = MPoly.var("a")  # the parameter, and a square root of it for the zero images
     points = [(a, canon.image_of_one()), (a, canon.image_of_a(a))]
     points += [(s * s, pt) for pt in canon.images_of_zero(s)]
     points += [(a, pt) for pt in canon.images_of_infinity(GAUSS_I)]

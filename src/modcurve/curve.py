@@ -35,7 +35,7 @@ from .arith import adj2, mat_mul2
 from .equation import (RotationNumber, SemiHyperellipticEquation, check_branch_data,
                        rotation_from_exponent)
 from .genus import hurwitz_deficiency
-from .poly import Poly, rational_roots
+from .poly import MPoly, rational_roots
 
 
 class _Infinity:
@@ -280,15 +280,15 @@ def moebius_lift_check(c: SemiHyperellipticCurve,
         permutation=tuple(sorted(images.items(), key=repr)))
 
 
-def _value_poly(v, sym: str) -> tuple[Poly, Poly]:
+def _value_poly(v, sym: str) -> tuple[MPoly, MPoly]:
     """The point (x : w) of the x-line, with entries polynomial in sym."""
     if v is INF:
-        return Poly.const(1), Poly.const(0)
+        return MPoly.const(1), MPoly.const(0)
     if isinstance(v, str):
         if v != sym:
             raise ValueError(f"unexpected symbol {v!r}")
-        return Poly.x(), Poly.const(1)
-    return Poly.const(Fraction(v)), Poly.const(1)
+        return MPoly.var(sym), MPoly.const(1)
+    return MPoly.const(Fraction(v)), MPoly.const(1)
 
 
 def _det(u, v):
@@ -302,7 +302,7 @@ def _to_zero_one_inf(z1, z2, z3) -> tuple:
     return (d23 * z1[1], -d23 * z1[0], d21 * z3[1], -d21 * z3[0])
 
 
-def _pair_condition(t_mat, u, v) -> Poly:
+def _pair_condition(t_mat, u, v) -> MPoly:
     """Polynomial condition (in the symbolic constant) for T(u) = v."""
     t00, t01, t10, t11 = t_mat
     return _det((t00 * u[0] + t01 * u[1], t10 * u[0] + t11 * u[1]), v)
@@ -348,15 +348,15 @@ def solve_branch_constant(c: SemiHyperellipticCurve,
         conditions = []
         for i in range(3, len(points)):
             cond = _pair_condition(t_mat, src[i], dst[i])
-            if not cond.is_zero():
+            if cond != 0:
                 conditions.append(cond)
         if not conditions:
             continue  # the demand does not constrain the constant
         roots = None
         for cond in conditions:
-            if cond.degree > 4:
-                raise RuntimeError(f"condition degree {cond.degree} exceeds guard")
-            rr = set(rational_roots(cond))
+            if cond.degree(sym) > 4:
+                raise RuntimeError(f"condition degree {cond.degree(sym)} exceeds guard")
+            rr = set(rational_roots(cond.coefficients(sym)))
             roots = rr if roots is None else roots & rr
         for root in roots or ():
             try:  # the record rejects a root on another branch value
@@ -366,7 +366,7 @@ def solve_branch_constant(c: SemiHyperellipticCurve,
             except ValueError:
                 continue
             # invertible: det T is a product of determinants of distinct points
-            t_exact = MoebiusMap(*(e(root) for e in t_mat))
+            t_exact = MoebiusMap(*(e.subs(sym, MPoly.const(root)).terms.get((), 0) for e in t_mat))
             if moebius_lift_check(solved, t_exact) is not None:
                 solutions.add(root)
     return sorted(solutions)

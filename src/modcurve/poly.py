@@ -1,10 +1,15 @@
-"""Dense univariate polynomials over an exact coefficient ring.
+"""The one polynomial ring: MPoly, polynomials over Q in named variables,
+and the rational roots of a polynomial in one variable.
 
-Coefficients are anything with exact +, -, * and == 0 (Fraction, int,
-Cyclotomic and its subclasses such as GaussRational).  Only what the equation
-solvers need: ring operations, evaluation and rational root extraction.
-Subtraction, the reflected operators, powers and immutability come from
-arith.ExactRing, and repr from arith.show_sum, highest power of x first.
+Terms map sorted tuples of names, a repeated name a power, to nonzero int or
+Fraction coefficients; any other coefficient, a float included, is a
+TypeError.  The level-8 elimination runs in the matrix entries with a as one
+more name, and the branch-constant solver in the one symbolic branch value.
+Zero and equality tests compare the term dicts.  Subtraction, the reflected
+operators, powers and immutability come from arith.ExactRing, and repr from
+arith.show_sum.  Scalar rules: a product by 1 is the (immutable) operand
+itself; any other int or Fraction, or a constant MPoly, scales each
+coefficient directly, keeping the other operand's sorted keys.
 """
 
 from __future__ import annotations
@@ -15,112 +20,143 @@ from fractions import Fraction
 from .arith import ExactRing, divisors, show_sum
 
 
-class Poly(ExactRing):
-    """Polynomial sum(c[i] * x^i), trailing zero coefficients stripped;
-    +, * and == take a Poly, then a scalar (ExactRing's dispatch order)."""
+class Poly:
+    """Empty, kept only for perfbench/child.py's traced class list (ROADMAP item 15)."""
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+def _rational(c):
+    """c itself if it is an int or a Fraction, else TypeError: Fraction(0.1) is not 1/10."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"a coefficient is an int or a Fraction, got {c!r}")
+    return c
+
+
+class MPoly(ExactRing):
+    """Polynomial over Q in named variables.
+
+    Printed by the names other than a, then highest power of a first.
+    +, unary -, * and == are defined here, in ExactRing's dispatch order.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        clean = {}
+        for key, c in terms.items():
+            if not (isinstance(key, tuple) and all(isinstance(v, str) for v in key)):
+                raise TypeError(f"a monomial is a tuple of names, got {key!r}")
+            c, key = _rational(c), tuple(sorted(key))
+            clean[key] = clean[key] + c if key in clean else c
+        object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c})
 
     @classmethod
-    def const(cls, c) -> "Poly":
-        return cls([c])
+    def _canonical(cls, terms: dict) -> "MPoly":
+        """Wrap terms that are already canonical: sorted keys, no zero coefficient."""
+        out = object.__new__(cls)
+        _set_terms(out, terms)
+        return out
 
     @classmethod
-    def x(cls) -> "Poly":
-        return cls([0, 1])
+    def var(cls, name: str) -> "MPoly":
+        return cls._canonical({(name,): 1})
 
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @classmethod
+    def const(cls, value) -> "MPoly":
+        value = _rational(value)
+        return cls._canonical({(): value} if value else {})
 
     def _coerce(self, other):
-        if isinstance(other, Poly):
+        if isinstance(other, MPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly([other])
+            return MPoly._canonical({(): other} if other else {})
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(o.coeffs):
-            a[i] = a[i] + c
-        return Poly(a)
+        out = dict(self.terms)
+        for key, c in o.terms.items():
+            out[key] = out[key] + c if key in out else c
+        return MPoly._canonical({k: c for k, c in out.items() if c})
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return MPoly._canonical({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, MPoly):
+            o = other
+        elif isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
+            return MPoly._canonical({k: c * other for k, c in self.terms.items()}
+                                    if other else {})
+        elif (o := self._coerce(other)) is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return Poly([])
-        # a constant operand scales, and 1 returns the (immutable) other; the
-        # constructor strips the zeros that a ring with zero divisors
-        # (Cyclotomic wherever t^d - c factors, as at c = 1) can leave at the top
-        if len(o.coeffs) == 1:
-            c = o.coeffs[0]
-            return self if c == 1 else Poly([a * c for a in self.coeffs])
-        if len(self.coeffs) == 1:
-            c = self.coeffs[0]
-            return o if c == 1 else Poly([c * b for b in o.coeffs])
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        for x, y in ((o, self), (self, o)):
+            if len(x.terms) == 1 and () in x.terms:  # a constant scales y's sorted keys
+                return y * x.terms[()]
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in o.terms.items():
+                key = tuple(sorted(k1 + k2))
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+        return MPoly._canonical({k: c for k, c in out.items() if c})
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+        if isinstance(other, MPoly):
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == ((other,) if other else ())
+            return self.terms == {(): other} if other else not self.terms
         return NotImplemented
 
     def __hash__(self):
-        if self.degree < 1:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(self.coeffs)
+        # a constant equals its scalar, so it must hash like it
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), 0))
+        return hash(frozenset(self.terms.items()))
 
-    def __call__(self, value):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * value + c
+    def degree(self, name: str) -> int:
+        """The highest power of name, -1 for the zero polynomial."""
+        return max((key.count(name) for key in self.terms), default=-1)
+
+    def coefficients(self, name: str) -> list:
+        """The coefficients of a polynomial in name alone, lowest power first."""
+        out = [0] * (self.degree(name) + 1)
+        for key, c in self.terms.items():
+            if key.count(name) != len(key):
+                raise ValueError(f"{self!r} holds a name other than {name}")
+            out[len(key)] = c
         return out
 
-    def __repr__(self):
-        return show_sum((self.coeffs[i], ("x",) * i) for i in range(self.degree, -1, -1))
+    def subs(self, name: str, value: "MPoly") -> "MPoly":
+        """Substitute value for the variable name (a ring map fixing Q)."""
+        if not (held := [key for key in self.terms if name in key]):
+            return self
+        out = MPoly._canonical({k: c for k, c in self.terms.items() if name not in k})
+        if value.terms:  # a zero value drops every term that holds name
+            for key in held:
+                rest = tuple(k for k in key if k != name)
+                out = out + MPoly._canonical({rest: self.terms[key]}) * value ** key.count(name)
+        return out
+
+    def __repr__(self):  # by the other names, then the highest power of a first
+        order = sorted(self.terms, key=lambda k: ([n for n in k if n != "a"], -k.count("a")))
+        return show_sum([(self.terms[k], k) for k in order])
 
 
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial with rational coefficients."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has every root")
-    coeffs = [Fraction(c) for c in p.coeffs]
-    roots: set[Fraction] = set()
-    # factor out x^k
-    k = 0
-    while coeffs[k] == 0:
-        k += 1
-    if k > 0:
-        roots.add(Fraction(0))
-        coeffs = coeffs[k:]
+_set_terms = MPoly.terms.__set__
+
+
+def rational_roots(coeffs: list) -> list[Fraction]:
+    """All rational roots of sum(coeffs[i] * x^i), with rational coefficients
+    lowest power first and the last one nonzero."""
+    if not coeffs or coeffs[-1] == 0:  # [] is the zero polynomial, which has every root
+        raise ValueError(f"coefficients {coeffs} do not end in a nonzero one")
+    k = next(i for i, c in enumerate(coeffs) if c)  # factor out x^k
+    roots = {Fraction(0)} if k else set()
+    coeffs = [Fraction(c) for c in coeffs[k:]]
     if len(coeffs) == 1:
         return sorted(roots)
     # clear denominators to integer coefficients
@@ -129,7 +165,7 @@ def rational_roots(p: Poly) -> list[Fraction]:
     a0, an = abs(ints[0]), abs(ints[-1])
     for num in divisors(a0):
         for den in divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if p(cand) == 0:
-                    roots.add(cand)
+            for p in (num, -num):  # den^n * f(p/den), in ints
+                if sum(c * p ** i * den ** (len(ints) - 1 - i) for i, c in enumerate(ints)) == 0:
+                    roots.add(Fraction(p, den))
     return sorted(roots)

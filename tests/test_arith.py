@@ -14,8 +14,7 @@ from hypothesis import given, strategies as st
 from modcurve.arith import (Cyclotomic, GaussRational, GAUSS_I, check_step,
                             divisors, exact_int, factorize, is_prime, mult_n,
                             n3, solve_unit_congruence)
-from modcurve.canonical import MPoly
-from modcurve.poly import Poly
+from modcurve.poly import MPoly
 
 
 class SqrtMinus3(Cyclotomic):
@@ -34,6 +33,11 @@ SCALARS = st.one_of(st.integers(-3, 3),
                     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
 
 
+def in_x(coeffs) -> MPoly:
+    """sum(coeffs[i] * x^i) as an MPoly in the one name x."""
+    return MPoly({("x",) * i: c for i, c in enumerate(coeffs)})
+
+
 def elements(ring, d):
     return st.lists(SCALARS, min_size=d, max_size=d).map(lambda v: ring(d, v))
 
@@ -48,7 +52,7 @@ QUOTIENTS = {
 }
 RINGS = {
     **{ring.__name__: strategy for ring, strategy in QUOTIENTS.items()},
-    "Poly": st.lists(SCALARS, max_size=4).map(Poly),
+    "Poly": st.lists(SCALARS, max_size=4).map(in_x),  # MPoly in one name, as curve builds it
     "MPoly": st.dictionaries(st.sampled_from([(), ("c11",), ("c11", "c22"), ("a",), ("a", "c11")]),
                              SCALARS, max_size=3).map(MPoly),
 }
@@ -292,7 +296,7 @@ class TestGaussRational:
 def reduced_product(x, y):
     """Reference product in Z[t]/(t^d - c): the polynomial product of the
     coefficient lists, then t^k -> c * t^(k - d) from the top down."""
-    full = list((Poly(x.coeffs) * Poly(y.coeffs)).coeffs)
+    full = (in_x(x.coeffs) * in_x(y.coeffs)).coefficients("x")
     for k in range(len(full) - 1, x.d - 1, -1):
         full[k - x.d] += x.c * full.pop()
     return full + [0] * (x.d - len(full))
@@ -400,7 +404,7 @@ def printed_ring(ring: str) -> tuple:
     a_powers = [(), ("a",), ("a", "a")]
     entries = [(), ("c11",), ("c11", "c22"), ("c33",) * 3, ("c11", "c11", "c22")]
     return {
-        "Poly": (RINGS["Poly"], {"x": Poly.x()}),
+        "Poly": (RINGS["Poly"], {"x": MPoly.var("x")}),
         "Cyclotomic": (CYCLO8, {"t": Cyclotomic.root(8, 1)}),
         "MPoly": (st.dictionaries(st.sampled_from([a + e for a in a_powers for e in entries]),
                                   SCALARS, max_size=6).map(MPoly),
@@ -416,15 +420,15 @@ class TestPrinter:
         x = data.draw(strategy)
         assert read_back(repr(x), names) == x, repr(x)
 
-    # a dict is an MPoly's terms, built into it by the test: by the entries,
-    # then the highest power of a first
+    # a dict is an MPoly's terms, built into it by the test: by the names
+    # other than a, each lowest power first, then the highest power of a first
     @pytest.mark.parametrize("x, printed", [
-        (Poly([]), "0"),
+        (MPoly.const(0), "0"),
         (Cyclotomic.scalar(8, 0), "0"),
         ({}, "0"),
-        (Poly([1, GAUSS_I]), "(t)*x + 1"),
-        (Poly([GaussRational(1, -2), 0, 1]), "x^2 + (1 - 2*t)"),
-        (Poly([1, 0, -2]), "-2*x^2 + 1"),
+        ({(): 1, ("x",): -1, ("x", "x"): 1}, "1 - x + x^2"),
+        ({("a",) * 3: Fraction(1, 2), ("a",): -1}, "1/2*a^3 - a"),
+        ({(): 1, ("a", "a"): -2}, "-2*a^2 + 1"),
         (Cyclotomic(8, [0, -1, 0, 0, 0, 0, 0, 1]), "-t + t^7"),
         ({(): -1, ("a",): 1}, "a - 1"),
         ({("c33",) * 4: -1}, "-c33^4"),

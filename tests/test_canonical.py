@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from modcurve import canonical
 from modcurve.arith import Cyclotomic, ExactRing, GAUSS_I, GaussRational
-from modcurve.canonical import (EliminationError, MPoly, _at_root, _expect,
+from modcurve.canonical import (EliminationError, _at_root, _expect,
                                 deck_matrix, elimination_solve, embed_point,
                                 eval_quadric, hyperellipticity_obstruction,
                                 image_of_a, image_of_one, images_of_infinity,
@@ -22,7 +22,7 @@ from modcurve.canonical import (EliminationError, MPoly, _at_root, _expect,
                                 transform_quadric)
 from modcurve.cli import main
 from modcurve.curve import holomorphic_basis, octic_family, order_vector
-from modcurve.poly import Poly
+from modcurve.poly import MPoly
 
 
 def apply_matrix(m, pt) -> tuple:
@@ -95,29 +95,28 @@ MATRICES = st.one_of(st.lists(st.tuples(*[ENTRIES] * 5), min_size=5, max_size=5)
 
 
 def as_polys(point):
-    return tuple(p if isinstance(p, Poly) else Poly.const(Fraction(p))
+    return tuple(p if isinstance(p, MPoly) else MPoly.const(Fraction(p))
                  for p in point)
 
 
 class TestSpecialPoints:
     def test_marked_branch_images_symbolic(self):
-        a = Poly.x()
+        a = MPoly.var("a")
         assert all(r == 0 for r in quadric_residuals(a, as_polys(image_of_one())))
         assert all(r == 0 for r in quadric_residuals(a, as_polys(image_of_a(a))))
 
     def test_zero_images_symbolic_sqrt(self):
-        s = Poly.x()  # a square root of a; the parameter becomes s^2
+        s = MPoly.var("s")  # a square root of a; the parameter becomes s^2
         for pt in images_of_zero(s):
-            pt = tuple(p if isinstance(p, Poly) else Poly.const(p) for p in pt)
+            pt = tuple(p if isinstance(p, MPoly) else MPoly.const(p) for p in pt)
             assert all(r == 0 for r in quadric_residuals(s * s, pt))
 
     def test_infinity_images_gaussian(self):
-        one = GaussRational(1)
-        a = Poly([GaussRational(0), one])
+        # the coordinates stay in Q(i); the MPoly parameter meets only the
+        # rational entries z4 and z5 of the images
+        a = MPoly.var("a")
         for pt in images_of_infinity(GAUSS_I):
-            pt = tuple(Poly.const(c * one if isinstance(c, int) else c)
-                       for c in pt)
-            assert all(r.is_zero() for r in quadric_residuals(a, pt))
+            assert all(r == 0 for r in quadric_residuals(a, pt))
 
 
 class TestEmbedding:
@@ -210,8 +209,8 @@ class TestBasisReadings:
     def test_special_images_are_the_least_order_elements(self, fiber, support):
         # a point's image keeps the coordinates whose differential vanishes
         # least there; the order at one point of a fiber holds at all of them
-        images = {0: images_of_zero(Poly.x()), 1: [image_of_one()],
-                  2: [image_of_a(Poly.x())], 3: images_of_infinity(GAUSS_I)}[fiber]
+        images = {0: images_of_zero(MPoly.var("s")), 1: [image_of_one()],
+                  2: [image_of_a(MPoly.var("a"))], 3: images_of_infinity(GAUSS_I)}[fiber]
         family = octic_family()
         orders = [order_vector(family, m)[fiber] for m in holomorphic_basis(family)]
         assert {i + 1 for i, o in enumerate(orders) if o == min(orders)} == support
@@ -528,7 +527,7 @@ class TestCrossChecks:
 
 class TestMPoly:
     # the constants are the int and Fraction scalars; a is the variable "a",
-    # so a Poly in a is no MPoly operand
+    # so a Gaussian rational is no MPoly operand
     def test_constant_hashes_like_its_scalar(self):
         assert MPoly.const(3) == 3 and hash(MPoly.const(3)) == hash(3)
         assert MPoly({}) == 0 and hash(MPoly({})) == hash(0)
@@ -536,7 +535,7 @@ class TestMPoly:
         assert MPoly.const(half) == half and hash(MPoly.const(half)) == hash(half)
         assert len({MPoly.const(3), Fraction(3), 3, MPoly({(): Fraction(3)})}) == 1
         with pytest.raises(TypeError):
-            MPoly.var("a") + Poly.x()
+            MPoly.var("a") + GAUSS_I
 
     # sorted as a sequence, the string "c11" would become the monomial ('1', '1', 'c')
     @pytest.mark.parametrize("key", ["c11", ("c11", 1), 5])
@@ -785,11 +784,10 @@ class TestDispatchOrder:
     @pytest.mark.parametrize("pair", [
         lambda: (Cyclotomic.root(8, 1) + 2, Cyclotomic.root(8, 3) - Fraction(1, 2)),
         lambda: (GaussRational(1, 2), GAUSS_I),
-        lambda: (Poly([1, Fraction(2, 3)]), Poly([0, -1, 4])),
-        lambda: (Poly([Cyclotomic.root(8, 1), 1]), Poly([Cyclotomic.root(8, 2)])),
+        lambda: (MPoly({(): 1, ("x",): Fraction(2, 3)}), MPoly({("x",): -1, ("x", "x"): 4})),
         lambda: (MPoly({("a", "c11"): 1, (): 2}), MPoly.var("c22") - Fraction(1, 3)),
         lambda: (MPoly.const(Fraction(2, 3)), MPoly.var("c33")),
-    ], ids=["cyclotomic", "gauss", "poly", "poly-over-cyclotomic", "mpoly", "mpoly-const"])
+    ], ids=["cyclotomic", "gauss", "poly", "mpoly", "mpoly-const"])
     def test_same_ring_operators(self, monkeypatch, pair):
         x, y = pair()
         seen, out = fraction_checks(monkeypatch, lambda: [

@@ -22,7 +22,7 @@ from modcurve.curve import (INF, BranchPoint, InfinityPoint,
                             verify_isomorphism_numeric)
 from modcurve.equation import (CONVENTIONS, RotationNumber, build_equation,
                                normalize_with_convention)
-from modcurve.poly import Poly
+from modcurve.poly import MPoly
 
 
 def divisor_degree(c: SemiHyperellipticCurve, mono: Monomial) -> int:
@@ -55,21 +55,21 @@ def reference_value_poly(v, sym: str):
     if isinstance(v, str):
         if v != sym:
             raise ValueError(f"unexpected symbol {v!r}")
-        return Poly.x()
-    return Poly.const(Fraction(v))
+        return MPoly.var(sym)
+    return MPoly.const(Fraction(v))
 
 
 def reference_to_zero_one_inf(z1, z2, z3) -> tuple:
     if z1 is INF:
-        return (Poly.const(0), z2 - z3, Poly.const(1), -z3)
+        return (MPoly.const(0), z2 - z3, MPoly.const(1), -z3)
     if z2 is INF:
-        return (Poly.const(1), -z1, Poly.const(1), -z3)
+        return (MPoly.const(1), -z1, MPoly.const(1), -z3)
     if z3 is INF:
-        return (Poly.const(1), -z1, Poly.const(0), z2 - z1)
+        return (MPoly.const(1), -z1, MPoly.const(0), z2 - z1)
     return (z2 - z3, -z1 * (z2 - z3), z2 - z1, -z3 * (z2 - z1))
 
 
-def reference_pair_condition(t_mat, u, v) -> Poly:
+def reference_pair_condition(t_mat, u, v) -> MPoly:
     t00, t01, t10, t11 = t_mat
     if u is INF and v is INF:
         return t10
@@ -409,7 +409,8 @@ class TestHomogeneousLine:
             assert new in (ref, tuple(-e for e in ref)), zs
 
     def test_pair_condition_matches_reference_up_to_sign(self):
-        t_mat = (Poly([1, 2]), Poly([-3]), Poly([0, 5, 1]), Poly([7, -1]))
+        a = MPoly.var("a")
+        t_mat = (1 + 2 * a, MPoly.const(-3), 5 * a + a * a, 7 - a)
         for u, v in itertools.product(self.POINTS, repeat=2):
             new = curve._pair_condition(t_mat, curve._value_poly(u, "a"),
                                         curve._value_poly(v, "a"))
