@@ -8,14 +8,14 @@ factorization, the multiplicative counting functions
     N3(j) = p/(p+1) for j in {0, r},  (p-1)/(p+1) else
 
 which control cusp counts and width distributions, 2x2 matrix products and
-adjugates, and the rings Z[t]/(t^d - c) for exact roots of unity and of -1.
+adjugates, and the rings Z[t]/(t^d - c) for exact roots of unity and of -1,
+whose elements keep only their nonzero terms.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, neg
 
 Mat = tuple[int, int, int, int]  # (a, b; c, d) as the flat tuple (a, b, c, d)
 
@@ -190,20 +190,19 @@ class ExactRing:
 
 
 class Cyclotomic(ExactRing):
-    """Element of Z[t]/(t^d - c), stored as a dense coefficient tuple.
+    """Element of Z[t]/(t^d - c), stored as its nonzero terms {power: coefficient}.
 
     c is a class attribute: 1 here, so t is a d-th root of unity; a subclass
     sets another integer (GaussRational: c = -1 on d = 2, so t = i).  One
     product rule serves every c: t^(d+k) = c*t^k.  Not a field when t^d - c
     factors, but enough to verify identities among such roots.  Immutable;
-    scalars (int, Fraction) coerce to constants and scale the coefficients
-    directly in a product, and a product by 1 is the operand.  Its own ring
-    is its class and d, and a product loops over the nonzero coefficient
-    pairs only.  Values of two rings (class or d) are equal only as the same
-    constant; arithmetic mixing them raises ValueError.
+    scalars (int, Fraction) coerce to constants and scale the terms directly
+    in a product, and a product by 1 is the operand.  Its own ring is its
+    class and d; each operation drops a coefficient that cancels.  Values of
+    two rings are equal only as the same constant; mixing them raises ValueError.
     """
 
-    __slots__ = ("d", "coeffs")
+    __slots__ = ("d", "terms")
     c = 1
 
     def __init__(self, d: int, coeffs):
@@ -211,22 +210,23 @@ class Cyclotomic(ExactRing):
         if d < 1 or len(coeffs) != d:
             raise ValueError(f"need d >= 1 and d coefficients, got d = {d} and {len(coeffs)}")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "terms", {k: a for k, a in enumerate(coeffs) if a})
+
+    # the dense view, t^0 first, computed on each read
+    coeffs = property(lambda self: tuple(self.terms.get(k, 0) for k in range(self.d)))
 
     @classmethod
     def scalar(cls, d: int, c) -> "Cyclotomic":
         if d < 1:
             raise ValueError(f"need d >= 1, got d = {d}")
-        return _of(cls, d, (c,) + (0,) * (d - 1))
+        return _of(cls, d, {0: c} if c else {})
 
     @classmethod
     def root(cls, d: int, k: int = 1) -> "Cyclotomic":
         """The basis element t^(k mod d): t^k itself when c = 1."""
         if d < 1:
             raise ValueError(f"need d >= 1, got d = {d}")
-        coeffs = [0] * d
-        coeffs[k % d] = 1
-        return _of(cls, d, tuple(coeffs))
+        return _of(cls, d, {k % d: 1})
 
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
@@ -242,10 +242,14 @@ class Cyclotomic(ExactRing):
         o = other if type(other) is type(self) and other.d == self.d else self._coerce(other)
         if o is None:
             return NotImplemented
-        return _of(type(self), self.d, tuple(map(add, self.coeffs, o.coeffs)))
+        out = self.terms.copy()
+        for k, x in o.terms.items():
+            if s := out.pop(k, 0) + x:  # a coefficient that cancels stays popped
+                out[k] = s
+        return _of(type(self), self.d, out)
 
     def __neg__(self):
-        return _of(type(self), self.d, tuple(map(neg, self.coeffs)))
+        return _of(type(self), self.d, {k: -a for k, a in self.terms.items()})
 
     def __mul__(self, other):
         if type(other) is type(self) and other.d == self.d:
@@ -253,53 +257,48 @@ class Cyclotomic(ExactRing):
         elif isinstance(other, (int, Fraction)):
             if other == 1:  # immutable, so the operand itself is the product
                 return self
-            return _of(type(self), self.d, tuple([a * other if a else 0 for a in self.coeffs]))
+            return _of(type(self), self.d, {k: a * other for k, a in self.terms.items() if other})
         elif (o := self._coerce(other)) is None:
             return NotImplemented
         # a*t^i times x*t^j lands at t^(i+j) while i + j < d; past the top,
         # the wrap t^(d+k) = c*t^k puts c*a*x at t^k
         d, c = self.d, self.c
-        nonzero = [(j, x) for j, x in enumerate(o.coeffs) if x]
-        out = [0] * d
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, x in nonzero:
-                    k = i + j
-                    if k < d:
-                        out[k] += a * x
-                    else:
-                        out[k - d] += c * a * x
-        return _of(type(self), d, tuple(out))
+        out = {}
+        for i, a in self.terms.items():
+            for j, x in o.terms.items():
+                k, ax = i + j, a * x
+                if k >= d:
+                    k, ax = k - d, c * ax
+                if s := out.pop(k, 0) + ax:
+                    out[k] = s
+        return _of(type(self), d, out)
 
     def __eq__(self, other):
         if type(other) is type(self) and self.d == other.d:
-            return self.coeffs == other.coeffs
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
+            return self.terms == ({0: other} if other else {})
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         # only constants are equal across rings
-        return not any(other.coeffs[1:]) and self == other.coeffs[0]
+        return other.terms.keys() <= {0} and self == other.terms.get(0, 0)
 
     def __hash__(self):
         # a constant equals its scalar, so it must hash like it
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.d, self.coeffs))
+        return hash(self.terms.get(0, 0) if self.terms.keys() <= {0} else (self.d, self.coeffs))
 
     def __repr__(self):
         return show_sum((a, ("t",) * i) for i, a in enumerate(self.coeffs))
 
 
-_set_d, _set_coeffs = Cyclotomic.d.__set__, Cyclotomic.coeffs.__set__
+_set_d, _set_terms = Cyclotomic.d.__set__, Cyclotomic.terms.__set__
 
 
-def _of(cls, d: int, coeffs: tuple) -> Cyclotomic:
-    """Wrap a tuple of exactly d coefficients as an element of cls, without
-    re-validation."""
+def _of(cls, d: int, terms: dict) -> Cyclotomic:
+    """Wrap a zero-free terms dict, powers in range(d), as cls, unvalidated."""
     out = object.__new__(cls)
     _set_d(out, d)
-    _set_coeffs(out, coeffs)
+    _set_terms(out, terms)
     return out
 
 

@@ -41,7 +41,7 @@ from functools import cache
 from math import prod
 from typing import NamedTuple
 
-from .arith import Cyclotomic
+from .arith import Cyclotomic, _of
 from .curve import holomorphic_basis, octic_family
 from .cusps import cusp_class_action, enumerate_cusps
 from .genus import euler_genus
@@ -160,8 +160,7 @@ def reduce_by_span(p: Quadric, forms: list[Quadric]) -> Quadric:
 
 def map_quadric(q: Quadric, f) -> Quadric:
     """Apply a ring map to every coefficient, dropping those that vanish."""
-    out = {k: f(c) for k, c in q.items()}
-    return {k: c for k, c in out.items() if not c == 0}
+    return {k: fc for k, c in q.items() if not (fc := f(c)) == 0}
 
 
 def sigma_matrix(a, eta3: Cyclotomic):
@@ -234,14 +233,14 @@ def _expect(cond: bool, step: str):
 def _at_root(mp: MPoly, j: int, step: str) -> Cyclotomic:
     """The ring map c33 -> t^j into Z[t]/(t^8 - 1), on an MPoly in c33 alone;
     any other term, one that holds a included, fails step.  At j = 1 its
-    kernel is (c33^8 - 1), so a zero image is vanishing modulo that octic.
-    Each term c33^k adds its coefficient at index j*k mod 8 of one list."""
-    out = [0] * 8
+    kernel is (c33^8 - 1), so a zero image is vanishing modulo that octic."""
+    out = {}
     for key, c in mp.terms.items():
         _expect(key.count("c33") == len(key), step)
-        k = j * len(key) % 8
-        out[k] = out[k] + c
-    return Cyclotomic(8, out)
+        k = j * len(key) % 8  # c33^n goes to t^(j*n mod 8); a cancelled power stays popped
+        if s := out.pop(k, 0) + c:
+            out[k] = s
+    return _of(Cyclotomic, 8, out)
 
 
 def elimination_solve() -> EliminationResult:

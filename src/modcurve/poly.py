@@ -78,8 +78,9 @@ class MPoly(ExactRing):
             return NotImplemented
         out = dict(self.terms)
         for key, c in o.terms.items():
-            out[key] = out[key] + c if key in out else c
-        return MPoly._canonical({k: c for k, c in out.items() if c})
+            if s := out.pop(key, 0) + c:
+                out[key] = s
+        return MPoly._canonical(out)
 
     def __neg__(self):
         return MPoly._canonical({k: -c for k, c in self.terms.items()})
@@ -101,8 +102,9 @@ class MPoly(ExactRing):
         for k1, c1 in self.terms.items():
             for k2, c2 in o.terms.items():
                 key = tuple(sorted(k1 + k2))
-                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
-        return MPoly._canonical({k: c for k, c in out.items() if c})
+                if s := out.pop(key, 0) + c1 * c2:
+                    out[key] = s
+        return MPoly._canonical(out)
 
     def __eq__(self, other):
         if isinstance(other, MPoly):

@@ -287,6 +287,10 @@ class TestGaussRational:
     def test_real_hashes_like_rational(self):
         assert GaussRational(5) == 5
         assert len({GaussRational(5), 5}) == 1
+        # a zero imaginary part, int or Fraction, is no term
+        half = GaussRational(Fraction(1, 2), Fraction(0))
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        assert half.terms == {0: Fraction(1, 2)}
 
     def test_exactness(self):
         z = GaussRational(Fraction(1, 3), Fraction(1, 2))
@@ -367,6 +371,12 @@ class TestExactRingLaws:
     def test_subtraction_and_reflected_operators(self, ring, data):
         x, y = data.draw(RINGS[ring]), data.draw(RINGS[ring])
         k = data.draw(SCALARS)
+        # every ring keeps only nonzero terms, from its dense or dict input on;
+        # equal values compare and hash alike
+        for v in (x, y, x + y, x - y, -x, x * y, x * k):
+            assert 0 not in v.terms.values(), v.terms
+        assert x - x == 0 and hash(x - x) == hash(0)
+        assert x * 0 == 0 and hash(x * 0) == hash(0)
         assert x - y == x + (-y)
         assert k - x == -(x - k)
         assert k + x == x + k

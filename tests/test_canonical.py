@@ -509,6 +509,7 @@ class TestAtRootReference:
     def test_c33_polynomials_match(self, mp, j):
         got, ref = _at_root(mp, j, "step"), at_root_reference(mp, j, "step")
         assert got == ref and got.coeffs == ref.coeffs
+        assert 0 not in got.terms.values()  # powers that cancel, or collide at j = 0, drop out
 
     @given(FOREIGN, st.integers(0, 7), st.sampled_from(["step", "Q3 remainder at (3, 4)"]))
     def test_step_names_match(self, mp, j, step):
