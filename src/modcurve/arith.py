@@ -146,15 +146,15 @@ def show_sum(terms) -> str:
 
 
 class ExactRing:
-    """Ring rules shared by the exact commutative rings (Cyclotomic and its
-    subclasses such as GaussRational, and poly.MPoly, each printed by
-    show_sum): immutability, subtraction, reflected operators and powers.
-
-    A subclass supplies _coerce (its own elements and the scalars it
-    accepts, else None), +, unary -, *, == and __hash__.  Its +, * and ==
-    take an operand of its own ring first, then a scalar (int, Fraction),
-    then _coerce; + and * serve as the reflected operators too, bound in
-    its own class dict so that they add no call frame.
+    """The exact-ring contract, checked on Cyclotomic (GaussRational too) and
+    poly.MPoly by tests/test_arith.py::TestExactRingLaws: no term is zero;
+    x == y, or x == s for a scalar s (int, Fraction), exactly when the
+    difference has no terms; equal values hash alike, a constant as its
+    scalar; x * c and c * x by a scalar or a ring constant are the product,
+    and x itself for the scalar 1.  Here: immutability, subtraction, reflected
+    operators and powers.  A subclass supplies _coerce (else None), +, unary
+    -, *, == and __hash__, each taking its own ring, then a scalar, then
+    _coerce; + and * double as reflected operators, bound in its class dict.
     """
 
     __slots__ = ()

@@ -339,17 +339,13 @@ def solve_branch_constant(c: SemiHyperellipticCurve,
         raise ValueError("no branch permutation matches the demanded swap")
 
     solutions: set[Fraction] = set()
+    src = [_value_poly(pt, sym) for pt in points]
+    m_src = _to_zero_one_inf(*src[:3])
     for perm in candidates:
-        src = [_value_poly(points[i], sym) for i in range(len(points))]
-        dst = [_value_poly(points[perm[i]], sym) for i in range(len(points))]
-        m_src = _to_zero_one_inf(*src[:3])
-        m_dst = _to_zero_one_inf(*dst[:3])
-        t_mat = mat_mul2(adj2(m_dst), m_src)
-        conditions = []
-        for i in range(3, len(points)):
-            cond = _pair_condition(t_mat, src[i], dst[i])
-            if cond != 0:
-                conditions.append(cond)
+        dst = [src[j] for j in perm]
+        t_mat = mat_mul2(adj2(_to_zero_one_inf(*dst[:3])), m_src)
+        conditions = [cond for z, w in zip(src[3:], dst[3:])
+                      if (cond := _pair_condition(t_mat, z, w)) != 0]
         if not conditions:
             continue  # the demand does not constrain the constant
         roots = None

@@ -95,9 +95,10 @@ class MPoly(ExactRing):
                                     if other else {})
         elif (o := self._coerce(other)) is None:
             return NotImplemented
-        for x, y in ((o, self), (self, o)):
-            if len(x.terms) == 1 and () in x.terms:  # a constant scales y's sorted keys
-                return y * x.terms[()]
+        if len(o.terms) == 1 and () in o.terms:  # a constant scales the other's sorted keys
+            return self * o.terms[()]
+        if len(self.terms) == 1 and () in self.terms:
+            return o * self.terms[()]
         out: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in o.terms.items():

@@ -7,11 +7,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
 
-from modcurve.arith import (Cyclotomic, GaussRational, GAUSS_I, check_step,
+from modcurve.arith import (Cyclotomic, ExactRing, GaussRational, GAUSS_I, check_step,
                             divisors, exact_int, factorize, is_prime, mult_n,
                             n3, solve_unit_congruence)
 from modcurve.poly import MPoly
@@ -38,30 +39,80 @@ def in_x(coeffs) -> MPoly:
     return MPoly({("x",) * i: c for i, c in enumerate(coeffs)})
 
 
-def elements(ring, d):
-    return st.lists(SCALARS, min_size=d, max_size=d).map(lambda v: ring(d, v))
-
-
-CYCLO8 = elements(Cyclotomic, 8)
-# one strategy per Z[t]/(t^d - c) ring, keyed by class
-QUOTIENTS = {
-    Cyclotomic: CYCLO8,
-    GaussRational: st.builds(GaussRational, SCALARS, SCALARS),
-    SqrtMinus3: elements(SqrtMinus3, 2),
-    CubeRoot2: elements(CubeRoot2, 3),
-}
-RINGS = {
-    **{ring.__name__: strategy for ring, strategy in QUOTIENTS.items()},
-    "Poly": st.lists(SCALARS, max_size=4).map(in_x),  # MPoly in one name, as curve builds it
-    "MPoly": st.dictionaries(st.sampled_from([(), ("c11",), ("c11", "c22"), ("a",), ("a", "c11")]),
-                             SCALARS, max_size=3).map(MPoly),
-}
-
-
 def retyped(coeffs):
     """The same values with int and integral Fraction swapped."""
     return [Fraction(c) if isinstance(c, int)
             else int(c) if c.denominator == 1 else c for c in coeffs]
+
+
+def dense(ring, d, coeffs):
+    """The element of ring with these coefficients, typed as given: built by
+    Cyclotomic's constructor, which GaussRational's own (re, im) replaces."""
+    x = object.__new__(ring)
+    Cyclotomic.__init__(x, d, coeffs)
+    return x
+
+
+def reduced_product(x, y):
+    """Reference product in Z[t]/(t^d - c): the polynomial product of the
+    coefficient lists, then t^k -> c * t^(k - d) from the top down."""
+    full = (in_x(x.coeffs) * in_x(y.coeffs)).coefficients("x")
+    for k in range(len(full) - 1, x.d - 1, -1):
+        full[k - x.d] += x.c * full.pop()
+    return full + [0] * (x.d - len(full))
+
+
+def product_by_definition(x: MPoly, y: MPoly) -> MPoly:
+    """The schoolbook product of the terms; the constructor sorts each key,
+    merges the keys equal up to order and drops the zeros."""
+    out = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return MPoly(out)
+
+
+class Ring(NamedTuple):
+    """A RINGS entry: its values, the constant of a scalar, a value with its
+    int and integral Fraction coefficients swapped, and a reference product."""
+
+    values: st.SearchStrategy
+    const: Callable
+    retyped: Callable
+    product: Callable
+
+
+def quotient(ring, d, values=None) -> Ring:
+    """Z[t]/(t^d - c) for the class ring."""
+    if values is None:
+        values = st.lists(SCALARS, min_size=d, max_size=d).map(lambda v: ring(d, v))
+    return Ring(values, functools.partial(ring.scalar, d),
+                lambda x: dense(ring, d, retyped(x.coeffs)),
+                lambda x, y: dense(ring, d, reduced_product(x, y)))
+
+
+def polys(values) -> Ring:
+    return Ring(values, MPoly.const,
+                lambda x: MPoly(dict(zip(x.terms, retyped(x.terms.values())))),
+                product_by_definition)
+
+
+# MPoly keys as the elimination draws them: unsorted, with a repeated name,
+# and with a among the matrix entries
+MONOMIALS = [(), ("a",), ("c11",), ("c11", "c22"), ("c22", "c11"), ("c33",) * 3,
+             ("a", "c11"), ("c11", "a"), ("a", "a", "c33")]
+QUOTIENTS = [Cyclotomic, GaussRational, SqrtMinus3, CubeRoot2]
+# every exact ring, and the rings the tests build on Cyclotomic's rule
+RINGS = {
+    "Cyclotomic": quotient(Cyclotomic, 8),
+    "GaussRational": quotient(GaussRational, 2, st.builds(GaussRational, SCALARS, SCALARS)),
+    "SqrtMinus3": quotient(SqrtMinus3, 2),
+    "CubeRoot2": quotient(CubeRoot2, 3),
+    # MPoly in one name, as curve builds it
+    "MPoly-x": polys(st.lists(st.one_of(SCALARS, st.just(0)), max_size=5).map(in_x)),
+    "MPoly": polys(st.dictionaries(st.sampled_from(MONOMIALS), SCALARS, max_size=3).map(MPoly)),
+}
+CYCLO8 = RINGS["Cyclotomic"].values
 
 
 class TestUnitCongruence:
@@ -216,41 +267,6 @@ class TestCyclotomic:
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
 
-    def test_constant_hashes_like_scalar(self):
-        assert Cyclotomic.scalar(8, 3) == 3
-        assert len({Cyclotomic.scalar(8, 3), 3}) == 1
-
-    # the fast equality, zero and scalar paths against their definitions,
-    # over mixed int and Fraction coefficients
-    @given(CYCLO8, CYCLO8, st.booleans())
-    def test_eq_is_zero_difference(self, x, y, same):
-        if same:
-            y = Cyclotomic(8, retyped(x.coeffs))
-        assert (x == y) == all(c == 0 for c in (x - y).coeffs)
-        assert (x == y) == (y == x)
-        if x == y:
-            assert hash(x) == hash(y)
-
-    @given(CYCLO8, SCALARS, st.booleans())
-    def test_eq_scalar_is_definition(self, x, s, same):
-        if same:
-            x = Cyclotomic(8, retyped([s] + [0] * 7))
-        assert (x == s) == all(c == 0 for c in (x - s).coeffs)
-        assert (x == 0) == all(c == 0 for c in x.coeffs)
-        if x == s:
-            assert hash(x) == hash(s)
-
-    @given(CYCLO8, SCALARS)
-    def test_scalar_product_is_definition(self, x, s):
-        assert (x * s).coeffs == (x * Cyclotomic.scalar(8, s)).coeffs
-        assert (s * x).coeffs == (Cyclotomic.scalar(8, s) * x).coeffs
-
-    @given(CYCLO8, st.sampled_from([1, Fraction(1)]))
-    def test_product_by_one_is_the_operand(self, x, one):
-        general = x * Cyclotomic.scalar(8, one)
-        assert x * one is x and one * x is x
-        assert (x * one).coeffs == general.coeffs
-
     def test_equality_across_moduli(self):
         assert len({Cyclotomic.scalar(8, 1), Cyclotomic.scalar(4, 1)}) == 1
         assert Cyclotomic.root(8, 1) != Cyclotomic.root(4, 1)
@@ -297,15 +313,6 @@ class TestGaussRational:
         assert z * 6 == GaussRational(2, 3)
 
 
-def reduced_product(x, y):
-    """Reference product in Z[t]/(t^d - c): the polynomial product of the
-    coefficient lists, then t^k -> c * t^(k - d) from the top down."""
-    full = (in_x(x.coeffs) * in_x(y.coeffs)).coefficients("x")
-    for k in range(len(full) - 1, x.d - 1, -1):
-        full[k - x.d] += x.c * full.pop()
-    return full + [0] * (x.d - len(full))
-
-
 class TestRingRule:
     def test_roots_of_c(self):
         s = SqrtMinus3.root(2)
@@ -319,7 +326,7 @@ class TestRingRule:
     @pytest.mark.parametrize("ring", QUOTIENTS, ids=lambda ring: ring.__name__)
     @given(data=st.data())
     def test_product_is_reduced_polynomial_product(self, ring, data):
-        x, y = data.draw(QUOTIENTS[ring]), data.draw(QUOTIENTS[ring])
+        x, y = (data.draw(RINGS[ring.__name__].values) for _ in range(2))
         product = x * y
         assert type(product) is ring
         assert list(product.coeffs) == reduced_product(x, y)
@@ -338,8 +345,8 @@ class TestRingRule:
 
     @given(data=st.data())
     def test_eq_across_rings_agrees_with_hash(self, data):
-        r1, r2 = data.draw(st.permutations(list(QUOTIENTS)))[:2]
-        x, y = data.draw(QUOTIENTS[r1]), data.draw(QUOTIENTS[r2])
+        r1, r2 = data.draw(st.permutations(QUOTIENTS))[:2]
+        x, y = data.draw(RINGS[r1.__name__].values), data.draw(RINGS[r2.__name__].values)
         if data.draw(st.booleans()):
             x, y = r1.scalar(x.d, x.coeffs[0]), r2.scalar(y.d, x.coeffs[0])
         both_constant = not any(x.coeffs[1:]) and not any(y.coeffs[1:])
@@ -364,12 +371,25 @@ class TestRingRule:
                 op(x, y)
 
 
-# the rules arith.ExactRing states once, checked on every ring that uses them
+def subclass_tree(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclass_tree(sub)
+
+
+def test_rings_cover_every_exact_ring():
+    library = {cls for cls in subclass_tree(ExactRing) if cls.__module__.startswith("modcurve.")}
+    assert set(ExactRing.__subclasses__()) == {Cyclotomic, MPoly}
+    assert library == {Cyclotomic, GaussRational, MPoly}
+    assert library <= {type(ring.const(2)) for ring in RINGS.values()}
+
+
+# the contract arith.ExactRing states once, checked on every ring that keeps it
 @pytest.mark.parametrize("ring", sorted(RINGS))
 class TestExactRingLaws:
     @given(data=st.data())
     def test_subtraction_and_reflected_operators(self, ring, data):
-        x, y = data.draw(RINGS[ring]), data.draw(RINGS[ring])
+        x, y = data.draw(RINGS[ring].values), data.draw(RINGS[ring].values)
         k = data.draw(SCALARS)
         # every ring keeps only nonzero terms, from its dense or dict input on;
         # equal values compare and hash alike
@@ -382,9 +402,45 @@ class TestExactRingLaws:
         assert k + x == x + k
         assert k * x == x * k
 
+    # the fast equality, zero and hash paths against their definitions, over
+    # mixed int and Fraction coefficients
+    @given(data=st.data(), same=st.booleans())
+    def test_eq_is_zero_difference(self, ring, data, same):
+        x = data.draw(RINGS[ring].values)
+        y = RINGS[ring].retyped(x) if same else data.draw(RINGS[ring].values)
+        assert (x == y) == (not (x - y).terms)
+        assert (x == y) == (y == x)
+        if x == y:
+            assert hash(x) == hash(y)
+
+    @given(data=st.data(), s=SCALARS, same=st.booleans())
+    def test_eq_scalar_is_zero_difference(self, ring, data, s, same):
+        r = RINGS[ring]
+        x = r.retyped(r.const(s)) if same else data.draw(r.values)
+        assert (x == s) == (not (x - s).terms)
+        assert (x == 0) == (not x.terms)
+        if x == s:
+            assert hash(x) == hash(s)
+        # a constant, however its coefficient is typed, is one set element with its scalar
+        for k in (0, 3, Fraction(3), Fraction(1, 2)):
+            assert len({r.const(k), r.retyped(r.const(k)), k}) == 1
+
+    # the scalar and constant-operand paths against the reference product
+    @given(data=st.data(), s=st.one_of(st.sampled_from([0, 1, Fraction(0), Fraction(1)]), SCALARS))
+    def test_constant_product_is_the_reference(self, ring, data, s):
+        r = RINGS[ring]
+        x = data.draw(r.values)
+        expected = r.product(x, r.const(s))
+        for c in (s, r.const(s)):
+            for got in (x * c, c * x):
+                assert got.terms == expected.terms
+                assert 0 not in got.terms.values()
+        if s == 1:
+            assert x * s is x and s * x is x
+
     @given(data=st.data(), n=st.integers(0, 9))
     def test_power_is_repeated_product(self, ring, data, n):
-        x = data.draw(RINGS[ring])
+        x = data.draw(RINGS[ring].values)
         product = 1
         for _ in range(n):
             product = product * x
@@ -392,7 +448,7 @@ class TestExactRingLaws:
 
     @given(data=st.data())
     def test_negative_power_and_mutation_raise(self, ring, data):
-        x = data.draw(RINGS[ring])
+        x = data.draw(RINGS[ring].values)
         with pytest.raises(ValueError):
             x ** -1
         with pytest.raises(AttributeError):
@@ -414,7 +470,7 @@ def printed_ring(ring: str) -> tuple:
     a_powers = [(), ("a",), ("a", "a")]
     entries = [(), ("c11",), ("c11", "c22"), ("c33",) * 3, ("c11", "c11", "c22")]
     return {
-        "Poly": (RINGS["Poly"], {"x": MPoly.var("x")}),
+        "MPoly-x": (RINGS["MPoly-x"].values, {"x": MPoly.var("x")}),
         "Cyclotomic": (CYCLO8, {"t": Cyclotomic.root(8, 1)}),
         "MPoly": (st.dictionaries(st.sampled_from([a + e for a in a_powers for e in entries]),
                                   SCALARS, max_size=6).map(MPoly),
@@ -423,7 +479,7 @@ def printed_ring(ring: str) -> tuple:
 
 
 class TestPrinter:
-    @pytest.mark.parametrize("ring", ["Cyclotomic", "MPoly", "Poly"])
+    @pytest.mark.parametrize("ring", ["Cyclotomic", "MPoly", "MPoly-x"])
     @given(data=st.data())
     def test_printed_text_reads_back_as_the_value(self, ring, data):
         strategy, names = printed_ring(ring)

@@ -23,6 +23,7 @@ from modcurve.canonical import (EliminationError, _at_root, _expect,
 from modcurve.cli import main
 from modcurve.curve import holomorphic_basis, octic_family, order_vector
 from modcurve.poly import MPoly
+from test_arith import SCALARS
 
 
 def apply_matrix(m, pt) -> tuple:
@@ -38,37 +39,11 @@ def mat_mul5(m1, m2):
                        for j in range(5)) for i in range(5))
 
 
-SCALARS = st.one_of(st.integers(-3, 3),
-                    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
-MONOS = st.sampled_from([(), ("c11",), ("c11", "c22"), ("c22", "c11"), ("c33",) * 3,
-                         ("a",), ("c11", "a"), ("a", "a", "c33")])
-MPOLYS = st.dictionaries(MONOS, SCALARS, max_size=3).map(MPoly)
-
-
 @functools.cache
 def var(name: str) -> MPoly:
     """MPoly.var(name), built on first use, so that a broken MPoly fails the
     tests that read it, not the collection of this file."""
     return MPoly.var(name)
-
-
-def retyped(m: MPoly) -> MPoly:
-    """The same polynomial with int and integral Fraction coefficients swapped."""
-    return MPoly({k: Fraction(c) if isinstance(c, int) else int(c) if c.denominator == 1 else c
-                  for k, c in m.terms.items()})
-
-
-def coefficients(m: MPoly) -> list:
-    return list(m.terms.values())
-
-
-def subs_by_definition(m: MPoly, name: str, value: MPoly) -> MPoly:
-    """Term by term: each name^k becomes value^k."""
-    out = MPoly({})
-    for key, c in m.terms.items():
-        rest = tuple(k for k in key if k != name)
-        out = out + MPoly({rest: c}) * value ** key.count(name)
-    return out
 
 
 def pullback_by_definition(q, m) -> dict:
@@ -524,109 +499,6 @@ class TestCrossChecks:
         assert report["projective_center_trivial"]
         assert report["central_involution_quotient_genus"] == 3
         assert not report["hyperelliptic"]
-
-
-class TestMPoly:
-    # the constants are the int and Fraction scalars; a is the variable "a",
-    # so a Gaussian rational is no MPoly operand
-    def test_constant_hashes_like_its_scalar(self):
-        assert MPoly.const(3) == 3 and hash(MPoly.const(3)) == hash(3)
-        assert MPoly({}) == 0 and hash(MPoly({})) == hash(0)
-        half = Fraction(1, 2)
-        assert MPoly.const(half) == half and hash(MPoly.const(half)) == hash(half)
-        assert len({MPoly.const(3), Fraction(3), 3, MPoly({(): Fraction(3)})}) == 1
-        with pytest.raises(TypeError):
-            MPoly.var("a") + GAUSS_I
-
-    # sorted as a sequence, the string "c11" would become the monomial ('1', '1', 'c')
-    @pytest.mark.parametrize("key", ["c11", ("c11", 1), 5])
-    def test_key_is_a_tuple_of_names(self, key):
-        with pytest.raises(TypeError, match="tuple of names"):
-            MPoly({key: 1})
-
-    def test_keys_equal_up_to_order_add_up(self):
-        m = MPoly({("c11", "c22"): 1, ("c22", "c11"): Fraction(1, 2)})
-        assert m.terms == {("c11", "c22"): Fraction(3, 2)}
-        assert MPoly({("c22", "c11"): 2, ("c11", "c22"): -2}) == 0
-
-    # the fast equality and zero paths and the canonical-dict results
-    # against their definitions, over mixed int and Fraction coefficients
-    @given(MPOLYS, MPOLYS, st.booleans())
-    def test_eq_is_zero_difference(self, x, y, same):
-        if same:
-            y = retyped(x)
-        assert (x == y) == all(c == 0 for c in coefficients(x - y))
-        assert (x == y) == (y == x)
-        if x == y:
-            assert hash(x) == hash(y)
-
-    @given(MPOLYS, SCALARS, st.booleans())
-    def test_eq_constant_is_definition(self, x, c, same):
-        if same:
-            x = retyped(MPoly.const(c))
-        assert (x == c) == all(v == 0 for v in coefficients(x - c))
-        assert (x == 0) == (not x.terms or all(v == 0 for v in coefficients(x)))
-        if x == c:
-            assert hash(x) == hash(c)
-
-    @given(MPOLYS, MPOLYS)
-    def test_results_are_canonical(self, x, y):
-        for r in (x + y, x - y, x * y, -x, x ** 2):
-            assert all(list(k) == sorted(k) for k in r.terms)
-            assert all(type(c) in (int, Fraction) and c != 0 for c in r.terms.values())
-            assert r.terms == MPoly(dict(r.terms)).terms
-
-    # the scalar path scales each coefficient; it must give the product by
-    # MPoly.const, stay canonical, and return the operand itself for 1
-    @given(MPOLYS, st.one_of(st.sampled_from([0, 1, Fraction(0), Fraction(1)]), SCALARS))
-    def test_scalar_product_is_the_const_product(self, x, s):
-        general = x * MPoly.const(s)
-        for got in (x * s, s * x):
-            assert got == general and got.terms == general.terms
-            assert all(list(k) == sorted(k) for k in got.terms)
-            assert all(c != 0 for c in got.terms.values())
-        if s == 1:
-            assert x * s is x and s * x is x
-
-    @given(MPOLYS, MPOLYS, st.sampled_from(["a", "c11", "c22", "c33"]), MPOLYS)
-    def test_subs_is_ring_map(self, x, y, name, value):
-        def s(p):
-            return p.subs(name, value)
-        assert s(x + y) == s(x) + s(y)
-        assert s(x * y) == s(x) * s(y)
-        assert s(MPoly.const(1)) == 1
-        assert s(x) == subs_by_definition(x, name, value)
-        assert s(x).terms == MPoly(dict(s(x).terms)).terms
-
-    @given(MPOLYS, st.sampled_from(["a", "c11", "c22", "c33"]))
-    def test_subs_zero_drops_the_name(self, x, name):
-        dropped = MPoly({k: c for k, c in x.terms.items() if name not in k})
-        assert x.subs(name, MPoly({})) == dropped
-        assert x.subs(name, MPoly.const(Fraction(0))) == dropped
-
-    # the root a enters as the elimination puts it in, an integral Fraction as
-    # an int: the same polynomial, with the same hash, as evaluating with
-    # Fraction arithmetic, and int-valued wherever every coefficient is an int
-    @given(MPOLYS, st.integers(-3, 3))
-    def test_subs_a_at_an_integral_fraction(self, x, k):
-        got = x.subs("a", MPoly.const(canonical._as_int(Fraction(k))))
-        ref = {}
-        for key, c in x.terms.items():
-            rest = tuple(n for n in key if n != "a")
-            ref[rest] = ref.get(rest, 0) + Fraction(c) * Fraction(k) ** key.count("a")
-        ref = MPoly(ref)
-        assert got == ref and got.terms == ref.terms and hash(got) == hash(ref)
-        assert got.terms == MPoly(dict(got.terms)).terms
-        if all(isinstance(c, int) for c in coefficients(x)):
-            assert all(isinstance(c, int) for c in coefficients(got))
-
-    @given(MPOLYS, MPOLYS, SCALARS)
-    def test_subs_a_is_ring_map(self, x, y, a):
-        def s(p):
-            return p.subs("a", MPoly.const(a))
-        assert s(x + y) == s(x) + s(y)
-        assert s(x * y) == s(x) * s(y)
-        assert not any("a" in k for k in s(x).terms)
 
 
 @functools.cache

@@ -1,10 +1,11 @@
 """The committed mutant list stays applicable as src/ changes: each old
 string occurs exactly once in its file, or at least k times where the file is
-written file#k, and each named test file exists.
+written file#k, and each named test file exists and defines each named test.
 tools/mutants.py runs the list itself; its four verdicts are checked here
 on one mutant each, and the collects marker against a run that stops at
 collection."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -20,6 +21,20 @@ def load_runner():
     return module
 
 
+def defines(test: str) -> bool:
+    """Whether the file of a node id file::Class::test defines that class and
+    test, read from its syntax tree; a parameter id [...] is ignored."""
+    file, *names = test.split("[")[0].split("::")
+    body = ast.parse((ROOT / file).read_text()).body
+    for name in names:
+        node = next((n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                     and n.name == name), None)
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
 def test_every_listed_mutant_applies_once():
     runner = load_runner()
     mutants = runner.read_list(ROOT / "tests" / "data" / "mutants.txt")
@@ -32,6 +47,19 @@ def test_every_listed_mutant_applies_once():
             # every mutated copy and so would kill any mutant
             path = ROOT / test.split("::")[0]
             assert path.is_file() and path.resolve() != Path(__file__).resolve(), test
+            # a moved test would leave pytest nothing to run: exit 2, malformed
+            assert defines(test), test
+
+
+@pytest.mark.parametrize("test, found", [
+    ("tests/test_mutants.py", True),
+    ("tests/test_mutants.py::test_the_kth_occurrence_is_replaced", True),
+    ("tests/test_arith.py::TestExactRingLaws::test_eq_is_zero_difference[MPoly]", True),
+    ("tests/test_arith.py::TestExactRingLaws::test_rings_cover_every_exact_ring", False),
+    ("tests/test_arith.py::test_eq_is_zero_difference", False),
+])
+def test_a_named_test_is_looked_up_by_class_and_name(test, found):
+    assert defines(test) == found
 
 
 def test_a_string_that_is_not_unique_is_rejected(tmp_path, capsys):

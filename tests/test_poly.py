@@ -5,81 +5,88 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modcurve import poly
-from modcurve.arith import GAUSS_I, Cyclotomic, ExactRing
+from modcurve.arith import GAUSS_I, Cyclotomic
+from modcurve.canonical import _as_int
 from modcurve.poly import MPoly, rational_roots
+from test_arith import RINGS, SCALARS, in_x
 
-SCALARS = st.one_of(st.integers(-3, 3),
-                    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
-
-
-def in_x(coeffs) -> MPoly:
-    """sum(coeffs[i] * x^i) as an MPoly in the one name x."""
-    return MPoly({("x",) * i: c for i, c in enumerate(coeffs)})
+MPOLYS = RINGS["MPoly"].values
+NAMES = st.sampled_from(["a", "c11", "c22", "c33"])
 
 
-POLYS = st.lists(st.one_of(SCALARS, st.just(0)), max_size=5).map(in_x)
+def subs_by_definition(m: MPoly, name: str, value: MPoly) -> MPoly:
+    """Term by term: each name^k becomes value^k."""
+    out = MPoly({})
+    for key, c in m.terms.items():
+        rest = tuple(k for k in key if k != name)
+        out = out + MPoly({rest: c}) * value ** key.count(name)
+    return out
 
 
-def retyped(coeffs):
-    """The same values with int and integral Fraction swapped."""
-    return [Fraction(c) if isinstance(c, int)
-            else int(c) if c.denominator == 1 else c for c in coeffs]
+# the MPoly rules beyond arith.ExactRing's contract, which test_arith's
+# TestExactRingLaws checks on every ring
+class TestMPoly:
+    # sorted as a sequence, the string "c11" would become the monomial ('1', '1', 'c')
+    @pytest.mark.parametrize("key", ["c11", ("c11", 1), 5])
+    def test_key_is_a_tuple_of_names(self, key):
+        with pytest.raises(TypeError, match="tuple of names"):
+            MPoly({key: 1})
 
+    def test_keys_equal_up_to_order_add_up(self):
+        m = MPoly({("c11", "c22"): 1, ("c22", "c11"): Fraction(1, 2)})
+        assert m.terms == {("c11", "c22"): Fraction(3, 2)}
+        assert MPoly({("c22", "c11"): 2, ("c11", "c22"): -2}) == 0
 
-class TestHash:
-    def test_constant_hashes_like_scalar(self):
-        assert in_x([3]) == 3
-        assert len({in_x([3]), 3}) == 1
+    # the canonical-dict results: sorted keys, nonzero int or Fraction coefficients
+    @given(MPOLYS, MPOLYS)
+    def test_results_are_canonical(self, x, y):
+        for r in (x + y, x - y, x * y, -x, x ** 2):
+            assert all(list(k) == sorted(k) for k in r.terms)
+            assert all(type(c) in (int, Fraction) and c != 0 for c in r.terms.values())
+            assert r.terms == MPoly(dict(r.terms)).terms
 
-    def test_zero(self):
-        assert len({in_x([]), in_x([0]), 0}) == 1
+    # a constant operand takes the scalar product, so the product by
+    # MPoly.const(1) is the other operand itself, unless that one is a constant
+    @given(MPOLYS)
+    def test_product_by_constant_one_is_the_operand(self, x):
+        one = MPoly.const(1)
+        assert x * one is x
+        if x.terms.keys() - {()}:
+            assert one * x is x
 
+    @given(MPOLYS, MPOLYS, NAMES, st.one_of(MPOLYS, SCALARS.map(MPoly.const)))
+    def test_subs_is_ring_map(self, x, y, name, value):
+        def s(p):
+            return p.subs(name, value)
+        assert s(x + y) == s(x) + s(y)
+        assert s(x * y) == s(x) * s(y)
+        assert s(MPoly.const(1)) == 1
+        assert s(x) == subs_by_definition(x, name, value)
+        assert s(x).terms == MPoly(dict(s(x).terms)).terms
+        if not any(name in k for k in value.terms):
+            assert not any(name in k for k in s(x).terms)
 
-class TestEqualityFastPaths:
-    @given(POLYS, POLYS, st.booleans())
-    def test_eq_is_zero_difference(self, x, y, same):
-        if same:
-            y = in_x(retyped(x.coefficients("x")) + [0])
-        assert (x == y) == all(c == 0 for c in (x - y).coefficients("x"))
-        assert (x == y) == (y == x)
-        if x == y:
-            assert hash(x) == hash(y)
+    @given(MPOLYS, NAMES)
+    def test_subs_zero_drops_the_name(self, x, name):
+        dropped = MPoly({k: c for k, c in x.terms.items() if name not in k})
+        assert x.subs(name, MPoly({})) == dropped
+        assert x.subs(name, MPoly.const(Fraction(0))) == dropped
 
-    @given(POLYS, SCALARS, st.booleans())
-    def test_eq_scalar_is_definition(self, x, s, same):
-        if same:
-            x = in_x(retyped([s]))
-        assert (x == s) == all(c == 0 for c in (x - s).coefficients("x"))
-        assert (x == 0) == all(c == 0 for c in x.coefficients("x"))
-        if x == s:
-            assert hash(x) == hash(s)
-
-
-def product_by_definition(x: MPoly, y: MPoly) -> MPoly:
-    """The schoolbook convolution of the coefficient lists, through the constructor."""
-    xs, ys = x.coefficients("x"), y.coefficients("x")
-    out = [0] * (len(xs) + len(ys))
-    for i, a in enumerate(xs):
-        for j, b in enumerate(ys):
-            out[i + j] = out[i + j] + a * b
-    return in_x(out)
-
-
-CONSTANTS = st.one_of(SCALARS, SCALARS.map(MPoly.const))
-
-
-class TestConstantOperand:
-    # the constant-operand path scales the coefficients; it must give the
-    # schoolbook product, with no zero coefficient left in its terms
-    @given(POLYS, CONSTANTS)
-    def test_constant_on_either_side_is_the_product(self, x, c):
-        poly_c = c if isinstance(c, MPoly) else MPoly.const(c)
-        expected = product_by_definition(x, poly_c)
-        for got in (x * c, c * x):
-            assert got == expected
-            assert 0 not in got.terms.values()
-            if poly_c == 1 and x.degree("x") > 0:
-                assert got is x
+    # the root a enters as the elimination puts it in, an integral Fraction as
+    # an int: the same polynomial, with the same hash, as evaluating with
+    # Fraction arithmetic, and int-valued wherever every coefficient is an int
+    @given(MPOLYS, st.integers(-3, 3))
+    def test_subs_a_at_an_integral_fraction(self, x, k):
+        got = x.subs("a", MPoly.const(_as_int(Fraction(k))))
+        ref = {}
+        for key, c in x.terms.items():
+            rest = tuple(n for n in key if n != "a")
+            ref[rest] = ref.get(rest, 0) + Fraction(c) * Fraction(k) ** key.count("a")
+        ref = MPoly(ref)
+        assert got == ref and got.terms == ref.terms and hash(got) == hash(ref)
+        assert got.terms == MPoly(dict(got.terms)).terms
+        if all(isinstance(c, int) for c in x.terms.values()):
+            assert all(isinstance(c, int) for c in got.terms.values())
 
 
 class TestDegreeAndCoefficients:
@@ -106,6 +113,8 @@ class TestCoefficientRule:
             MPoly({("a",): c})
         with pytest.raises(TypeError, match="a coefficient is an int or a Fraction"):
             MPoly.const(c)
+        with pytest.raises(TypeError):  # nor an operand: a is the variable "a"
+            MPoly.var("a") + c
 
     def test_rationals_stay_as_they_are(self):
         half = Fraction(1, 2)
@@ -114,9 +123,6 @@ class TestCoefficientRule:
 
 
 class TestOneRing:
-    def test_exact_rings(self):
-        assert set(ExactRing.__subclasses__()) == {Cyclotomic, MPoly}
-
     def test_placeholder_owns_nothing(self):
         class Empty:
             """A docstring."""
