@@ -267,6 +267,30 @@ class TestCyclotomic:
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
 
+    # worked examples of arith.ExactRing's rules in Z[t]/(t^8 - 1); the
+    # properties run on every ring in TestExactRingLaws
+    def test_constant_hashes_like_scalar(self):
+        assert Cyclotomic.scalar(8, 3) == 3
+        assert len({Cyclotomic.scalar(8, 3), 3}) == 1
+
+    def test_eq_scalar_is_definition(self):
+        t = Cyclotomic.root(8)
+        assert t ** 8 == 1 and not (t ** 8 - 1).terms
+        assert Cyclotomic(8, [Fraction(3)] + [0] * 7) == 3 == Cyclotomic(8, [3] + [0] * 7)
+        assert t != 1 and (t - 1).terms == {0: -1, 1: 1}
+        assert t - t == 0 and not (t - t).terms
+
+    def test_scalar_product_is_definition(self):
+        x = 1 + Fraction(1, 2) * Cyclotomic.root(8, 7)
+        for got in (x * 2, 2 * x, x * Cyclotomic.scalar(8, 2)):
+            assert got.terms == {0: 2, 7: 1}
+        assert not (x * 0).terms and not (Fraction(0) * x).terms
+
+    def test_product_by_one_is_the_operand(self):
+        x = Cyclotomic.root(8) + Fraction(1, 2)
+        for one in (1, Fraction(1)):
+            assert x * one is x and one * x is x
+
     def test_equality_across_moduli(self):
         assert len({Cyclotomic.scalar(8, 1), Cyclotomic.scalar(4, 1)}) == 1
         assert Cyclotomic.root(8, 1) != Cyclotomic.root(4, 1)

@@ -501,6 +501,45 @@ class TestCrossChecks:
         assert not report["hyperelliptic"]
 
 
+# MPoly as the elimination uses it: a and the matrix entries are its names,
+# the int and Fraction scalars its constants; the rules themselves are
+# test_poly's TestMPoly and test_arith's TestExactRingLaws
+class TestMPoly:
+    def test_constant_hashes_like_its_scalar(self):
+        assert MPoly.const(3) == 3 and hash(MPoly.const(3)) == hash(3)
+        assert MPoly({}) == 0 and hash(MPoly({})) == hash(0)
+        half = Fraction(1, 2)
+        assert MPoly.const(half) == half and hash(MPoly.const(half)) == hash(half)
+        assert len({MPoly.const(3), Fraction(3), 3, MPoly({(): Fraction(3)})}) == 1
+
+    # the linear stage's c45 = a - 1, at a few values of a
+    def test_eq_constant_is_definition(self):
+        c45 = dict(elimination_order()[0])["c45"]
+        assert c45 != -1 and (c45 + 1).terms == {("a",): 1}
+        for a in (1, Fraction(1), Fraction(-1), Fraction(3, 2)):
+            at_a = c45.subs("a", MPoly.const(a))
+            assert at_a == a - 1 and not (at_a - (a - 1)).terms
+            assert (at_a == 0) == (a == 1) == (not at_a.terms)
+
+    # the solved c22 = c33^2 and c11 = -c33^4, with c33 replaced
+    def test_subs_is_ring_map(self):
+        solved = dict(elimination_order()[1])
+        c11, c22 = solved["c11"], solved["c22"]
+        for value in (MPoly.const(Fraction(1, 2)), var("a") - 1, var("c33") + 1):
+            s11, s22 = c11.subs("c33", value), c22.subs("c33", value)
+            assert (c11 + c22).subs("c33", value) == s11 + s22
+            assert (c11 * c22).subs("c33", value) == s11 * s22
+            assert s11 == -s22 ** 2
+
+    # the residuals with the symbolic a, at a value of a, are those built at it
+    def test_subs_a_is_ring_map(self):
+        point = as_polys((var("c11"), 1, Fraction(1, 2), var("c33"), -2))
+        for a in (-1, Fraction(1, 2), 3):
+            at_a = [r.subs("a", MPoly.const(a)) for r in quadric_residuals(var("a"), point)]
+            assert at_a == list(quadric_residuals(a, point))
+            assert not any("a" in k for r in at_a for k in r.terms)
+
+
 @functools.cache
 def elimination_order() -> tuple[list, list]:
     """The elimination's assignments in order, as (entry, value): the linear

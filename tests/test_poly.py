@@ -89,6 +89,24 @@ class TestMPoly:
             assert all(isinstance(c, int) for c in got.terms.values())
 
 
+# worked examples of arith.ExactRing's rules on polynomials in x, as curve
+# builds them; the properties run on every ring in TestExactRingLaws
+class TestHash:
+    def test_constant_hashes_like_scalar(self):
+        assert in_x([3]) == 3
+        assert len({in_x([3]), 3}) == 1
+
+    def test_zero(self):
+        assert len({in_x([]), in_x([0]), 0}) == 1
+
+
+class TestEqualityFastPaths:
+    def test_eq_scalar_is_definition(self):
+        assert in_x([Fraction(2), 0]) == 2 and not (in_x([Fraction(2)]) - 2).terms
+        assert in_x([1, 1]) != 1 and (in_x([1, 1]) - 1).terms == {("x",): 1}
+        assert in_x([0, 0]) == 0 and not in_x([0, 0]).terms
+
+
 class TestDegreeAndCoefficients:
     def test_read_by_name(self):
         p = MPoly({("a", "c11"): 2, ("a", "a", "a"): Fraction(1, 3), ("c11",): -1})
