@@ -9,9 +9,12 @@ constructively here (witness search) and numerically (class counts).
 
 Each level's classes are generated once, directly, under an eight-entry
 cache.  enumerate_cusps hands out the cached tuple itself; tau_orbits reads
-it, takes each class with n*z = 0 (mod q) as a fixed one-class orbit without
-a walk, and visits every other class once, carrying the step n*z, negated
-with the fold.
+it and takes each class with n*z = 0 (mod q) as a fixed one-class orbit.
+Every other orbit comes from the cycles of T = (1, 1; 0, 1) on the classes,
+walked once per level under a second eight-entry cache: T^n acts on the
+classes as the n-th power of T's permutation, so an L-cycle splits into
+gcd(n, L) stride slices.  The orbit oracle thus reads no width or h_n
+formula, the closed forms it is checked against.
 
 The width of x/z for the intermediate group of level q and step n is
 q / gcd(q/n, z) once q >= 5; below that only the brute-force congruence
@@ -172,35 +175,53 @@ def h_n_formula(q: int, n: int) -> int:
                      f"cusp count for (q, n) = ({q}, {n})")
 
 
-def tau_orbits(q: int, n: int) -> list[tuple[ClassPair, ...]]:
-    """Orbits of translation-by-n on the level-q cusp classes.
-
-    The translation acts by (x, z) -> (x + n*z, z); the orbit of x/z has
-    size (q/n) / gcd(q/n, z).  Orbits are sorted by (size, representative).
-    """
-    check_step(q, n)
-    classes = enumerate_cusps(q)  # holds the level guard, so it runs before the allocation
+@lru_cache(maxsize=8)
+def _t_cycles(q: int, classes: tuple[ClassPair, ...]) -> tuple[tuple[ClassPair, ...], ...]:
+    """The cycles of T on the level-q classes with z != 0, each in walk order
+    from its least class.  Keyed on the caller's class tuple as well, so the
+    walk reads the classes tau_orbits read, and no second enumeration."""
     seen = bytearray(q * q)
-    orbits = []
+    cycles = []
     for x, z in classes:
-        if not n * z % q:  # a step of 0: the class is fixed, and no walk reaches it
-            orbits.append(((x, z),))
-            continue
         key = x * q + z
-        if seen[key]:
+        if not z or seen[key]:
             continue
-        orbit, s = [], n * z % q  # the step n*z, negated with the fold like x and z
+        cycle, s = [], z  # the step z, negated with the fold like x and z
         while not seen[key]:
             seen[key] = 1
-            orbit.append((x, z))
+            cycle.append((x, z))
             x = (x + s) % q
             if 2 * x > q or (x == 0 or 2 * x == q) and 2 * z > q:
                 x, z, s = -x % q, -z % q, -s % q  # fold to the lesser of +-(x, z)
             key = x * q + z
-        orbit.sort()
-        orbits.append(tuple(orbit))
-    # each orbit starts at its least class, so they arrive in representative order
-    orbits.sort(key=len)
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
+def tau_orbits(q: int, n: int) -> list[tuple[ClassPair, ...]]:
+    """Orbits of translation-by-n on the level-q classes, sorted by (size,
+    representative), each orbit sorted.
+
+    T^n fixes each class with n*z = 0 (mod q); those come first, in class
+    order.  T^n moves the classes of an L-cycle of T n places along it, so
+    the cycle splits into its g = gcd(n, L) slices cycle[j::g]; z is one up
+    to sign on a cycle, so a cycle is fixed or moved whole.  A moved orbit
+    has two classes or more, except (1, 2) at level 4, which T maps to
+    (3, 2) = -(1, 2) and which follows the fixed (1, 0).  Only the walk is
+    cached: every call builds a new list.
+    """
+    check_step(q, n)
+    classes = enumerate_cusps(q)  # holds the level guard, so it runs before the walk
+    orbits = [(c,) for c in classes if not n * c[1] % q]
+    if n < q:  # (0, 1) moves, so T^n is not the identity: walk T, or read its cached cycles
+        moved = []
+        for cycle in _t_cycles(q, classes):
+            if n * cycle[0][1] % q:
+                g = math.gcd(n, len(cycle))
+                moved += [tuple(sorted(cycle[j::g])) for j in range(g)]
+        moved.sort()  # by representative, as the orbits are disjoint; then stably by size
+        moved.sort(key=len)
+        orbits += moved
     return orbits
 
 

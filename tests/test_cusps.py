@@ -244,7 +244,37 @@ class TestOrbits:
         assert tau_orbits(q, n) == _reference_orbits(q, n)
         assert calls == [q]
 
-    # 10**6 and 10**10 would ask tau_orbits for a q*q seen mark of 1 TB and up
+    @pytest.mark.parametrize("q", [4, 24, 60])
+    def test_one_walk_serves_every_step(self, q):
+        cusps._t_cycles.cache_clear()
+        for n in divisors(q):
+            assert tau_orbits(q, n) == _reference_orbits(q, n)
+        assert cusps._t_cycles.cache_info().misses == 1
+
+    @pytest.mark.parametrize("q", [3, 24, 60])
+    def test_identity_step_never_walks(self, q):
+        cusps._t_cycles.cache_clear()
+        assert tau_orbits(q, q) == [(c,) for c in enumerate_cusps(q)]
+        info = cusps._t_cycles.cache_info()
+        assert info.misses == info.hits == 0
+
+    def test_walk_cache_holds_eight_levels(self):
+        assert cusps._t_cycles.cache_info().maxsize == 8
+
+    @pytest.mark.parametrize("q,n", [(8, 1), (24, 4), (60, 6)])
+    def test_caller_edits_do_not_reach_the_walk(self, q, n):
+        # each call builds a new list of new slices; the cached cycles are tuples
+        orbits = tau_orbits(q, n)
+        orbits.reverse()
+        orbits[0] = ((q, q),)
+        del orbits[1:]
+        part = tau_orbits(q, n)[-2:]
+        part[0] = part[-1][::-1]
+        part.clear()
+        assert tau_orbits(q, n) == _reference_orbits(q, n)
+        assert all(type(c) is tuple for c in cusps._t_cycles(q, enumerate_cusps(q)))
+
+    # 10**6 and 10**10 would ask the walk of T for a q*q seen mark of 1 TB and up
     @pytest.mark.parametrize("q", [-1, 0, 2, 61, 10**6, 10**10])
     def test_enumeration_guard(self, q):
         with pytest.raises(ValueError, match="3 <= q <= 60"):
