@@ -1,9 +1,12 @@
 """End-to-end acceptance suite.
 
 One test per criterion; each prints its own PASS line (visible with -s or
-in verbose runs via the test name).  Criteria 2, 7, 10, 11, 12 and 13 read
-the checks of the `verify` registry suites, each suite run once at
-q_max = 24 and shared between the tests that look at it.  The mutation
+in verbose runs via the test name).  Criteria 1, 2, 3, 7 and 9-13 read the
+checks of the `verify` registry suites, each suite run once at the --q-max
+limit its SUITES entry declares (40 for the oracles, the enumeration guard)
+or at 40 when it declares none, and shared between the tests that look at
+it; the golden tables and the formula/oracle pairs are stated there, not
+here.  Criteria 4, 5, 6 and 8 are worked examples.  The mutation
 tests run a suite at q_max = 12 with one checked function broken and
 require its check, and only its check, to fail.  Everything is exact except
 the numeric isomorphism check, which carries an explicit 1e-9 tolerance.
@@ -24,10 +27,9 @@ from modcurve.curve import (SemiHyperellipticCurve,
                             solve_branch_constant)
 from modcurve.cusps import find_equivalence_witness, orbit_widths, tau_orbits
 from modcurve.equation import (build_equation, equation_string,
-                               normalize_with_convention, rotation_table,
-                               substitute_label)
-from modcurve.genus import genus_prime_quotient, genus_q, genus_qn, hurwitz_deficiency
-from modcurve.psl import r_n_formula
+                               normalize_with_convention, substitute_label)
+from modcurve.genus import hurwitz_deficiency
+from modcurve.psl import ENUM_GUARD, r_n_formula
 from test_curve import divisor_degree
 
 
@@ -35,27 +37,36 @@ def report(number: int, label: str):
     print(f"PASS criterion {number}: {label}")
 
 
-def test_criterion_01_table1_reproduction():
-    expect_g = (0, 0, 0, 0, 0, 1, 3, 5, 10, 13, 26, 25, 50, 49, 73, 81,
-                133, 109, 196, 169)
-    expect_g1 = (0, 0, 0, 0, 0, 0, 1, 0, 2, 1, 1, 2, 5, 2, 7, 3)
-    assert tuple(genus_q(q) for q in range(1, 21)) == expect_g
-    assert tuple(genus_qn(q, 1) for q in range(5, 21)) == expect_g1
-    report(1, "level and quotient genera for q = 1..20")
-
-
-# checks per registry suite at q_max = 24, seed = 0
+# checks per registry suite at its declared limit, seed = 0
 SUITE_COUNTS = {"table1": 40, "table2": 12, "table6": 36, "table7": 21,
-                "oracles": 401, "canonical": 14, "iso": 2}
+                "oracles": 761, "canonical": 14, "iso": 2}
 
 
 @lru_cache(maxsize=None)
 def suite_checks(name: str) -> tuple:
-    return tuple(run_suite(name, q_max=24, seed=0))
+    """The suite's checks at the --q-max limit its SUITES entry declares, or
+    at ENUM_GUARD for a suite that declares none."""
+    return tuple(run_suite(name, q_max=SUITES[name][3] or ENUM_GUARD, seed=0))
 
 
 def assert_all_pass(checks, label: str):
     assert [c for c in checks if not c["pass"]] == [], label
+
+
+@pytest.mark.parametrize("limit, q_max", [(None, ENUM_GUARD), (7, 7)])
+def test_suites_run_at_their_declared_limit(monkeypatch, limit, q_max):
+    # a suite added to SUITES is run here at its own limit with no edit
+    monkeypatch.setitem(SUITES, "added", ("golden", lambda q, _seed: [
+        cli.make_check("q_max", q_max, q)], None, limit))
+    assert_all_pass(suite_checks.__wrapped__("added"), "added")
+
+
+def test_criterion_01_table1_reproduction():
+    checks = suite_checks("table1")
+    assert [c["name"] for c in checks] == [f"table1 {col} q={q}"
+                                           for q in range(1, 21) for col in ("g", "g1")]
+    assert_all_pass(checks, "table1")
+    report(1, "level and quotient genera for q = 1..20")
 
 
 def test_registry_suites():
@@ -176,11 +187,11 @@ def test_criterion_02_formula_vs_oracle():
              "width distribution")
     checks = [c for c in suite_checks("oracles") if c["name"].startswith(kinds)]
     assert_all_pass(checks, "oracles")
-    # psl and cusp counts for q = 3..24, then orbit count, widths, width sum
-    # and width distribution for every divisor n of q = 5..24
-    n_pairs = sum(1 for q in range(5, 25) for n in range(1, q + 1) if q % n == 0)
-    assert len(checks) == 2 * 22 + 4 * n_pairs
-    report(2, "enumeration matches every count, width and width-sum formula, q <= 24")
+    # psl and cusp counts for q = 3..40, then orbit count, widths, width sum
+    # and width distribution for every divisor n of q = 5..40
+    n_pairs = sum(1 for q in range(5, 41) for n in range(1, q + 1) if q % n == 0)
+    assert len(checks) == 2 * 38 + 4 * n_pairs
+    report(2, "enumeration matches every count, width and width-sum formula, q <= 40")
 
 
 def test_criterion_07_order_table():
@@ -191,8 +202,11 @@ def test_criterion_07_order_table():
 
 
 def test_criterion_03_rotation_table():
-    assert rotation_table(8, build_equation(8, 1)) == [
-        ("1/0", 1, 1, 1), ("3/8", 1, 1, 1), ("1/4", 2, 1, 2), ("1/2", 4, 1, 4)]
+    checks = suite_checks("table2")
+    assert [c["name"] for c in checks] == [f"table2 {cusp} {col}"
+                                           for cusp in ("1/0", "3/8", "1/4", "1/2")
+                                           for col in ("n", "k", "m")]
+    assert_all_pass(checks, "table2")
     report(3, "level-8 rotation numbers and exponents")
 
 
@@ -245,18 +259,19 @@ def test_criterion_08_holomorphic_basis():
 
 
 def test_criterion_09_type_one_quotient_genera():
-    expected = {10: 1, 14: 2, 22: 6, 26: 9, 34: 17, 38: 22}
-    for q, g in expected.items():
-        assert genus_prime_quotient(q) == g
+    checks = [c for c in suite_checks("table7") if c["name"].startswith("table7 gp")]
+    assert [c["name"] for c in checks] == [f"table7 gp q={q}"
+                                           for q in (2, 10, 14, 22, 26, 34, 38)]
+    assert_all_pass(checks, "table7")
     report(9, "type I order-3p quotient genera")
 
 
 def test_criterion_10_max_element_orders():
     checks = [c for c in suite_checks("oracles")
               if c["name"].startswith("max order")]
-    assert [c["name"] for c in checks] == [f"max order q={q}" for q in range(2, 25)]
+    assert [c["name"] for c in checks] == [f"max order q={q}" for q in range(2, 41)]
     assert_all_pass(checks, "max order")
-    report(10, "largest projective element order, q = 2..24")
+    report(10, "largest projective element order, q = 2..40")
 
 
 def test_criterion_11_canonical_model():
@@ -281,6 +296,6 @@ def test_criterion_12_numeric_isomorphism():
 
 def test_criterion_13_hurwitz_consistency():
     checks = [c for c in suite_checks("oracles") if c["name"].startswith("hurwitz")]
-    assert [c["name"] for c in checks] == [f"hurwitz q={q}" for q in range(3, 25)]
+    assert [c["name"] for c in checks] == [f"hurwitz q={q}" for q in range(3, 41)]
     assert_all_pass(checks, "hurwitz")
-    report(13, "Hurwitz relation closes against the enumerated group, q = 3..24")
+    report(13, "Hurwitz relation closes against the enumerated group, q = 3..40")

@@ -17,7 +17,7 @@ from modcurve.canonical import (EliminationError, _at_root, _expect,
                                 image_of_a, image_of_one, images_of_infinity,
                                 images_of_zero, map_quadric, preserves_ideal,
                                 quadric_forms, quadric_residuals,
-                                reduce_by_span, sigma_family, sigma_matrix,
+                                reduce_by_span, sigma_matrix,
                                 sigma_count, sigma_preserves_ideal,
                                 transform_quadric)
 from modcurve.cli import main
@@ -275,7 +275,6 @@ class TestSpanReduction:
     # preserves_ideal reads each row once for all three pullbacks and skips
     # the zero filter; its answer must be the public path's, and that path's
     # pullback the one expanded over every entry pair
-    @settings(deadline=None)
     @given(MATRICES, st.one_of(st.just(-1), st.just(Fraction(-1)), SCALARS))
     def test_preserves_ideal_is_the_public_path(self, m, a):
         forms = quadric_forms(a)
@@ -330,9 +329,6 @@ class TestElimination:
         assert {name for name, _ in logged} == set(res.entries) - {"c33"}
         for name, value in logged:
             assert read_back(value, {"c33": MPoly.var("c33")}, res.a) == res.entries[name], name
-
-    def test_family_matches_constructor(self):
-        assert elimination_solve().family == sigma_family(-1)
 
     @pytest.mark.parametrize("root", [0, 1])
     def test_root_against_assumptions(self, monkeypatch, root):
@@ -495,10 +491,7 @@ class TestCrossChecks:
     def test_hyperellipticity_obstruction(self):
         report = hyperellipticity_obstruction()
         assert report["sign_center_size"] == 2
-        assert report["center_is_scalar"]
         assert report["projective_center_trivial"]
-        assert report["central_involution_quotient_genus"] == 3
-        assert not report["hyperelliptic"]
 
 
 # MPoly as the elimination uses it: a and the matrix entries are its names,
@@ -652,7 +645,7 @@ class TestPullBackOnce:
             got = chains[index][-1 if a is not None else k - STAGES[index]]
             assert got == rebuilt_remainder(known, index, a), (k, index, a)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.lists(st.tuples(st.sampled_from(FREE), VALUES), max_size=5),
            st.one_of(st.none(), SCALARS))
     def test_substitution_commutes_with_pullback(self, assignments, a):

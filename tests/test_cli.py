@@ -708,14 +708,14 @@ class TestJsonRendering:
         assert (status, err) == (0, "")
         assert out == json.dumps(docs[0][0], indent=2) + "\n"
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(TREES)
     @example(Pair("\u00e9", ({}, [])))  # a tuple, a non-ASCII str, an empty dict and list
     @example([True, False, None, 0, 1])  # the literals, and the ints equal to two of them
     def test_renderer_is_indent_2(self, tree):
         assert _render_json(tree) == json.dumps(tree, indent=2)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(row_lists())
     @example([{"a": "1", "b": "2"}, {"b": "3", "a": "4"}])  # same keys, another order
     @example([{"%": "1", "b": "2"}, {"%": "3", "b": "4"}])
@@ -783,7 +783,7 @@ def argvs(draw):
 
 
 class TestArgvProperty:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(argvs())
     def test_never_internal_error(self, argv):
         # a bad level, step, cusp or matrix is an argument (2) or

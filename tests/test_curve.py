@@ -214,25 +214,21 @@ class TestRecords:
             setattr(record, field, 3)
 
 
-TABLE6 = {
-    # column -> (order at 0_l, at (1,0), at (a,0), at infinity)
-    Monomial((1, 0, 0), 0, dx=False): (4, 0, 0, -2),
-    Monomial((0, 1, 0), 0, dx=False): (0, 8, 0, -2),
-    Monomial((0, 0, 0), -1, dx=False): (1, 1, 1, -1),
-    Monomial((0, 0, 0), 0): (3, 7, 7, -3),
-    Monomial((0, 0, 0), 3): (0, 4, 4, 0),
-    Monomial((1, 0, 0), 5): (2, 2, 2, 0),
-    Monomial((1, 0, 0), 6): (1, 1, 1, 1),
-    Monomial((1, 1, 0), 7): (0, 8, 0, 0),
-    Monomial((1, 0, 0), 7): (0, 0, 0, 2),
-}
+# the columns of table 6, whose orders at the four rows the table6 suite checks
+TABLE6 = [
+    Monomial((1, 0, 0), 0, dx=False),
+    Monomial((0, 1, 0), 0, dx=False),
+    Monomial((0, 0, 0), -1, dx=False),
+    Monomial((0, 0, 0), 0),
+    Monomial((0, 0, 0), 3),
+    Monomial((1, 0, 0), 5),
+    Monomial((1, 0, 0), 6),
+    Monomial((1, 1, 0), 7),
+    Monomial((1, 0, 0), 7),
+]
 
 
 class TestDifferentialOrders:
-    @pytest.mark.parametrize("mono,expect", TABLE6.items())
-    def test_order_table(self, mono, expect):
-        assert order_vector(octic_family(), mono) == expect
-
     @pytest.mark.parametrize("mono", TABLE6)
     def test_divisor_degrees(self, mono):
         deg = divisor_degree(octic_family(), mono)

@@ -179,10 +179,6 @@ class TestCounts:
         assert h_formula(q) == h
         assert len(enumerate_cusps(q)) == h
 
-    @pytest.mark.parametrize("q", range(3, 25))
-    def test_enumeration_matches_formula(self, q):
-        assert len(enumerate_cusps(q)) == h_formula(q)
-
     def test_branched_subset_level8(self):
         branched = {cls for cls in enumerate_cusps(8) if math.gcd(8, cls[1]) > 1}
         expect = {cusp_canonical(8, c) for c in
@@ -209,11 +205,6 @@ class TestOrbits:
                 for orbit in tau_orbits(q, n):
                     _, z = orbit_rep(orbit)
                     assert len(orbit) == p // math.gcd(p, z)
-
-    @pytest.mark.parametrize("q", range(5, 25))
-    def test_counts_match_formula(self, q):
-        for n in divisors(q):
-            assert len(tau_orbits(q, n)) == h_n_formula(q, n)
 
     # the sorted scan and the inline sign fold against the set-and-sort walk
     @pytest.mark.parametrize("q", range(3, 61))
@@ -352,18 +343,6 @@ class TestWidthDistribution:
     ])
     def test_examples(self, q, n, expect):
         assert width_distribution(q, n) == expect
-
-    @pytest.mark.parametrize("q", range(5, 19))
-    def test_totals_and_direct_count(self, q):
-        for n in divisors(q):
-            dist = width_distribution(q, n)
-            assert sum(dist.values()) == h_n_formula(q, n)
-            assert sum(w * c for w, c in dist.items()) == r_n_formula(q, n)
-            direct = {}
-            for orbit in tau_orbits(q, n):
-                w = width(q, n, class_to_cusp(q, orbit_rep(orbit)))
-                direct[w] = direct.get(w, 0) + 1
-            assert dist == direct
 
     @pytest.mark.parametrize("q", range(3, 13))
     def test_width_tally(self, q):

@@ -13,7 +13,7 @@ from modcurve.equation import (BranchTerm, RotationNumber, build_equation,
                                equation_string, exponent_from_rotation,
                                normalize_with_convention, rotation_from_exponent,
                                rotation_number, rotation_of_class,
-                               rotation_table, substitute_label, CONVENTIONS,
+                               substitute_label, CONVENTIONS,
                                SemiHyperellipticEquation)
 from modcurve.genus import genus_q, genus_qn
 
@@ -223,10 +223,6 @@ class TestBuildEquation:
     def test_positive_genus_divisors_rejected(self, q, n):
         with pytest.raises(ValueError):
             build_equation(q, n)
-
-    def test_table2(self):
-        assert rotation_table(8, build_equation(8, 1)) == [
-            ("1/0", 1, 1, 1), ("3/8", 1, 1, 1), ("1/4", 2, 1, 2), ("1/2", 4, 1, 4)]
 
     @pytest.mark.parametrize("q", [6, 7, 8, 9, 10, 12])
     def test_curve_genus_matches(self, q):

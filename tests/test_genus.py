@@ -9,23 +9,14 @@ from modcurve.genus import (euler_genus, genus_prime_quotient, genus_q,
                             is_semihyperelliptic_level)
 from modcurve.psl import r_formula, r_n_formula
 
-TABLE_G = [0, 0, 0, 0, 0, 1, 3, 5, 10, 13, 26, 25, 50, 49, 73, 81, 133, 109, 196, 169]
-TABLE_G1 = [0, 0, 0, 0, 0, 0, 1, 0, 2, 1, 1, 2, 5, 2, 7, 3]  # q = 5..20
-
 
 class TestGenusQ:
-    def test_table_row(self):
-        assert [genus_q(q) for q in range(1, 21)] == TABLE_G
-
     @pytest.mark.parametrize("q,g", [(6, 1), (7, 3), (8, 5), (12, 25), (19, 196)])
     def test_named_values(self, q, g):
         assert genus_q(q) == g
 
 
 class TestGenusQn:
-    def test_table_row(self):
-        assert [genus_qn(q, 1) for q in range(5, 21)] == TABLE_G1
-
     @pytest.mark.parametrize("q,g", [(11, 1), (13, 2), (17, 5), (8, 0)])
     def test_named_values(self, q, g):
         assert genus_qn(q, 1) == g
@@ -63,11 +54,6 @@ class TestEulerRelation:
 
 
 class TestPrimeQuotient:
-    @pytest.mark.parametrize("q,g", [(10, 1), (14, 2), (22, 6), (26, 9),
-                                     (34, 17), (38, 22)])
-    def test_table(self, q, g):
-        assert genus_prime_quotient(q) == g
-
     def test_rejects_type_two(self):
         with pytest.raises(ValueError):
             genus_prime_quotient(12)

@@ -22,10 +22,6 @@ class TestEnumeration:
     def test_sizes(self, q, size):
         assert len(enumerate_psl(q)) == size
 
-    @pytest.mark.parametrize("q", range(3, 31))
-    def test_matches_index_formula(self, q):
-        assert len(enumerate_psl(q)) == r_formula(q)
-
     def test_guard(self):
         with pytest.raises(ValueError):
             enumerate_psl(50)
@@ -505,7 +501,7 @@ class TestTransporters:
         stab = maps_between_cusps(8, inf_cls, inf_cls)
         assert len(stab) == 192 // 24  # |G| / number of cusp classes
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.data())
     def test_against_filter_of_sl(self, data):
         q = data.draw(st.integers(3, 24))
