@@ -38,12 +38,14 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as [(p, r), ...] with p increasing.
+    """Prime factorization of 1 <= n <= 10**12 as [(p, r), ...] with p increasing.
 
-    Trial division; intended inputs are small (well below 10**6).
+    Trial division up to sqrt(n); the limit is checked before the loop.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
+    if n > 10**12:
+        raise ValueError(f"factorize supports n <= 10**12, got {n}")
     out: list[tuple[int, int]] = []
     x = n
     p = 2

@@ -324,7 +324,7 @@ def cmd_cusps(args) -> tuple[dict, list[str], int]:
         result["note"] = "widths from the congruence scan: the closed form needs q >= 5"
         lines.append(result["note"])
     if args.distribution:
-        dist = width_distribution(q, n) if q >= 5 else Counter(w for _, w in pairs)
+        dist = Counter(w for _, w in pairs)
         result["distribution"] = {str(k): str(v) for k, v in sorted(dist.items())}
         lines.append("width distribution: "
                      + ", ".join(f"{k}:{v}" for k, v in sorted(dist.items())))

@@ -1,12 +1,12 @@
 """Genus formulas for the modular curves of principal congruence type.
 
-g_q for the level-q curve, g_q^n for the quotient by translation-by-n,
-the Euler relation g = 1 - h/2 + R/12 (valid because the groups act freely
-on the upper half plane once q >= 4: their elements have trace 2 mod q,
-while elliptic elements of SL(2, Z) have trace in {-1, 0, 1}), the genus
-of the order-3p quotient for q = 2p of type I, and a Hurwitz-relation
-helper.  All arithmetic is exact; a fractional genus raises instead of
-rounding.
+The one genus statement for free actions is the Euler relation
+g = 1 - h/2 + R/12 of the cusp count h and the index R; the groups act freely
+once q >= 4 (their elements have trace 2 mod q, elliptic ones -1, 0 or 1).
+g_q and g_q^n (the quotient by translation-by-n) are that relation, which
+yields 1 + (q - 6*N(q/n)) * n*q/24 * prod(1 - 1/l^2).  The type I order-3p
+quotient has fixed points and keeps its own closed form.  Also a Hurwitz
+helper.  All arithmetic is exact; a fractional genus raises, never rounds.
 """
 
 from __future__ import annotations
@@ -15,24 +15,20 @@ import math
 from fractions import Fraction
 
 from .arith import check_step, divisors, euler_product, exact_int, mult_n
-from .psl import type_classify
+from .cusps import h_formula, h_n_formula
+from .psl import r_formula, r_n_formula, type_classify
 
 
 def genus_q(q: int) -> int:
-    """Genus of the level-q curve; 0 for q in {1, 2} by convention (sphere)."""
+    """Genus of the level-q curve by the Euler relation; 0 for q in {1, 2} (sphere)."""
     check_step(q, 1)
-    if q <= 2:
-        return 0
-    return exact_int(1 + Fraction((q - 6) * q * q, 24) * euler_product(q),
-                     f"genus for q = {q}")
+    return 0 if q <= 2 else euler_genus(h_formula(q), r_formula(q))
 
 
 def genus_qn(q: int, n: int) -> int:
-    """Genus of the quotient by translation-by-n, for q >= 5 and n | q:
-    1 + (q - 6*N(q/n)) * n*q/24 * prod(1 - 1/l^2)."""
-    check_step(q, n, 5)
-    return exact_int(1 + (q - 6 * mult_n(q // n)) * Fraction(n * q, 24) * euler_product(q),
-                     f"genus for (q, n) = ({q}, {n})")
+    """Genus of the quotient by translation-by-n, for q >= 5 and n | q: the
+    Euler relation of its cusp count and index (h_n_formula checks q and n)."""
+    return euler_genus(h_n_formula(q, n), r_n_formula(q, n))
 
 
 def euler_genus(h: int, r: int) -> int:

@@ -191,7 +191,6 @@ def max_element_order(q: int) -> int:
     12,180 at level 29.  The scalar classes (m = 1) have order 1.  The walks
     go through the public projective_element_order, companion checks and all,
     because the benchmark's order counter hooks that name (perfbench/metrics.py)."""
-    _check_enum(q)
     raw = {(math.gcd(q, b, c, a - d), a + d) for a, b, c, d in _reps(q, scalar_units(q))}
     pairs = {(q // g, t % (q // g)) for g, t in raw}
     return max((projective_element_order(m, (t, m - 1, 1, 0)) for m, t in pairs if m > 1),
@@ -240,7 +239,6 @@ def center(q: int) -> set[Mat]:
     Candidates are cut down against the images of the two standard
     generators of SL(2, Z), then the non-scalar ones against the whole group.
     """
-    _check_enum(q)
     return _center_of(q, scalar_units(q))
 
 

@@ -536,6 +536,7 @@ class TestInputRules:
         (n3, (2, 0, 0), "^exponent r must be >= 1$"),
         (Cyclotomic, (4, (1, 2)), "^need d >= 1 and d coefficients, got d = 4 and 2$"),
         (Cyclotomic.scalar, (0, 1), "^need d >= 1, got d = 0$"),
+        (factorize, (10**12 + 39,), r"^factorize supports n <= 10\*\*12, got 1000000000039$"),
     ])
     def test_rejects(self, call, args, match):
         with pytest.raises(ValueError, match=match):

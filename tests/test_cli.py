@@ -81,6 +81,12 @@ class TestGenusCommand:
         status, _, err = run(capsys, "genus", "--q", "8", "--n", "3")
         assert status == 2 and "divide" in err
 
+    def test_level_beyond_factorize_limit(self, capsys):
+        # trial division stops at 10**12: a usage error at once, not a long run
+        status, out, err = run(capsys, "genus", "--q", "1000000000000000003")
+        assert status == 2 and out == ""
+        assert err == "error: factorize supports n <= 10**12, got 1000000000000000003\n"
+
     def test_json_numbers_are_strings(self, capsys):
         status, out, _ = run(capsys, "--format", "json", "genus", "--q", "8",
                              "--n", "1")

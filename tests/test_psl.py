@@ -39,8 +39,9 @@ class TestEnumerationGuard:
 
     @pytest.fixture
     def scanned(self, monkeypatch):
+        # a level counts once its scan returns: a call the guard refuses scans nothing
         levels, scan = [], psl.scalar_units
-        monkeypatch.setattr(psl, "scalar_units", lambda q: levels.append(q) or scan(q))
+        monkeypatch.setattr(psl, "scalar_units", lambda q: (scan(q), levels.append(q))[0])
         return levels
 
     @pytest.mark.parametrize("flag", ["--max-order", "--center"])
